@@ -152,8 +152,7 @@ class _Search:
         if self.d_oracle.mode == OracleMode.EXACT_PMF:
             w = subcube_weight(self.d_oracle.dense(), s)
         else:
-            pool = self.i_oracle.plain_pool(self.params.leaf_sample_count)
-            w = float(s.consistent_mask(pool).mean())
+            w = self.i_oracle.pool_fraction(s, self.params.leaf_sample_count)
         # weighting value 2^|s| * w, stored as a density by dividing by 2^n
         return w / 2.0 ** (self.d_oracle.n - len(s))
 

@@ -85,13 +85,33 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
+def _load_input(path: str):
+    try:
+        return load_json(path)
+    except (OSError, ValueError) as exc:  # missing file, bad JSON
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
 def _load_dist(path: str):
-    obj = load_json(path)
-    if "root" in obj:
-        return DistTree.from_json_dict(obj)
-    if "table" in obj:
-        return DensePmf.from_json_dict(obj)
+    obj = _load_input(path)
+    try:
+        if "root" in obj:
+            return DistTree.from_json_dict(obj)
+        if "table" in obj:
+            return DensePmf.from_json_dict(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is malformed: {exc!r}") from exc
     raise ConfigError(f"{path} holds neither a tree nor a dense pmf")
+
+
+def _parse_restriction(text: str, n: int) -> Restriction:
+    try:
+        s = Restriction.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"--restrict {text!r}: {exc}") from exc
+    if any(i >= n for i in s.coords()):
+        raise ConfigError(f"--restrict {text!r}: coordinates must be below n={n}")
+    return s
 
 
 def _reference_dense(dist) -> DensePmf:
@@ -211,7 +231,7 @@ def cmd_estimate_influence(args) -> int:
     dist = _load_dist(args.dist)
     if not 0 <= args.coord < dist.n:
         raise ConfigError(f"--coord must be in [0,{dist.n})")
-    s = Restriction.parse(args.restrict)
+    s = _parse_restriction(args.restrict, dist.n)
     if args.coord in s.coords():
         raise ConfigError(f"--coord {args.coord} is fixed by --restrict")
     seed = _parse_seed(args.seed)
@@ -249,14 +269,17 @@ def cmd_lift(args) -> int:
     _check_unit("--eps", args.eps)
     _check_unit("--delta", args.delta)
     dist = _load_dist(args.dist)
-    target_obj = load_json(args.target)
+    target_obj = _load_input(args.target)
+    if not isinstance(target_obj, dict) or "table" not in target_obj:
+        raise ConfigError(f"{args.target} holds no target table")
     table = np.asarray(target_obj["table"], dtype=np.uint8)
     if table.size != 1 << dist.n:
         raise ConfigError("target table size does not match the distribution")
     name, _, arg = args.learner.partition(":")
-    if not arg:
-        raise ConfigError("--learner must look like tree:2 or lowdeg:1")
-    k = int(arg)
+    try:
+        k = int(arg)
+    except ValueError:
+        raise ConfigError("--learner must look like tree:2 or lowdeg:1") from None
     # the learner's own delta sits below delta/(2*2^depth) so the lift
     # never needs confidence boosting (whose holdout cost is enormous);
     # the learners only pay log(1/delta) for it
@@ -453,6 +476,8 @@ def _default_workers() -> int:
 
 def cmd_verify(args) -> int:
     started = time.time()
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     seed = _parse_seed(args.seed)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     workers = args.workers if args.workers else _default_workers()
@@ -506,6 +531,13 @@ def cmd_verify(args) -> int:
 # argument wiring
 
 
+MAX_POOL_HELP = (
+    "cap on the plain draws of the shared sample pool (default 2000000); the "
+    "pool keeps distinct points with counts, so its memory is "
+    "O(min(2^n, draws) * n)"
+)
+
+
 def _common(p: argparse.ArgumentParser):
     p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer or 'random'")
     p.add_argument("--out", default=None)
@@ -531,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=sorted(_ORACLE_MODES), default="exact")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--accuracy", type=float, default=None)
-    p.add_argument("--max-pool", type=int, default=None)
+    p.add_argument("--max-pool", type=int, default=None, help=MAX_POOL_HELP)
     p.add_argument("--infest-reps", type=int, default=None)
     _common(p)
     p.set_defaults(func=cmd_learn_dist)
@@ -556,7 +588,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", choices=sorted(_ORACLE_MODES), default="exact")
     p.add_argument("--dist-eps", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--max-pool", type=int, default=None)
+    p.add_argument("--max-pool", type=int, default=None, help=MAX_POOL_HELP)
     p.add_argument("--infest-reps", type=int, default=None)
     _common(p)
     p.set_defaults(func=cmd_lift)

@@ -66,9 +66,7 @@ def all_points(n: int) -> np.ndarray:
     """
     got = _POINTS_CACHE.get(n)
     if got is None:
-        idx = np.arange(1 << n, dtype=np.int64)
-        bits = (idx[:, None] >> np.arange(n)) & 1
-        got = (2 * bits - 1).astype(np.int8)
+        got = index_to_point(np.arange(1 << n, dtype=np.int64), n)
         got.setflags(write=False)
         if n <= MAX_DENSE_N:
             _POINTS_CACHE[n] = got
@@ -85,9 +83,17 @@ def point_index(x) -> int:
     return int(points_to_indices(np.asarray(x, dtype=np.int8)[None, :])[0])
 
 
-def index_to_point(idx: int, n: int) -> np.ndarray:
-    bits = (idx >> np.arange(n)) & 1
-    return (2 * bits - 1).astype(np.int8)
+def index_to_point(idx, n: int) -> np.ndarray:
+    """Point with dense-table index idx; an array of k indices gives a
+    (k, n) batch.  Inverts points_to_indices."""
+    idx = np.asarray(idx, dtype=np.int64)
+    bits = np.empty(idx.shape + (n,), dtype=np.int8)
+    # one coordinate at a time: a (k, n) int64 temporary would be 8x the result
+    for i in range(n):
+        bits[..., i] = (idx >> i) & 1
+    bits *= 2
+    bits -= 1
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -678,8 +684,9 @@ class DistOracle:
         if isinstance(self.backing, (DistTree, DensePmf)):
             Xf = np.array(X, copy=True)
             Xf[:, i] *= -1
-            px = self.backing.eval_batch(X)
-            pf = self.backing.eval_batch(Xf)
+            # clamped like the dense sampler's table (see _draw_dense)
+            px = np.maximum(self.backing.eval_batch(X), 0.0)
+            pf = np.maximum(self.backing.eval_batch(Xf), 0.0)
             tot = px + pf
             if np.any(tot <= 0.0):
                 raise ZeroWeightSubcubeError("two-point subcube has zero mass")
@@ -761,16 +768,19 @@ class DistOracle:
 
     def _draw_dense(self, s: Restriction, k: int) -> np.ndarray:
         d: DensePmf = self.backing
+        # validation lets entries down to -1e-12 through; rng.choice rejects
+        # them.  Clamped, not renormalized, so valid tables draw unchanged.
+        table = np.maximum(d.table, 0.0)
         if len(s) == 0:
-            idx = self.rng.choice(d.table.size, size=k, p=d.table)
+            idx = self.rng.choice(table.size, size=k, p=table)
             return all_points(d.n)[idx]
         pts = all_points(d.n)
         mask = s.consistent_mask(pts)
-        w = float(d.table[mask].sum())
+        w = float(table[mask].sum())
         if w <= 0.0:
             raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
         sub_idx = np.flatnonzero(mask)
-        pick = self.rng.choice(sub_idx.size, size=k, p=d.table[sub_idx] / w)
+        pick = self.rng.choice(sub_idx.size, size=k, p=table[sub_idx] / w)
         return pts[sub_idx[pick]]
 
     def _reject(self, s: Restriction, k: int) -> np.ndarray:

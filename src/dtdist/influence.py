@@ -36,9 +36,16 @@ from .core import (
     DistOracle,
     OracleMode,
     Restriction,
+    index_to_point,
+    points_to_indices,
     restrict_dist,
 )
-from .errors import BudgetExceededError, OracleModeError, RejectionCapExceededError
+from .errors import (
+    BudgetExceededError,
+    ConfigError,
+    OracleModeError,
+    RejectionCapExceededError,
+)
 
 KIND_EXACT = "exact"
 KIND_MONOTONE = "monotone"
@@ -280,6 +287,10 @@ class EstimatorBudget:
     everything the cap allows and reports the realized sample count
     instead of failing; pass strict=True to InfluenceOracle to fail
     instead.
+
+    max_pool caps the plain draws the shared pool takes in total.  The
+    pool keeps distinct points with counts, so its memory is
+    O(min(2^n, draws) * n), not O(max_pool * n).
     """
 
     max_pool: int = 2_000_000
@@ -301,8 +312,17 @@ class InfluenceOracle:
     The sample-based kinds keep one growing pool of plain samples and
     reuse it across queries (weights, monotone biases, and leaf-mass
     estimates elsewhere); a union bound over queries is unaffected by the
-    reuse, and the pool is the dominant sample cost.
+    reuse, and the pool is the dominant sample cost.  Every pool estimate
+    is a count over the draws, so the pool is held as its sufficient
+    statistic: the distinct points drawn so far, sorted by dense-table
+    index, with how often each was drawn.  That is at most min(2^n,
+    draws) rows, and the counts give the same sums as the draws would.
+    The index is a 64-bit key, so the sample kinds take n <= 64.
     """
+
+    # rows turned into indices at a time when the pool grows, which bounds
+    # the transient int64 copy of a large batch
+    CHUNK_ROWS = 1 << 16
 
     def __init__(
         self,
@@ -330,21 +350,53 @@ class InfluenceOracle:
         self.accuracy = float(accuracy)
         self.confidence = float(confidence)
         self.budget = budget or EstimatorBudget()
+        if kind != KIND_EXACT:
+            if source.n > 64:
+                raise ConfigError(f"the sample pool keys points by a 64-bit index, n={source.n}")
+            if self.budget.max_pool < 1:
+                raise ConfigError(f"max_pool must be positive, got {self.budget.max_pool}")
         self.strict = strict
         self.queries = 0
-        self._pool = np.empty((0, source.n), dtype=np.int8)
+        self.pool_draws = 0
+        self._keys = np.empty(0, dtype=np.int64)
+        self._counts = np.empty(0, dtype=np.int64)
+        self._points = np.empty((0, source.n), dtype=np.int8)
         self._dense = source.dense() if kind == KIND_EXACT else None
 
     # -- pooled plain samples ------------------------------------------------
 
     def plain_pool(self, min_rows: int) -> np.ndarray:
-        """Shared pool of plain samples with at least min_rows rows
-        (subject to the pool cap)."""
+        """Grow the shared pool to at least min_rows plain draws (subject to
+        the pool cap); returns its distinct points, sorted by index."""
         want = min(int(min_rows), self.budget.max_pool)
-        if self._pool.shape[0] < want:
-            extra = self.source.sample_batch(want - self._pool.shape[0])
-            self._pool = np.concatenate([self._pool, extra], axis=0)
-        return self._pool
+        if self.pool_draws < want:
+            X = self.source.sample_batch(want - self.pool_draws)
+            self.pool_draws += X.shape[0]
+            keys, counts = [self._keys], [self._counts]
+            for lo in range(0, X.shape[0], self.CHUNK_ROWS):
+                k, c = np.unique(points_to_indices(X[lo:lo + self.CHUNK_ROWS]),
+                                 return_counts=True)
+                keys.append(k)
+                counts.append(c)
+            del X  # summarised; at large n it is as big as the store itself
+            self._keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+            self._counts = np.zeros(self._keys.size, dtype=np.int64)
+            np.add.at(self._counts, where, np.concatenate(counts))
+            del keys, counts, where
+            self._points = index_to_point(self._keys, self.source.n)
+        return self._points
+
+    def pool_tally(self, s: Restriction, coords: Sequence[int] = ()):
+        """(draws in the pool that lie in s, per-coordinate sums of coords
+        over those draws), both exact integers."""
+        mask = s.consistent_mask(self._points)
+        counts = self._counts[mask]
+        return int(counts.sum()), counts @ self._points[mask][:, list(coords)]
+
+    def pool_fraction(self, s: Restriction, min_rows: int) -> float:
+        """Share of the pool's draws in s, after growing it to min_rows."""
+        self.plain_pool(min_rows)
+        return self.pool_tally(s)[0] / self.pool_draws
 
     def _capped(self, wanted: int, cap: int, what: str) -> int:
         if wanted <= cap:
@@ -387,26 +439,22 @@ class InfluenceOracle:
             n_w = self._capped(
                 bias_sample_count(e_w, dq / 2.0), self.budget.max_pool, "weight estimate"
             )
-            pool = self.plain_pool(n_w)
-            w_hat = float(s.consistent_mask(pool).mean())
+            w_hat = self.pool_fraction(s, n_w)
             d_rest = dq / 2.0
         if w_hat <= 0.0:
             # no observed mass: restricted influences are below resolution
-            return coords, np.zeros(len(coords)), self._pool.shape[0]
+            return coords, np.zeros(len(coords)), self.pool_draws
         e_cond = min(0.5, a / (2.0 ** len(s) * w_hat))
 
         if self.kind == KIND_MONOTONE:
             n_c = self._capped(
                 bias_sample_count(e_cond, d_rest), self.budget.max_pool, "bias estimate"
             )
-            pool = self.plain_pool(self._pool.shape[0])
-            mask = s.consistent_mask(pool)
-            have = int(mask.sum())
-            while have < n_c and pool.shape[0] < self.budget.max_pool:
+            have, sums = self.pool_tally(s, coords)
+            while have < n_c and self.pool_draws < self.budget.max_pool:
                 goal = math.ceil(n_c / max(w_hat, 2.0 ** -(len(s) + 2)))
-                pool = self.plain_pool(max(goal, 2 * pool.shape[0]))
-                mask = s.consistent_mask(pool)
-                have = int(mask.sum())
+                self.plain_pool(max(goal, 2 * self.pool_draws))
+                have, sums = self.pool_tally(s, coords)
             if have < n_c and self.strict:
                 raise BudgetExceededError(
                     f"needed {n_c} conditioned samples in {s}, pool yielded {have}"
@@ -414,9 +462,9 @@ class InfluenceOracle:
             if have == 0:
                 return coords, np.zeros(len(coords)), 0
             if len(s) > 0:
-                w_hat = float(mask.mean())  # refresh with the grown pool
+                w_hat = have / self.pool_draws  # refresh with the grown pool
             # conditional bias of each coordinate; clamp at 0 (monotone truth)
-            bias = pool[mask][:, coords].mean(axis=0)
+            bias = sums / have
             vals = 2.0 ** len(s) * w_hat * np.clip(bias, 0.0, None)
             return coords, vals, have
 

@@ -301,6 +301,57 @@ def test_exit_code_config_errors(e2_file, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("oracle", ["exact", "monotone", "subcube"])
+@pytest.mark.parametrize("restrict", ["1=+2", "9=+1", "0"])
+def test_exit_code_bad_restriction(tmp_path, capsys, oracle, restrict):
+    gen_out = str(tmp_path / "g")
+    run_json(capsys, ["gen", "--n", "6", "--depth", "2", "--monotone",
+                      "--seed", "5", "--out", gen_out])
+    code, out = run(capsys, ["estimate-influence", "--dist", gen_out + ".dense.json",
+                             "--coord", "1", "--restrict", restrict,
+                             "--oracle", oracle])
+    assert code == 2 and out == ""
+
+
+def test_exit_code_unreadable_inputs(e2_file, tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    garbled = str(tmp_path / "garbled.json")
+    with open(garbled, "w") as fh:
+        fh.write("{not json")
+    no_n = str(tmp_path / "no_n.json")
+    save_json(no_n, {"table": [0.5, 0.5]})
+    for path in (missing, garbled, no_n):
+        code, out = run(capsys, ["learn-dist", "--dist", path, "--depth", "1",
+                                 "--eps", "0.2"])
+        assert code == 2 and out == ""
+        code, out = run(capsys, ["lift", "--dist", e2_file, "--target", path,
+                                 "--learner", "tree:1", "--depth", "1",
+                                 "--eps", "0.2"])
+        assert code == 2 and out == ""
+
+
+def test_exit_code_bad_learner_order(e2_file, capsys):
+    for learner in ("tree:x", "tree:", "lowdeg:1.5"):
+        code, out = run(capsys, ["lift", "--dist", e2_file, "--target", e2_file,
+                                 "--learner", learner, "--depth", "1",
+                                 "--eps", "0.2"])
+        assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_nonpositive_trials(capsys, trials):
+    code, out = run(capsys, ["verify", "--suite", "core", "--trials", trials,
+                             "--workers", "1"])
+    assert code == 2 and out == ""
+
+
+def test_exit_code_nonpositive_max_pool(e2_file, capsys):
+    code, out = run(capsys, ["learn-dist", "--dist", e2_file, "--depth", "1",
+                             "--eps", "0.2", "--oracle", "monotone",
+                             "--max-pool", "-5"])
+    assert code == 2 and out == ""
+
+
 def test_exit_code_oracle_budget(tmp_path, capsys):
     # distribution with an unreachable subcube: conditioning on it must
     # exhaust the rejection cap and exit 3

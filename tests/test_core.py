@@ -310,6 +310,18 @@ def test_dense_backing_sampling_matches_table(e2_dense):
     assert np.abs(emp - e2_dense.table).max() <= 0.01
 
 
+def test_dense_sampling_tolerates_tiny_negative_mass():
+    # validation admits entries down to -1e-12; the sampler must not choke
+    # on them, and such a point must never be drawn
+    table = np.array([-1e-13, 0.25, 0.25, 0.5 + 1e-13])
+    o = DistOracle.subcube(DensePmf(2, table), seed=7)
+    assert not (points_to_indices(o.sample_batch(20_000)) == 0).any()
+    X = o.subcube_sample_batch(Restriction.of((0, -1)), 20_000)
+    assert (points_to_indices(X) == 2).all()
+    # the two-point partner of index 2 across coordinate 1 is index 0
+    assert (o.two_point_fraction_batch(X[:5], 1, 100) == 1.0).all()
+
+
 def test_subcube_sampling_conditional(e2_tree):
     o = DistOracle.subcube(e2_tree, seed=5)
     X = o.subcube_sample_batch(Restriction.of((0, 1)), 100_000)

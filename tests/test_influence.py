@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as O
 from conftest import E2_EXPECTED
 from dtdist import (
     BudgetExceededError,
+    ConfigError,
     DensePmf,
     DistOracle,
     EstimatorBudget,
@@ -29,6 +32,7 @@ from dtdist import (
     infest_sample_count,
     monotone_bias_estimate,
     oracle_influence,
+    points_to_indices,
     scale_to_restriction,
     subcube_weight,
     uniform_dense,
@@ -383,3 +387,72 @@ def test_estimates_on_random_monotone_instances():
         free, exact = exact_influence_all(inst.dense)
         _, vals, _ = io.estimate_all()
         assert np.abs(vals - exact).max() <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# the pool's count store against a scan of the rows it was fed
+
+
+def _row_stream(X):
+    """Stream backing that hands out the rows of X in order."""
+    cursor = [0]
+
+    def draw(k, rng):
+        lo = cursor[0]
+        cursor[0] += k
+        return X[lo:lo + k]
+
+    return draw
+
+
+@st.composite
+def pool_cases(draw):
+    n = draw(st.integers(1, 8))
+    rows = draw(st.integers(1, 3000))
+    # a per-coordinate bias towards +1 varies how many distinct points show
+    p_plus = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.where(rng.random((rows, n)) < p_plus, 1, -1).astype(np.int8)
+    # pool sizes of successive plain_pool calls, ending with all rows
+    cuts = sorted(draw(st.lists(st.integers(1, rows), max_size=4))) + [rows]
+    signs = draw(st.lists(st.sampled_from((-1, 0, 1)), min_size=n, max_size=n))
+    s = Restriction.of(*[(i, b) for i, b in enumerate(signs) if b])
+    coords = draw(st.lists(st.integers(0, n - 1), unique=True))
+    return X, cuts, s, coords
+
+
+@settings(max_examples=150, deadline=None)
+@given(pool_cases())
+def test_pool_counts_equal_row_scan(case):
+    X, cuts, s, coords = case
+    n = X.shape[1]
+    io = InfluenceOracle(
+        KIND_MONOTONE, DistOracle.sampler(_row_stream(X), n=n), 0.1, 0.1
+    )
+    for rows in cuts:
+        io.plain_pool(rows)
+        seen = X[:rows]
+        mask = s.consistent_mask(seen)
+        have, sums = io.pool_tally(s, coords)
+        assert io.pool_draws == rows
+        assert have == int(mask.sum())
+        assert np.array_equal(sums, seen[mask][:, coords].sum(axis=0))
+        # the estimates built on them match the row-scan floats bit for bit
+        assert io.pool_fraction(s, rows) == float(mask.mean())
+        if have:
+            assert np.array_equal(sums / have, seen[mask][:, coords].mean(axis=0))
+    # the store holds each distinct row once, in index order
+    assert np.array_equal(points_to_indices(io.plain_pool(0)),
+                          np.unique(points_to_indices(X)))
+    assert io.source.query_count[io.source.mode.SAMPLE] == X.shape[0]
+
+
+def test_pool_rejects_unkeyable_settings(e2_dense):
+    with pytest.raises(ConfigError):
+        InfluenceOracle(
+            KIND_MONOTONE, DistOracle.sampler(e2_dense), 0.1, 0.1,
+            budget=EstimatorBudget(max_pool=0),
+        )
+    wide = DistOracle.sampler(lambda k, rng: np.ones((k, 65), dtype=np.int8), n=65)
+    with pytest.raises(ConfigError):
+        InfluenceOracle(KIND_MONOTONE, wide, 0.1, 0.1)
