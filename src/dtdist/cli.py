@@ -36,7 +36,10 @@ from .core import (
 from .errors import (
     BudgetExceededError,
     ConfigError,
+    DimensionMismatchError,
     DtdistError,
+    InvalidPmfError,
+    InvalidTreeError,
     OracleModeError,
     RejectionCapExceededError,
     ZeroWeightSubcubeError,
@@ -101,6 +104,8 @@ def _load_dist(path: str):
             return DensePmf.from_json_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path} is malformed: {exc!r}") from exc
+    except (InvalidPmfError, InvalidTreeError, DimensionMismatchError) as exc:
+        raise ConfigError(f"{path} is not a valid distribution: {exc}") from exc
     raise ConfigError(f"{path} holds neither a tree nor a dense pmf")
 
 

@@ -274,7 +274,8 @@ class DistTree:
         return out
 
     def _flatten(self):
-        """Preorder arrays: var (-1 at leaves), child indices, density, depth.
+        """Preorder arrays: var (-1 at leaves), child indices (a leaf is its
+        own child), density, depth.
 
         Children always carry a larger index than their parent, so a single
         reversed pass computes bottom-up aggregates.
@@ -285,20 +286,15 @@ class DistTree:
 
         def walk(node, d):
             j = len(var)
-            if isinstance(node, Leaf):
-                var.append(-1)
-                lo.append(-1)
-                hi.append(-1)
-                density.append(node.density)
-                depth.append(d)
-                return j
-            var.append(node.var)
-            lo.append(-1)
-            hi.append(-1)
-            density.append(0.0)
+            leaf = isinstance(node, Leaf)
+            var.append(-1 if leaf else node.var)
+            lo.append(j)
+            hi.append(j)
+            density.append(node.density if leaf else 0.0)
             depth.append(d)
-            lo[j] = walk(node.lo, d + 1)
-            hi[j] = walk(node.hi, d + 1)
+            if not leaf:
+                lo[j] = walk(node.lo, d + 1)
+                hi[j] = walk(node.hi, d + 1)
             return j
 
         walk(self.root, 0)
@@ -345,47 +341,33 @@ class DistTree:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_batch(self, X: np.ndarray) -> np.ndarray:
-        """pmf at each row of X."""
+    def _route(self, X: np.ndarray) -> np.ndarray:
+        """Preorder node id of the leaf each row of X reaches.
+
+        Level-synchronous: every row takes one step per tree level, and a
+        leaf is its own child, so rows that reach a leaf early stay put
+        (they read column -1, which both branches ignore).
+        """
         if X.shape[1] != self.n:
             raise DimensionMismatchError(f"points have {X.shape[1]} coords, tree has {self.n}")
         f = self._flatten()
-        out = np.empty(X.shape[0], dtype=np.float64)
-        todo = [(0, np.arange(X.shape[0]))]
-        while todo:
-            j, rows = todo.pop()
-            if rows.size == 0:
-                continue
-            v = f["var"][j]
-            if v < 0:
-                out[rows] = f["density"][j]
-                continue
-            hi_sel = X[rows, v] > 0
-            todo.append((f["lo"][j], rows[~hi_sel]))
-            todo.append((f["hi"][j], rows[hi_sel]))
-        return out
+        rows = np.arange(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for _ in range(int(f["depth"].max())):
+            node = np.where(X[rows, f["var"][node]] > 0, f["hi"][node], f["lo"][node])
+        return node
+
+    def eval_batch(self, X: np.ndarray) -> np.ndarray:
+        """pmf at each row of X."""
+        return self._flatten()["density"][self._route(X)]
 
     def eval(self, x) -> float:
         return float(self.eval_batch(as_point(x, self.n)[None, :])[0])
 
     def leaf_index_batch(self, X: np.ndarray) -> np.ndarray:
         """Preorder leaf ordinal each row of X routes to."""
-        f = self._flatten()
-        leaf_ord = np.cumsum(f["var"] < 0) - 1  # ordinal among leaves
-        out = np.empty(X.shape[0], dtype=np.int64)
-        todo = [(0, np.arange(X.shape[0]))]
-        while todo:
-            j, rows = todo.pop()
-            if rows.size == 0:
-                continue
-            v = f["var"][j]
-            if v < 0:
-                out[rows] = leaf_ord[j]
-                continue
-            hi_sel = X[rows, v] > 0
-            todo.append((f["lo"][j], rows[~hi_sel]))
-            todo.append((f["hi"][j], rows[hi_sel]))
-        return out
+        leaf_ord = np.cumsum(self._flatten()["var"] < 0) - 1  # ordinal among leaves
+        return leaf_ord[self._route(X)]
 
     # -- serialization ------------------------------------------------------
 

@@ -432,23 +432,29 @@ def count_depth_trees(n: int, k: int) -> int:
 def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
     """Empirical-risk-minimizing decision tree of depth <= k.
 
-    Exhaustive search with memoization on (restriction, depth); among
-    minimizers the lexicographically least encoding wins, where a leaf
-    labeled 0 precedes a leaf labeled 1 precedes any split and splits
-    compare by variable then subtrees.  Guarded at k <= 3, n <= 16.
+    The risk depends on the sample only through how often each (point,
+    label) pair occurs, so the tree is fit from the (point, label) count
+    cube: 2^(n+1) integers shaped [2] * (n + 1), where axis a indexes
+    coordinate n-1-a (the DensePmf.cube convention) and the last axis the
+    label.  Memory is O(2^(n+1)) integers; time is one O(N * n) pass to
+    fill the cube plus an exhaustive search over its sub-cubes, memoized
+    on (restriction, depth), that does not depend on N.  Among minimizers
+    the lexicographically least encoding wins, where a leaf labeled 0
+    precedes a leaf labeled 1 precedes any split and splits compare by
+    variable then subtrees.  Guarded at k <= 3, n <= 16.
     """
-    n, N = sample.n, len(sample)
+    n = sample.n
     if k > 3 or n > 16:
         raise BudgetExceededError(f"exhaustive search capped at k<=3, n<=16; got k={k}, n={n}")
-    X, y = sample.X, sample.y
+    cell = points_to_indices(sample.X) * 2 + sample.y
+    counts = np.bincount(cell, minlength=2 << n).reshape([2] * (n + 1))
     memo: dict = {}
 
-    def rec(key: tuple, mask: np.ndarray, depth: int):
+    def rec(key: tuple, C: np.ndarray, depth: int):
         got = memo.get((key, depth))
         if got is not None:
             return got
-        ones = int(y[mask].sum())
-        zeros = int(mask.sum()) - ones
+        zeros, ones = (int(c) for c in C.reshape(-1, 2).sum(axis=0))
         # leaf encoding (0, label); internal (1, var, lo, hi)
         best = (ones, (0, 0)) if ones <= zeros else (zeros, (0, 1))
         if depth > 0:
@@ -456,17 +462,18 @@ def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
             for v in range(n):
                 if v in taken:
                     continue
-                mlo = mask & (X[:, v] < 0)
-                mhi = mask & (X[:, v] > 0)
-                elo, tlo = rec(tuple(sorted(key + ((v, -1),))), mlo, depth - 1)
-                ehi, thi = rec(tuple(sorted(key + ((v, 1),))), mhi, depth - 1)
+                # size-1 slices along axis n-1-v keep every axis in place
+                head = (slice(None),) * (n - 1 - v)
+                lo, hi = C[head + (slice(0, 1),)], C[head + (slice(1, 2),)]
+                elo, tlo = rec(tuple(sorted(key + ((v, -1),))), lo, depth - 1)
+                ehi, thi = rec(tuple(sorted(key + ((v, 1),))), hi, depth - 1)
                 cand = (elo + ehi, (1, v, tlo, thi))
                 if cand < best:
                     best = cand
         memo[(key, depth)] = best
         return best
 
-    _, encoding = rec((), np.ones(N, dtype=bool), k)
+    _, encoding = rec((), counts, k)
 
     def evaluate(enc, P):
         if enc[0] == 0:

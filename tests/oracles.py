@@ -2,11 +2,15 @@
 
 Everything here is written from first principles with plain Python loops
 and bit arithmetic, deliberately avoiding the library's vectorized code
-paths, so agreement between the two is meaningful.  Index convention:
+paths, so agreement between the two is meaningful.  The one exception is
+tree_erm, the row-mask search exhaustive_tree_learn used before it moved
+to a count cube, kept as the reference for that rewrite.  Index convention:
 bit i of a dense index is 1 exactly when coordinate i equals +1.
 """
 
 import math
+
+import numpy as np
 
 
 def index_point(idx, n):
@@ -162,3 +166,51 @@ def tree_depth_count(n, k):
 def required_m(m, d, eps, delta):
     """Sample size formula, written out independently."""
     return math.ceil(8.0 * (d + m + math.log(2.0 ** (d + 1) / delta)) * 2.0 ** d / eps)
+
+
+def tree_erm(X, y, k):
+    """(minimum risk, encoding) of the depth-<=k ERM tree, by the plain
+    row-mask search: every node rescans the whole sample under its mask.
+    Encodings and tie-breaking follow exhaustive_tree_learn: a leaf is
+    (0, label), a split (1, var, lo, hi), and the least tuple wins."""
+    X = np.asarray(X)
+    y = np.asarray(y)
+    n, N = X.shape[1], X.shape[0]
+    memo = {}
+
+    def rec(key, mask, depth):
+        got = memo.get((key, depth))
+        if got is not None:
+            return got
+        ones = int(y[mask].sum())
+        zeros = int(mask.sum()) - ones
+        best = (ones, (0, 0)) if ones <= zeros else (zeros, (0, 1))
+        if depth > 0:
+            taken = {i for i, _ in key}
+            for v in range(n):
+                if v in taken:
+                    continue
+                mlo = mask & (X[:, v] < 0)
+                mhi = mask & (X[:, v] > 0)
+                elo, tlo = rec(tuple(sorted(key + ((v, -1),))), mlo, depth - 1)
+                ehi, thi = rec(tuple(sorted(key + ((v, 1),))), mhi, depth - 1)
+                cand = (elo + ehi, (1, v, tlo, thi))
+                if cand < best:
+                    best = cand
+        memo[(key, depth)] = best
+        return best
+
+    return rec((), np.ones(N, dtype=bool), k)
+
+
+def encoding_table(enc, n):
+    """Truth table of a tree encoding by literal path following."""
+    out = []
+    for idx in range(1 << n):
+        x = index_point(idx, n)
+        cur = enc
+        while cur[0] == 1:
+            _, var, lo, hi = cur
+            cur = hi if x[var] > 0 else lo
+        out.append(cur[1])
+    return out

@@ -6,6 +6,7 @@ seed.  Exit codes: 0 success, 1 failed check, 2 bad configuration,
 3 oracle/budget trouble.
 """
 
+import hashlib
 import json
 import re
 
@@ -213,6 +214,29 @@ def test_lift_end_to_end(tmp_path, capsys):
     assert load_json(hyp_out)["kind"] == "tree-routed"
 
 
+def test_lift_output_is_byte_stable(tmp_path, capsys):
+    # sha256 of the summary line (elapsed_s stripped) and of the hypothesis
+    # file, recorded before the tree learner moved to a count cube; any
+    # change to routing, rerandomisation or the learner's ERM shows here
+    gen_out = str(tmp_path / "pin")
+    run_json(capsys, ["gen", "--n", "6", "--depth", "2", "--target", "depth:4",
+                      "--seed", "11", "--out", gen_out])
+    hyp_out = str(tmp_path / "hyp.json")
+    code, line = run(
+        capsys,
+        ["lift", "--dist", gen_out + ".tree.json",
+         "--target", gen_out + ".target.json", "--learner", "tree:2",
+         "--depth", "2", "--eps", "0.3", "--seed", "12", "--out", hyp_out],
+    )
+    assert code == 0
+    assert hashlib.sha256(strip_elapsed(line).encode()).hexdigest() == (
+        "5cbbe5b85a71061eb428c4358b49d21f3c38066fc1d3798e907003eea626fd9e"
+    )
+    assert hashlib.sha256(open(hyp_out, "rb").read()).hexdigest() == (
+        "de46ac94a2d358e3f2752782515580edf3c02f8c6922f7f50272ab36dd28c12f"
+    )
+
+
 def test_lift_lowdeg_learner(tmp_path, capsys):
     gen_out = str(tmp_path / "l2")
     run_json(capsys, ["gen", "--n", "5", "--depth", "1", "--target", "junta:1",
@@ -328,6 +352,27 @@ def test_exit_code_unreadable_inputs(e2_file, tmp_path, capsys):
                                  "--learner", "tree:1", "--depth", "1",
                                  "--eps", "0.2"])
         assert code == 2 and out == ""
+
+
+def test_exit_code_invalid_distribution(e2_file, tmp_path, capsys):
+    # files that parse but fail validation are bad input, not a failed check
+    short_sum = str(tmp_path / "sum09.json")
+    save_json(short_sum, {"n": 1, "table": [0.5, 0.4]})
+    code, out = run(capsys, ["learn-dist", "--dist", short_sum, "--depth", "1",
+                             "--eps", "0.2"])
+    assert code == 2 and out == ""
+    negative = str(tmp_path / "negative.json")
+    save_json(negative, {"n": 2, "root": {"var": 0, "lo": {"leaf": -0.25},
+                                          "hi": {"leaf": 0.75}}})
+    code, out = run(capsys, ["lift", "--dist", negative, "--target", e2_file,
+                             "--learner", "tree:1", "--depth", "1",
+                             "--eps", "0.2"])
+    assert code == 2 and out == ""
+    wrong_length = str(tmp_path / "wrong_length.json")
+    save_json(wrong_length, {"n": 2, "table": [0.5, 0.5]})
+    code, out = run(capsys, ["estimate-influence", "--dist", wrong_length,
+                             "--coord", "0"])
+    assert code == 2 and out == ""
 
 
 def test_exit_code_bad_learner_order(e2_file, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as O
 from conftest import E2_TABLE, E2_EXPECTED
@@ -129,6 +131,66 @@ def test_tree_matches_naive_path_following():
     naive = O.tree_pmf_table(enc, 3)
     got = t.eval_batch(all_points(3))
     assert got == pytest.approx(naive, abs=ATOL)
+
+
+@st.composite
+def routing_cases(draw):
+    n = draw(st.integers(1, 8))
+    max_depth = draw(st.integers(0, min(4, n)))
+
+    def grow(path, depth):
+        free = [i for i in range(n) if i not in path]
+        if depth == max_depth or not draw(st.booleans()):
+            return ("leaf", depth, draw(st.integers(1, 9)))
+        v = draw(st.sampled_from(free))
+        return ("node", v, grow(path | {v}, depth + 1), grow(path | {v}, depth + 1))
+
+    shape = grow(frozenset(), 0)
+    rows = draw(st.integers(0, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = (2 * rng.integers(0, 2, size=(rows, n)) - 1).astype(np.int8)
+    return n, shape, X
+
+
+@settings(max_examples=150, deadline=None)
+@given(routing_cases())
+def test_route_matches_object_walk(case):
+    n, shape, X = case
+    # leaf weights w become densities with leaf masses w / total
+    def weights(node):
+        return node[2] if node[0] == "leaf" else weights(node[2]) + weights(node[3])
+
+    total = weights(shape)
+    preorder = []  # node objects in preorder; a node's position is its id
+
+    def build(node):
+        j = len(preorder)
+        preorder.append(None)
+        if node[0] == "leaf":
+            _, depth, w = node
+            preorder[j] = Leaf(w / (total * 2.0 ** (n - depth)))
+        else:
+            lo, hi = build(node[2]), build(node[3])
+            preorder[j] = Internal(node[1], lo, hi)
+        return preorder[j]
+
+    t = DistTree(n, build(shape))
+    ids = {id(node): j for j, node in enumerate(preorder)}
+    leaf_ids = [j for j, node in enumerate(preorder) if isinstance(node, Leaf)]
+    want = []
+    for x in X:
+        cur = t.root
+        while isinstance(cur, Internal):
+            cur = cur.hi if x[cur.var] > 0 else cur.lo
+        want.append(ids[id(cur)])
+    assert t._route(X).tolist() == want
+    assert t.leaf_index_batch(X).tolist() == [leaf_ids.index(j) for j in want]
+    assert t.eval_batch(X).tolist() == [preorder[j].density for j in want]
+
+
+def test_route_dimension_mismatch(e2_tree):
+    with pytest.raises(DimensionMismatchError):
+        e2_tree.leaf_index_batch(np.ones((2, 3), dtype=np.int8))
 
 
 def test_tree_validation_errors():

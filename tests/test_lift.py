@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import COUNT_DEPTH_TREES_8_2, COUNT_DEPTH_TREES_10_2, REQUIRED_M_50_3
@@ -33,6 +35,7 @@ from dtdist import (
     end_to_end,
     exhaustive_tree_learn,
     hypothesis_from_json,
+    index_to_point,
     json_dumps,
     lift_learn,
     lift_learn_result,
@@ -490,6 +493,46 @@ def test_exhaustive_tree_tie_break():
     # and the choice is stable across identical calls
     again = exhaustive_tree_learn(LabeledSample(X, y), 1)
     assert again.tree_encoding == hyp.tree_encoding
+
+
+@st.composite
+def erm_cases(draw):
+    n = draw(st.integers(0, 6))
+    k = draw(st.integers(0, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if n and draw(st.booleans()):
+        # every point once, labeled by a parity: ties all over the search
+        X = all_points(n)
+        coords = draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1))
+        y = (np.prod(X[:, coords], axis=1) < 0).astype(np.uint8)
+    else:
+        # rows drawn from a few distinct points, so duplicates (also with
+        # conflicting labels) are common
+        N = draw(st.integers(0, 400))
+        support = rng.integers(0, 1 << n, size=draw(st.integers(1, 1 << n)))
+        X = index_to_point(rng.choice(support, size=N), n)
+        y = (rng.random(N) < draw(st.floats(0.0, 1.0))).astype(np.uint8)
+    return LabeledSample(X, y), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(erm_cases())
+def test_exhaustive_tree_matches_row_mask_search(case):
+    sample, k = case
+    risk, encoding = oracles.tree_erm(sample.X, sample.y, k)
+    hyp = exhaustive_tree_learn(sample, k)
+    assert hyp.tree_encoding == encoding
+    assert hyp.table.tolist() == oracles.encoding_table(encoding, sample.n)
+    assert int((hyp.predict_batch(sample.X) != sample.y).sum()) == risk
+
+
+def test_exhaustive_tree_empty_and_zero_dimensional():
+    empty = LabeledSample(np.zeros((0, 3), dtype=np.int8), np.zeros(0, dtype=np.uint8))
+    hyp = exhaustive_tree_learn(empty, 2)
+    assert hyp.tree_encoding == (0, 0) and hyp.table.tolist() == [0] * 8
+    flat = LabeledSample(np.zeros((5, 0), dtype=np.int8), [1, 1, 0, 1, 0])
+    hyp = exhaustive_tree_learn(flat, 3)
+    assert hyp.tree_encoding == (0, 1) and hyp.table.tolist() == [1]
 
 
 def test_exhaustive_tree_guards():
