@@ -30,7 +30,6 @@ from .core import (
     Restriction,
     all_points,
     dense_to_tree,
-    eval_pmf,
     index_to_point,
     json_dumps,
     load_dense,
@@ -63,11 +62,8 @@ from .influence import (
     exact_influence_all,
     exact_total_influence,
     infest,
-    infest_high_accuracy,
     infest_repetitions,
     infest_sample_count,
-    monotone_bias_estimate,
-    oracle_influence,
     scale_to_restriction,
 )
 from .builddt import (
@@ -78,10 +74,8 @@ from .builddt import (
     SearchStats,
     build_dt,
     call_count_bound,
-    candidate_set,
     default_leaf_sample_count,
     default_tau,
-    leaf_label,
     learn_distribution,
     learn_distribution_result,
     tree_objective,

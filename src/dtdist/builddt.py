@@ -110,13 +110,6 @@ class SearchStats:
     influence_queries: int = 0
     leaf_estimates: int = 0
 
-    def merged(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(
-            self.recursive_calls + other.recursive_calls,
-            self.influence_queries + other.influence_queries,
-            self.leaf_estimates + other.leaf_estimates,
-        )
-
 
 class _Search:
     """One memoized search: shared caches, stats, and the recursion guard."""
@@ -183,26 +176,6 @@ class _Search:
             node, obj = best
         self.memo[key] = (node, obj)
         return node, obj
-
-
-def candidate_set(i_oracle: InfluenceOracle, s: Restriction, p: BuildParams) -> list:
-    """Free coordinates whose restricted influence estimate clears the
-    threshold (tau exactly, or 3 tau / 4 when thresholds are estimated)."""
-    coords, vals, _ = i_oracle.estimate_all(s)
-    cut = p.tau if p.threshold_mode == THRESHOLD_EXACT else 0.75 * p.tau
-    return [i for i, v in zip(coords, vals) if v >= cut]
-
-
-def leaf_label(d_oracle: DistOracle, s: Restriction, p: BuildParams) -> float:
-    """Leaf density for the subcube s: its weighting value 2^|s| * Pr[x in s]
-    divided by 2^n.  Exact with EXACT_PMF access, otherwise the consistent
-    fraction of leaf_sample_count fresh plain samples."""
-    if d_oracle.mode == OracleMode.EXACT_PMF:
-        w = subcube_weight(d_oracle.dense(), s)
-    else:
-        X = d_oracle.sample_batch(p.leaf_sample_count)
-        w = float(s.consistent_mask(X).mean())
-    return w / 2.0 ** (d_oracle.n - len(s))
 
 
 def tree_objective(

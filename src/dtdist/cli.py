@@ -52,9 +52,6 @@ from .influence import (
     InfluenceOracle,
     exact_conditional_influence,
     exact_influence,
-    infest_high_accuracy,
-    monotone_bias_estimate,
-    oracle_influence,
 )
 from .builddt import learn_distribution_result
 from .lift import (
@@ -241,13 +238,11 @@ def cmd_estimate_influence(args) -> int:
         raise ConfigError(f"--coord {args.coord} is fixed by --restrict")
     seed = _parse_seed(args.seed)
     oracle = DistOracle(dist, _ORACLE_MODES[args.oracle], seed)
+    i_oracle = InfluenceOracle(_ORACLE_KINDS[args.oracle], oracle, args.eps, args.delta)
     if args.oracle == "exact":
-        i_oracle = InfluenceOracle(KIND_EXACT, oracle, args.eps, args.delta)
-        est = oracle_influence(i_oracle, args.coord, s)
-    elif args.oracle == "monotone":
-        est = monotone_bias_estimate(oracle, args.coord, s, args.eps, args.delta)
+        est = i_oracle.estimate(args.coord, s)
     else:
-        est = infest_high_accuracy(oracle, args.coord, s, args.eps, args.delta)
+        est = i_oracle.estimate_conditional(args.coord, s)
     summary = {
         "command": "estimate-influence",
         "oracle": args.oracle,
@@ -277,7 +272,10 @@ def cmd_lift(args) -> int:
     target_obj = _load_input(args.target)
     if not isinstance(target_obj, dict) or "table" not in target_obj:
         raise ConfigError(f"{args.target} holds no target table")
-    table = np.asarray(target_obj["table"], dtype=np.uint8)
+    labels = target_obj["table"]
+    if not isinstance(labels, list) or not all(type(v) is int and v in (0, 1) for v in labels):
+        raise ConfigError(f"{args.target}: target labels must be the integers 0 and 1")
+    table = np.asarray(labels, dtype=np.uint8)
     if table.size != 1 << dist.n:
         raise ConfigError("target table size does not match the distribution")
     name, _, arg = args.learner.partition(":")
@@ -386,7 +384,7 @@ def _verify_estimators(trial: int, seed: int) -> list:
     rng = stream(seed, "est-pick", trial)
     i = int(rng.integers(n))
     oracle = DistOracle.sampler(mono.dense, derive_seed(seed, "est-mono-oracle", trial))
-    est = monotone_bias_estimate(oracle, i, eps=eps, delta=delta)
+    est = InfluenceOracle(KIND_MONOTONE, oracle, eps, delta).estimate_conditional(i)
     exact = exact_conditional_influence(mono.dense, i)
     rows = [
         {
@@ -405,7 +403,7 @@ def _verify_estimators(trial: int, seed: int) -> list:
     inst = gen_dt_dist(n, d, derive_seed(seed, "est-dt", trial))
     j = int(rng.integers(n))
     oracle2 = DistOracle.subcube(inst.dense, derive_seed(seed, "est-dt-oracle", trial))
-    est2 = infest_high_accuracy(oracle2, j, eps=eps, delta=delta)
+    est2 = InfluenceOracle(KIND_SUBCUBE, oracle2, eps, delta).estimate_conditional(j)
     exact2 = exact_conditional_influence(inst.dense, j)
     rows.append(
         {

@@ -18,11 +18,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
-from ._seeds import derive_seed, stream
+from ._seeds import stream
 from .errors import (
     DimensionMismatchError,
     InvalidPmfError,
@@ -157,16 +157,6 @@ class Restriction:
         for i, b in self.pairs:
             mask &= X[:, i] == b
         return mask
-
-    def matches(self, x) -> bool:
-        return all(x[i] == b for i, b in self.pairs)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Copy of X with the fixed coordinates overwritten."""
-        out = np.array(X, copy=True)
-        for i, b in self.pairs:
-            out[:, i] = b
-        return out
 
     def __str__(self) -> str:
         if not self.pairs:
@@ -457,11 +447,6 @@ Dist = Union[DistTree, DensePmf]
 # shared operations
 
 
-def eval_pmf(dist: Dist, x) -> float:
-    """Probability of a single point."""
-    return dist.eval(x)
-
-
 def weighting(dist: Dist, x) -> float:
     """Density of `dist` relative to uniform: 2^n * pmf(x).
 
@@ -483,18 +468,29 @@ def tv_distance(a: DensePmf, b: DensePmf) -> float:
     return 0.5 * float(np.abs(a.table - b.table).sum())
 
 
-def restrict_dist(d: DensePmf, s: Restriction):
-    """Conditional distribution on the subcube s.
+def slice_cube(d: DensePmf, s: Restriction) -> np.ndarray:
+    """View of d's table on the subcube s, shaped [2] * (n - |s|).
 
-    Returns (DensePmf over the free coordinates in increasing original
-    order, subcube weight).  Raises ZeroWeightSubcubeError on mass 0.
+    Axis a indexes the free coordinate free[m-1-a], where free lists the
+    unrestricted coordinates in increasing order (the DensePmf.cube
+    convention restricted to them).  Raises DimensionMismatchError for a
+    coordinate outside [0, n).
     """
     idx = [slice(None)] * d.n
     for i, b in s.pairs:
         if not 0 <= i < d.n:
             raise DimensionMismatchError(f"restriction coordinate {i} out of range")
         idx[d.n - 1 - i] = (b + 1) // 2
-    sub = d.cube()[tuple(idx)].reshape(-1)
+    return d.cube()[tuple(idx)]
+
+
+def restrict_dist(d: DensePmf, s: Restriction):
+    """Conditional distribution on the subcube s.
+
+    Returns (DensePmf over the free coordinates in increasing original
+    order, subcube weight).  Raises ZeroWeightSubcubeError on mass 0.
+    """
+    sub = slice_cube(d, s).reshape(-1)
     w = float(sub.sum())
     if w <= 0.0:
         raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
@@ -503,10 +499,8 @@ def restrict_dist(d: DensePmf, s: Restriction):
 
 
 def subcube_weight(d: DensePmf, s: Restriction) -> float:
-    idx = [slice(None)] * d.n
-    for i, b in s.pairs:
-        idx[d.n - 1 - i] = (b + 1) // 2
-    return float(d.cube()[tuple(idx)].sum())
+    """Pr_D[x in s]."""
+    return float(slice_cube(d, s).sum())
 
 
 def tree_to_dense(t: DistTree) -> DensePmf:
@@ -576,9 +570,9 @@ class DistOracle:
     int8 array` standing in for an external sample stream.  The mode caps
     what callers may ask for regardless of what the backing could answer;
     `query_count[mode]` tallies points drawn (or pmf evaluations) per mode.
+    A stream backing answers conditioned queries by reject_sample over its
+    plain draws; only the conditioned points returned are counted.
     """
-
-    REJECTION_CAP_FACTOR = 64  # attempts per accepted point: ceil(64 / w_hat)
 
     def __init__(self, backing, mode: OracleMode, seed: int = 0, n: Optional[int] = None):
         self.backing = backing
@@ -608,23 +602,6 @@ class DistOracle:
     @classmethod
     def sampler(cls, dist, seed: int = 0, n: Optional[int] = None) -> "DistOracle":
         return cls(dist, OracleMode.SAMPLE, seed, n)
-
-    def split(self, worker_index: int) -> "DistOracle":
-        """Independent child oracle for a worker; counts start at zero and
-        are merged back by summation."""
-        child_seed = derive_seed(self.seed, "split", worker_index)
-        return DistOracle(self.backing, self.mode, child_seed, n=self.n)
-
-    @staticmethod
-    def merge_query_counts(oracles: Iterable["DistOracle"]) -> dict:
-        total = {m: 0 for m in OracleMode}
-        for o in oracles:
-            for m, c in o.query_count.items():
-                total[m] += c
-        return total
-
-    def total_queries(self) -> int:
-        return sum(self.query_count.values())
 
     def _require(self, needed: OracleMode):
         if self.mode < needed:
@@ -658,7 +635,7 @@ class DistOracle:
         Conditioned on that subcube the draws are i.i.d. Bernoulli with
         success probability D(x) / (D(x) + D(x^i)), so with an exact
         backing the count is drawn binomially instead of materializing k
-        points; a stream backing falls back to literal rejection sampling.
+        points; a stream backing falls back to reject_sample.
         """
         self._require(OracleMode.SUBCUBE_SAMPLE)
         rows = X.shape[0]
@@ -676,7 +653,7 @@ class DistOracle:
         out = np.empty(rows, dtype=np.float64)
         for r in range(rows):
             pairs = [(j, int(X[r, j])) for j in range(self.n) if j != i]
-            got = self._reject(Restriction.of(*pairs), k)
+            got = reject_sample(lambda b: self._draw(EMPTY, b), Restriction.of(*pairs), k)
             out[r] = float(np.mean(got[:, i] == X[r, i]))
         return out
 
@@ -714,7 +691,7 @@ class DistOracle:
             if got.shape != (k, self.n):
                 raise DimensionMismatchError(f"stream returned shape {got.shape}")
             return got
-        return self._reject(s, k)
+        return reject_sample(lambda b: self._draw(EMPTY, b), s, k)
 
     def _draw_tree(self, s: Restriction, k: int) -> np.ndarray:
         t: DistTree = self.backing
@@ -765,35 +742,45 @@ class DistOracle:
         pick = self.rng.choice(sub_idx.size, size=k, p=table[sub_idx] / w)
         return pts[sub_idx[pick]]
 
-    def _reject(self, s: Restriction, k: int) -> np.ndarray:
-        """Collect k conditioned points by filtering plain samples.
 
-        Total attempts are capped at ceil(64 / w_hat) per accepted point,
-        where w_hat is the Laplace-smoothed running acceptance rate floored
-        at a quarter of the subcube's uniform weight.  The floor keeps the
-        cap finite so conditioning on (near-)zero-mass subcubes fails fast
-        instead of looping.
-        """
-        w_floor = 2.0 ** -(min(len(s), 58) + 2)
-        kept = []
-        accepted = 0
-        attempted = 0
-        while accepted < k:
-            w_hat = max((accepted + 1.0) / (attempted + 2.0), w_floor)
-            budget = math.ceil(self.REJECTION_CAP_FACTOR / w_hat) * k
-            if attempted >= budget:
-                raise RejectionCapExceededError(
-                    f"rejection cap hit after {attempted} attempts for {accepted}/{k} "
-                    f"points in subcube {s}"
-                )
-            batch = int(min(max(1024, k), budget - attempted))
-            got = self._draw(EMPTY, batch)
-            attempted += batch
-            sub = got[s.consistent_mask(got)]
-            if sub.size:
-                kept.append(sub)
-                accepted += sub.shape[0]
-        return np.concatenate(kept, axis=0)[:k]
+# attempts per accepted point: ceil(REJECTION_CAP_FACTOR / w_hat)
+REJECTION_CAP_FACTOR = 64
+
+
+def reject_sample(draw, s: Restriction, k: int) -> np.ndarray:
+    """k points of D conditioned on s, by filtering plain draws.
+
+    draw(b) returns b plain samples as a (b, n) array; the caller decides
+    how those draws are counted.  An empty s takes k draws as they come.
+    Otherwise batches of at least 4096 are drawn until k points land in
+    s.  Total attempts are capped at ceil(REJECTION_CAP_FACTOR / w_hat)
+    per accepted point, where w_hat is the Laplace-smoothed running
+    acceptance rate floored at a quarter of the subcube's uniform weight;
+    the floor keeps the cap finite, so conditioning on a (near-)zero-mass
+    subcube raises RejectionCapExceededError instead of looping.
+    """
+    if len(s) == 0:
+        return draw(k)
+    w_floor = 2.0 ** -(min(len(s), 58) + 2)
+    kept = []
+    accepted = 0
+    attempted = 0
+    while accepted < k:
+        w_hat = max((accepted + 1.0) / (attempted + 2.0), w_floor)
+        budget = math.ceil(REJECTION_CAP_FACTOR / w_hat) * k
+        if attempted >= budget:
+            raise RejectionCapExceededError(
+                f"rejection cap hit after {attempted} attempts for {accepted}/{k} "
+                f"points in subcube {s}"
+            )
+        batch = int(min(max(4096, k), budget - attempted))
+        got = draw(batch)
+        attempted += batch
+        sub = got[s.consistent_mask(got)]
+        if sub.size:
+            kept.append(sub)
+            accepted += sub.shape[0]
+    return np.concatenate(kept, axis=0)[:k]
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ overwritten, three ways:
   conditioning: draw x ~ D_s, condition on {x, x with i flipped}, and
   average |2p - 1| where p is the fraction of draws equal to x.
 
-Estimators report on the conditional scale Inf_i(f_{D_s}); the exact
-restricted value follows from
+InfluenceOracle is the one engine over the three: estimate_conditional
+reports the conditional scale Inf_i(f_{D_s}), estimate_all the
+restricted scale, and the two are related by
 
     Inf_i((f_D)_s) = 2^|s| * Pr_D[x in s] * Inf_i(f_{D_s}).
 """
@@ -38,14 +39,11 @@ from .core import (
     Restriction,
     index_to_point,
     points_to_indices,
+    reject_sample,
     restrict_dist,
+    slice_cube,
 )
-from .errors import (
-    BudgetExceededError,
-    ConfigError,
-    OracleModeError,
-    RejectionCapExceededError,
-)
+from .errors import BudgetExceededError, ConfigError, OracleModeError
 
 KIND_EXACT = "exact"
 KIND_MONOTONE = "monotone"
@@ -57,19 +55,6 @@ KINDS = (KIND_EXACT, KIND_MONOTONE, KIND_SUBCUBE)
 # exact enumeration
 
 
-def _slice_cube(d: DensePmf, s: Restriction):
-    """Sub-table of D on the subcube s.
-
-    Returns (q, free) where free lists the unrestricted coordinates in
-    increasing order and q is the table over them; axis a of q indexes
-    coordinate free[m-1-a].
-    """
-    idx = [slice(None)] * d.n
-    for i, b in s.pairs:
-        idx[d.n - 1 - i] = (b + 1) // 2
-    return d.cube()[tuple(idx)], s.free_coords(d.n)
-
-
 def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
     """(free coords, their influences) of the restricted weighting (f_D)_s.
 
@@ -78,7 +63,7 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
 
         Inf_i((f_D)_s) = 2^(n-m-1) * sum_y |D(y) - D(y with i flipped)|.
     """
-    q, free = _slice_cube(d, s)
+    q, free = slice_cube(d, s), s.free_coords(d.n)
     m = len(free)
     scale = 2.0 ** (d.n - m - 1)
     vals = np.empty(m, dtype=np.float64)
@@ -90,7 +75,7 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
 
 def exact_influence(d: DensePmf, i: int, s: Restriction = EMPTY) -> float:
     """Inf_i((f_D)_s) by enumeration."""
-    q, free = _slice_cube(d, s)
+    q, free = slice_cube(d, s), s.free_coords(d.n)
     if i not in free:
         raise ValueError(f"coordinate {i} is fixed by the restriction")
     m = len(free)
@@ -163,64 +148,21 @@ class InfluenceEstimate:
         }
 
 
-def _collect_conditioned(oracle: DistOracle, s: Restriction, count: int) -> np.ndarray:
-    """count samples of D conditioned on s using plain draws only.
+def _two_point_means(source: DistOracle, s: Restriction, coords, run_eps: float, runs: int):
+    """Means of `runs` independent infest(run_eps) outputs per coordinate.
 
-    Rejection-filters sample_batch output; total attempts are capped at
-    ceil(64 / w_hat) per accepted point with the running acceptance rate
-    floored at a quarter of the subcube's uniform weight.
+    One batch X ~ D_s serves every coordinate, whose k = ceil(1/run_eps^2)
+    two-point draws per run are its own.  Returns (means, runs * (k + 1)),
+    the samples behind one coordinate's mean.
     """
-    if len(s) == 0:
-        return oracle.sample_batch(count)
-    w_floor = 2.0 ** -(min(len(s), 58) + 2)
-    kept = []
-    accepted = 0
-    attempted = 0
-    while accepted < count:
-        w_hat = max((accepted + 1.0) / (attempted + 2.0), w_floor)
-        budget = math.ceil(DistOracle.REJECTION_CAP_FACTOR / w_hat) * count
-        if attempted >= budget:
-            raise RejectionCapExceededError(
-                f"could not collect {count} conditioned samples in subcube {s}: "
-                f"{accepted} accepted out of {attempted} attempts"
-            )
-        batch = int(min(max(4096, count), budget - attempted))
-        got = oracle.sample_batch(batch)
-        attempted += batch
-        sub = got[s.consistent_mask(got)]
-        if sub.size:
-            kept.append(sub)
-            accepted += sub.shape[0]
-    return np.concatenate(kept, axis=0)[:count]
-
-
-def monotone_bias_estimate(
-    oracle: DistOracle,
-    i: int,
-    s: Restriction = EMPTY,
-    eps: float = 0.05,
-    delta: float = 0.05,
-) -> InfluenceEstimate:
-    """Estimate Inf_i(f_{D_s}) for monotone D from plain samples.
-
-    For monotone D the conditional influence equals the conditional mean
-    of x_i, so the estimator averages coordinate i over
-    ceil(ln(2/delta) / (2 eps^2)) samples conditioned on s (obtained by
-    rejection).  The mean is clamped at 0: the true value is nonnegative,
-    sampling noise need not be.
-    """
-    n_cond = bias_sample_count(eps, delta)
-    X = _collect_conditioned(oracle, s, n_cond)
-    value = max(0.0, float(X[:, i].mean()))
-    return InfluenceEstimate(
-        coordinate=i,
-        value=value,
-        accuracy_target=eps,
-        confidence=delta,
-        samples_used=n_cond,
-        restriction=s,
-        kind=KIND_MONOTONE,
-    )
+    k = infest_sample_count(run_eps)
+    X = source.subcube_sample_batch(s, runs)
+    vals = np.empty(len(coords), dtype=np.float64)
+    for pos, i in enumerate(coords):
+        p_hat = source.two_point_fraction_batch(X, i, k)
+        # np.mean reduces pairwise, keeping the result order-independent
+        vals[pos] = np.mean(np.abs(2.0 * p_hat - 1.0))
+    return vals, runs * (k + 1)
 
 
 def infest(oracle: DistOracle, i: int, eps: float, s: Restriction = EMPTY) -> float:
@@ -231,46 +173,8 @@ def infest(oracle: DistOracle, i: int, eps: float, s: Restriction = EMPTY) -> fl
     {x, x with i flipped} (intersected with s this is the same pair), and
     output |p - (1 - p)| for p the fraction equal to x.
     """
-    k = infest_sample_count(eps)
-    x = oracle.subcube_sample(s)
-    p_hat = float(oracle.two_point_fraction_batch(x[None, :], i, k)[0])
-    return abs(2.0 * p_hat - 1.0)
-
-
-def _infest_mean(
-    oracle: DistOracle, i: int, s: Restriction, run_eps: float, runs: int
-) -> tuple:
-    """Mean of `runs` independent infest(run_eps) outputs, batched."""
-    k = infest_sample_count(run_eps)
-    X = oracle.subcube_sample_batch(s, runs)
-    p_hat = oracle.two_point_fraction_batch(X, i, k)
-    # np.mean reduces pairwise, keeping the result order-independent
-    return float(np.mean(np.abs(2.0 * p_hat - 1.0))), runs * (k + 1)
-
-
-def infest_high_accuracy(
-    oracle: DistOracle,
-    i: int,
-    s: Restriction = EMPTY,
-    eps: float = 0.05,
-    delta: float = 0.05,
-) -> InfluenceEstimate:
-    """+-eps estimate of Inf_i(f_{D_s}) w.p. >= 1-delta for arbitrary D.
-
-    Averages ceil(2 ln(2/delta) / (eps/2)^2) runs of infest(eps/2): each
-    run is biased by at most eps/2 and the mean concentrates to eps/2.
-    """
-    runs = infest_repetitions(eps, delta)
-    value, used = _infest_mean(oracle, i, s, eps / 2.0, runs)
-    return InfluenceEstimate(
-        coordinate=i,
-        value=value,
-        accuracy_target=eps,
-        confidence=delta,
-        samples_used=used,
-        restriction=s,
-        kind=KIND_SUBCUBE,
-    )
+    vals, _ = _two_point_means(oracle, s, [i], eps, 1)
+    return float(vals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +203,20 @@ class EstimatorBudget:
 
 
 class InfluenceOracle:
-    """Uniform access to restricted influences Inf_i((f_D)_s).
+    """The influence-estimator engine: one estimator per access path.
 
     kind "exact" reads a dense table through an EXACT_PMF DistOracle;
     "monotone" averages coordinates of plain samples (valid for monotone
     D); "subcube" runs two-point conditioning through subcube samples.
-    `accuracy` and `confidence` are the per-query targets on the
-    restricted scale; weight estimation gets accuracy/2^(|s|+2) and the
-    conditional estimate accuracy/(2^|s| * w_hat), each at half the
-    failure budget.
+
+    Two entry points.  estimate_all (and estimate, total_at) reports the
+    restricted scale Inf_i((f_D)_s) that the tree search needs:
+    `accuracy` and `confidence` are the per-query targets on that scale;
+    weight estimation gets accuracy/2^(|s|+2) and the conditional
+    estimate accuracy/(2^|s| * w_hat), each at half the failure budget,
+    served from the pool below and bounded by the EstimatorBudget caps.
+    estimate_conditional reports the conditional scale Inf_i(f_{D_s})
+    at `accuracy` and `confidence`, sized by the contract alone.
 
     The sample-based kinds keep one growing pool of plain samples and
     reuse it across queries (weights, monotone biases, and leaf-mass
@@ -472,14 +381,9 @@ class InfluenceOracle:
         runs_wanted = infest_repetitions(e_cond, d_rest)
         runs = self._capped(runs_wanted, self.budget.infest_reps_cap, "infest repetitions")
         run_eps = self.budget.infest_run_eps or e_cond / 2.0
-        k = infest_sample_count(run_eps)
-        X = self.source.subcube_sample_batch(s, runs)
-        vals = np.empty(len(coords), dtype=np.float64)
-        for pos, i in enumerate(coords):
-            p_hat = self.source.two_point_fraction_batch(X, i, k)
-            vals[pos] = np.mean(np.abs(2.0 * p_hat - 1.0))
+        vals, used = _two_point_means(self.source, s, coords, run_eps, runs)
         vals *= 2.0 ** len(s) * w_hat
-        return coords, vals, runs * (k + 1)
+        return coords, vals, used
 
     def estimate(
         self,
@@ -499,19 +403,39 @@ class InfluenceOracle:
             kind=self.kind,
         )
 
+    def estimate_conditional(self, i: int, s: Restriction = EMPTY) -> InfluenceEstimate:
+        """Inf_i(f_{D_s}) on the conditional scale, +-accuracy w.p. at
+        least 1 - confidence.
+
+        Sized by the contract alone; the pool and the budget caps are not
+        used.  "monotone" averages x_i over bias_sample_count(accuracy,
+        confidence) plain draws conditioned on s by rejection, clamped at
+        0 (the monotone truth is nonnegative, sampling noise need not
+        be); "subcube" averages infest_repetitions(accuracy, confidence)
+        runs of infest(accuracy / 2), each biased by at most accuracy/2
+        with the mean concentrating to accuracy/2; "exact" enumerates.
+        """
+        if self.kind == KIND_EXACT:
+            value, used = exact_conditional_influence(self._dense, i, s), 0
+        elif self.kind == KIND_MONOTONE:
+            used = bias_sample_count(self.accuracy, self.confidence)
+            X = reject_sample(self.source.sample_batch, s, used)
+            value = max(0.0, float(X[:, i].mean()))
+        else:
+            runs = infest_repetitions(self.accuracy, self.confidence)
+            vals, used = _two_point_means(self.source, s, [i], self.accuracy / 2.0, runs)
+            value = float(vals[0])
+        return InfluenceEstimate(
+            coordinate=i,
+            value=value,
+            accuracy_target=self.accuracy,
+            confidence=self.confidence,
+            samples_used=used,
+            restriction=s,
+            kind=self.kind,
+        )
+
     def total_at(self, s: Restriction = EMPTY) -> float:
         """Estimated total influence of (f_D)_s over the free coordinates."""
         _, vals, _ = self.estimate_all(s)
         return float(vals.sum())
-
-
-def oracle_influence(
-    o: InfluenceOracle,
-    i: int,
-    s: Restriction = EMPTY,
-    accuracy: Optional[float] = None,
-    confidence: Optional[float] = None,
-) -> InfluenceEstimate:
-    """Restricted-scale influence estimate through whichever access path
-    the oracle wraps; per-call accuracy/confidence override its defaults."""
-    return o.estimate(i, s, accuracy, confidence)

@@ -24,6 +24,8 @@ from .core import (
     DensePmf,
     DistOracle,
     DistTree,
+    Internal,
+    Leaf,
     all_points,
     points_to_indices,
 )
@@ -177,27 +179,18 @@ def hypothesis_from_json(obj: dict) -> Hypothesis:
             obj["n"], {tuple(t["vars"]): t["coef"] for t in obj["terms"]}
         )
     if kind == "tree-routed":
-        from .core import Internal, Leaf  # local to avoid unused at module scope
-
+        n = int(obj["n"])
         hyps: list = []
 
+        # a routing skeleton: uniform leaves are a valid pmf on any full
+        # tree, since the leaf masses 2^(n-depth) * 2^-n sum to exactly 1
         def conv(d):
             if "hyp" in d:
                 hyps.append(hypothesis_from_json(d["hyp"]))
-                return Leaf(0.0)
+                return Leaf(2.0 ** -n)
             return Internal(int(d["var"]), conv(d["lo"]), conv(d["hi"]))
 
-        root = conv(obj["root"])
-        n = int(obj["n"])
-        # skeleton only: give it a valid uniform normalization
-        leaves = len(hyps)
-
-        def renorm(node, depth):
-            if isinstance(node, Leaf):
-                return Leaf(1.0 / (leaves * 2.0 ** (n - depth)))
-            return Internal(node.var, renorm(node.lo, depth + 1), renorm(node.hi, depth + 1))
-
-        return TreeRoutedHypothesis(DistTree(n, renorm(root, 0)), hyps)
+        return TreeRoutedHypothesis(DistTree(n, conv(obj["root"])), hyps)
     raise ConfigError(f"unknown hypothesis kind {kind!r}")
 
 

@@ -23,10 +23,8 @@ from dtdist import (
     THRESHOLD_EXACT,
     build_dt,
     call_count_bound,
-    candidate_set,
     default_leaf_sample_count,
     default_tau,
-    leaf_label,
     learn_distribution,
     learn_distribution_result,
     tree_objective,
@@ -35,6 +33,7 @@ from dtdist import (
     uniform_dense,
     uniform_tree,
 )
+from dtdist.builddt import _Search
 from dtdist.testbed import brute_optimal_tree, gen_dt_dist, gen_monotone_dist
 
 ATOL = 1e-9
@@ -107,34 +106,40 @@ def test_build_params_validation(e2_dense):
 # candidate sets and leaf labels
 
 
+def exact_search(dense, params):
+    return _Search(DistOracle.exact(dense, seed=1), exact_io(dense), params)
+
+
 def test_candidate_set_e2(e2_dense):
-    io = exact_io(e2_dense)
-    assert candidate_set(io, Restriction.empty(), exact_params(2, tau=0.1)) == [0, 1]
-    assert candidate_set(io, Restriction.empty(), exact_params(2, tau=0.3)) == [0]
+    assert exact_search(e2_dense, exact_params(2, tau=0.1)).candidates(
+        Restriction.empty()) == [0, 1]
+    assert exact_search(e2_dense, exact_params(2, eps=0.5, tau=0.3)).candidates(
+        Restriction.empty()) == [0]
 
 
 def test_candidate_set_uniform_empty():
-    io = exact_io(uniform_dense(3))
-    assert candidate_set(io, Restriction.empty(), exact_params(2, tau=0.05)) == []
+    search = exact_search(uniform_dense(3), exact_params(2, tau=0.05))
+    assert search.candidates(Restriction.empty()) == []
 
 
 def test_leaf_label_exact(e2_dense):
-    p = exact_params(2)
-    o = DistOracle.exact(e2_dense, seed=1)
-    assert leaf_label(o, Restriction.of((0, 1), (1, 1)), p) == pytest.approx(
+    search = exact_search(e2_dense, exact_params(2))
+    assert search.leaf_density(Restriction.of((0, 1), (1, 1))) == pytest.approx(
         E2_EXPECTED["leaf_density_both_pos"], abs=ATOL
     )
-    assert leaf_label(o, Restriction.of((0, -1)), p) == pytest.approx(
+    assert search.leaf_density(Restriction.of((0, -1))) == pytest.approx(
         E2_EXPECTED["leaf_density_x0_neg"], abs=ATOL
     )
-    u = DistOracle.exact(uniform_dense(4), seed=1)
-    assert leaf_label(u, Restriction.of((2, 1)), p) == pytest.approx(2.0 ** -4, abs=ATOL)
+    u = exact_search(uniform_dense(4), exact_params(2))
+    assert u.leaf_density(Restriction.of((2, 1))) == pytest.approx(2.0 ** -4, abs=ATOL)
 
 
 def test_leaf_label_sampled(e2_dense):
+    # a fresh pool grows to leaf_sample_count draws for the first leaf
     p = exact_params(2)
     o = DistOracle.sampler(e2_dense, seed=2)
-    got = leaf_label(o, Restriction.of((0, 1), (1, 1)), p)
+    search = _Search(o, InfluenceOracle(KIND_MONOTONE, o, 0.05, 0.05), p)
+    got = search.leaf_density(Restriction.of((0, 1), (1, 1)))
     assert abs(got - 0.5) <= 0.06
     assert o.query_count[o.mode.SAMPLE] == p.leaf_sample_count
 

@@ -192,6 +192,34 @@ def test_estimate_influence_subcube_restricted(e2_file, capsys):
     assert summary["queries"]["SUBCUBE_SAMPLE"] > 0
 
 
+# sha256 of the summary line, elapsed_s stripped, recorded before the
+# estimators were folded into InfluenceOracle; any change to a sampled
+# stream, a sample count or a reduction order shows here
+ESTIMATE_PINS = {
+    ("exact", ""): "682b06a58e3f7163c8f003b06d690e6b02a81d7a0d924ca0ba6e84963b522b96",
+    ("exact", "0=+1"): "ad00711680d7dc799d66bcad5121c9aeac90834c3bec4a6122931cef8780c1d7",
+    ("monotone", ""): "856aed39c8eab50ed93678ea62a886b88be59fdeab796e7cb83671c952356e03",
+    ("monotone", "0=+1"): "182ab2bc45d94341e4a297aa5bce35f9b3e894b9cd6949a5b69133326e36d82f",
+    ("subcube", ""): "4979b0c00b2043e8b7b502c596891689bd9ce4be877c4e6b096fba1c879b5e29",
+    ("subcube", "0=+1"): "7a5276c450410bf09bfe8faaef48aaaaefffcbaeba81cc9d5d3c576e12b7a75a",
+}
+
+
+@pytest.mark.parametrize("oracle, restrict", sorted(ESTIMATE_PINS))
+def test_estimate_influence_output_is_byte_stable(tmp_path, capsys, oracle, restrict):
+    # the instance splits on 0 at the root and on 1 below 0=+1, so the
+    # restricted and unrestricted values of coordinate 1 differ
+    gen_out = str(tmp_path / "pin")
+    run_json(capsys, ["gen", "--n", "6", "--depth", "2", "--seed", "33",
+                      "--out", gen_out])
+    code, line = run(capsys, ["estimate-influence", "--dist", gen_out + ".tree.json",
+                              "--coord", "1", "--restrict", restrict,
+                              "--oracle", oracle, "--seed", "32"])
+    assert code == 0
+    digest = hashlib.sha256(strip_elapsed(line).encode()).hexdigest()
+    assert digest == ESTIMATE_PINS[(oracle, restrict)]
+
+
 # ---------------------------------------------------------------------------
 # lift
 
@@ -284,6 +312,17 @@ def test_verify_workers_agree(tmp_path, capsys):
     assert open(rows1).read() == open(rows2).read()
 
 
+def test_verify_estimators_rows_are_byte_stable(tmp_path, capsys):
+    # sha256 of the --out rows, recorded as ESTIMATE_PINS were
+    rows = str(tmp_path / "rows.jsonl")
+    code, _ = run_json(capsys, ["verify", "--suite", "estimators", "--trials", "4",
+                                "--workers", "1", "--seed", "33", "--out", rows])
+    assert code == 0
+    assert hashlib.sha256(open(rows, "rb").read()).hexdigest() == (
+        "1fd54d3ad6072f56381a92ccf8e8e3919dba4411cf8a531ddc96d55f346965b7"
+    )
+
+
 def test_verify_all_suites(capsys):
     code, summary = run_json(
         capsys,
@@ -373,6 +412,16 @@ def test_exit_code_invalid_distribution(e2_file, tmp_path, capsys):
     code, out = run(capsys, ["estimate-influence", "--dist", wrong_length,
                              "--coord", "0"])
     assert code == 2 and out == ""
+    # target labels other than the integers 0 and 1; 0.5 was once cast to 0
+    fair_coin = str(tmp_path / "coin.json")
+    save_json(fair_coin, {"n": 1, "table": [0.5, 0.5]})
+    for labels in ([2, 0], ["a", 0], [0.5, 1]):
+        target = str(tmp_path / "target.json")
+        save_json(target, {"n": 1, "table": labels})
+        code, out = run(capsys, ["lift", "--dist", fair_coin, "--target", target,
+                                 "--learner", "tree:1", "--depth", "1",
+                                 "--eps", "0.2"])
+        assert code == 2 and out == "", labels
 
 
 def test_exit_code_bad_learner_order(e2_file, capsys):

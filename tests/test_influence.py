@@ -13,6 +13,7 @@ from dtdist import (
     BudgetExceededError,
     ConfigError,
     DensePmf,
+    DimensionMismatchError,
     DistOracle,
     EstimatorBudget,
     InfluenceOracle,
@@ -27,12 +28,10 @@ from dtdist import (
     exact_influence_all,
     exact_total_influence,
     infest,
-    infest_high_accuracy,
     infest_repetitions,
     infest_sample_count,
-    monotone_bias_estimate,
-    oracle_influence,
     points_to_indices,
+    restrict_dist,
     scale_to_restriction,
     subcube_weight,
     uniform_dense,
@@ -41,6 +40,10 @@ from dtdist import (
 from dtdist.testbed import gen_dt_dist
 
 ATOL = 1e-9
+
+
+def conditional(kind, oracle, i, s=Restriction.empty(), eps=0.05, delta=0.05):
+    return InfluenceOracle(kind, oracle, eps, delta).estimate_conditional(i, s)
 
 
 def random_dense(n, seed):
@@ -73,6 +76,21 @@ def test_e2_exact_influences(e2_dense):
 def test_exact_influence_rejects_fixed_coordinate(e2_dense):
     with pytest.raises(ValueError):
         exact_influence(e2_dense, 0, Restriction.of((0, 1)))
+
+
+def test_restriction_coordinate_out_of_range():
+    # coordinate n once wrapped to a negative axis: subcube_weight read the
+    # weight of coordinate 0 = +1 and exact_influence_all raised AxisError
+    d = gen_dt_dist(3, 2, 5).dense
+    s = Restriction.of((3, 1))
+    with pytest.raises(DimensionMismatchError):
+        subcube_weight(d, s)
+    with pytest.raises(DimensionMismatchError):
+        restrict_dist(d, s)
+    with pytest.raises(DimensionMismatchError):
+        exact_influence_all(d, s)
+    with pytest.raises(DimensionMismatchError):
+        exact_influence(d, 0, s)
 
 
 def test_exact_matches_loop_oracle_unrestricted():
@@ -157,7 +175,7 @@ def test_sample_count_formulas():
 
 def test_bias_estimate_uniform_near_zero():
     o = DistOracle.sampler(uniform_dense(4), seed=21)
-    est = monotone_bias_estimate(o, 2, eps=0.05, delta=0.05)
+    est = conditional(KIND_MONOTONE, o, 2)
     assert abs(est.value) <= 0.05
     assert est.samples_used == bias_sample_count(0.05, 0.05)
     assert est.kind == KIND_MONOTONE
@@ -167,8 +185,8 @@ def test_bias_estimate_e2_unrestricted(e2_dense):
     vals0, vals1 = [], []
     for r in range(30):
         o = DistOracle.sampler(e2_dense, seed=1000 + r)
-        vals0.append(monotone_bias_estimate(o, 0, eps=0.05, delta=0.05).value)
-        vals1.append(monotone_bias_estimate(o, 1, eps=0.05, delta=0.05).value)
+        vals0.append(conditional(KIND_MONOTONE, o, 0).value)
+        vals1.append(conditional(KIND_MONOTONE, o, 1).value)
     assert abs(float(np.mean(vals0)) - 0.5) <= 0.02
     assert abs(float(np.mean(vals1)) - 0.25) <= 0.02
 
@@ -178,14 +196,14 @@ def test_bias_estimate_conditional(e2_dense):
     vals = []
     for r in range(30):
         o = DistOracle.sampler(e2_dense, seed=2000 + r)
-        est = monotone_bias_estimate(o, 1, Restriction.of((0, 1)), eps=0.05, delta=0.05)
+        est = conditional(KIND_MONOTONE, o, 1, Restriction.of((0, 1)))
         vals.append(est.value)
     assert abs(float(np.mean(vals)) - 1 / 3) <= 0.02
 
 
 def test_bias_estimate_json_fields(e2_dense):
     o = DistOracle.sampler(e2_dense, seed=3)
-    d = monotone_bias_estimate(o, 0, eps=0.1, delta=0.1).to_json_dict()
+    d = conditional(KIND_MONOTONE, o, 0, eps=0.1, delta=0.1).to_json_dict()
     assert set(d) == {"coord", "value", "accuracy", "confidence", "samples"}
 
 
@@ -231,20 +249,20 @@ def test_infest_expectation_oracle_is_influence():
 
 def test_infest_high_accuracy_band(e2_dense):
     for r in range(5):
-        est = infest_high_accuracy(
-            DistOracle.subcube(e2_dense, seed=300 + r), 0, eps=0.05, delta=0.01
+        est = conditional(
+            KIND_SUBCUBE, DistOracle.subcube(e2_dense, seed=300 + r), 0, eps=0.05, delta=0.01
         )
         assert 0.45 <= est.value <= 0.55
         assert est.samples_used >= infest_repetitions(0.05, 0.01)
-    u = infest_high_accuracy(
-        DistOracle.subcube(uniform_dense(3), seed=42), 2, eps=0.1, delta=0.05
+    u = conditional(
+        KIND_SUBCUBE, DistOracle.subcube(uniform_dense(3), seed=42), 2, eps=0.1, delta=0.05
     )
     assert u.value <= 0.1
 
 
 def test_infest_high_accuracy_conditional(e2_dense):
-    est = infest_high_accuracy(
-        DistOracle.subcube(e2_dense, seed=77), 1, Restriction.of((0, 1)), eps=0.05, delta=0.05
+    est = conditional(
+        KIND_SUBCUBE, DistOracle.subcube(e2_dense, seed=77), 1, Restriction.of((0, 1))
     )
     assert abs(est.value - 1 / 3) <= 0.05
 
@@ -275,9 +293,12 @@ def test_influence_oracle_exact_path(e2_dense):
     assert coords == [1]
     assert vals[0] == pytest.approx(0.5, abs=ATOL)  # restricted scale
     assert io.total_at(s) == pytest.approx(0.5, abs=ATOL)
-    est = oracle_influence(io, 1, s)
+    est = io.estimate(1, s)
     assert est.value == pytest.approx(0.5, abs=ATOL)
     assert est.kind == KIND_EXACT
+    cond = io.estimate_conditional(1, s)
+    assert cond.value == exact_conditional_influence(e2_dense, 1, s)
+    assert cond.samples_used == 0 and cond.kind == KIND_EXACT
 
 
 def test_influence_oracle_monotone_path(e2_dense):

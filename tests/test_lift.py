@@ -136,13 +136,27 @@ def test_hypothesis_json_roundtrips(e2_tree):
                 LowDegreeHypothesis(2, {(1,): -0.5}),
             ],
         ),
+        # depth 3 with leaves at depths 1, 2, 3 and 3
+        TreeRoutedHypothesis(
+            DistTree(3, Internal(0, Leaf(0.125), Internal(
+                2, Leaf(0.125), Internal(1, Leaf(0.125), Leaf(0.125))))),
+            [
+                ConstantHypothesis(0),
+                TruthTableHypothesis(3, coord_table(3, 1)),
+                ConstantHypothesis(1),
+                LowDegreeHypothesis(3, {(0, 2): 1.0}),
+            ],
+        ),
     ]
     for h in cases:
-        back = hypothesis_from_json(json.loads(json_dumps(h.to_json_dict())))
-        n = 2 if isinstance(h, TreeRoutedHypothesis) else 3
+        text = json_dumps(h.to_json_dict())
+        back = hypothesis_from_json(json.loads(text))
+        n = h.tree.n if isinstance(h, TreeRoutedHypothesis) else 3
         assert np.array_equal(
             back.predict_batch(all_points(n)), h.predict_batch(all_points(n))
         )
+        if isinstance(h, TreeRoutedHypothesis):
+            assert json_dumps(back.to_json_dict()) == text
     with pytest.raises(ConfigError):
         hypothesis_from_json({"kind": "mystery"})
 
