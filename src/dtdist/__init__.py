@@ -32,21 +32,16 @@ from .core import (
     dense_to_tree,
     index_to_point,
     json_dumps,
-    load_dense,
     load_json,
-    load_tree,
     point_index,
     points_to_indices,
     restrict_dist,
-    save_dense,
     save_json,
-    save_tree,
     subcube_weight,
     tree_to_dense,
     tv_distance,
     uniform_dense,
     uniform_tree,
-    weighting,
     weighting_table,
 )
 from .influence import (
@@ -67,8 +62,6 @@ from .influence import (
     scale_to_restriction,
 )
 from .builddt import (
-    THRESHOLD_ESTIMATED,
-    THRESHOLD_EXACT,
     BuildParams,
     LearnResult,
     SearchStats,
@@ -78,7 +71,6 @@ from .builddt import (
     default_tau,
     learn_distribution,
     learn_distribution_result,
-    tree_objective,
 )
 from .lift import (
     ConstantHypothesis,

@@ -15,12 +15,14 @@ all such trees.
 
 Influences come from an InfluenceOracle (exact, monotone-bias, or
 two-point conditioning); leaf masses come from the distribution oracle
-(exactly, or as consistent fractions of a plain-sample pool).
+(exactly, or as consistent fractions of a plain-sample pool).  The
+threshold rule follows from the oracle's kind: exact influences are cut
+at tau, estimated ones (accuracy <= tau/4) at 0.75 tau.
 """
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from .core import (
     EMPTY,
@@ -40,8 +42,10 @@ from .influence import (
     InfluenceOracle,
 )
 
-THRESHOLD_EXACT = "exact"
-THRESHOLD_ESTIMATED = "estimated"
+
+def check_unit(name: str, value: float):
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must be in (0,1), got {value}")
 
 
 def default_tau(eps: float, depth_budget: int) -> float:
@@ -78,24 +82,22 @@ class BuildParams:
     eps: float
     delta: float
     leaf_sample_count: int
-    threshold_mode: str = THRESHOLD_EXACT
 
     def validate(self, n: int, i_oracle: Optional[InfluenceOracle] = None):
+        """Range checks; an estimating i_oracle must also have accuracy
+        <= tau/4, so that its 0.75 tau cut keeps every coordinate of
+        influence >= tau and drops every one below tau/2."""
         if self.depth_budget < 0 or self.depth_budget > n:
             raise ConfigError(f"depth budget {self.depth_budget} outside [0, {n}]")
-        if not 0.0 < self.eps < 1.0:
-            raise ConfigError(f"eps must be in (0,1), got {self.eps}")
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must be in (0,1), got {self.delta}")
+        check_unit("eps", self.eps)
+        check_unit("delta", self.delta)
         if not 0.0 < self.tau <= self.eps:
             raise ConfigError(f"tau must be in (0, eps], got {self.tau}")
         if self.leaf_sample_count < 1:
             raise ConfigError("leaf_sample_count must be positive")
-        if self.threshold_mode not in (THRESHOLD_EXACT, THRESHOLD_ESTIMATED):
-            raise ConfigError(f"unknown threshold mode {self.threshold_mode!r}")
         if (
-            self.threshold_mode == THRESHOLD_ESTIMATED
-            and i_oracle is not None
+            i_oracle is not None
+            and i_oracle.kind != KIND_EXACT
             and i_oracle.accuracy > self.tau / 4.0 + 1e-12
         ):
             raise ConfigError(
@@ -136,7 +138,7 @@ class _Search:
     def candidates(self, s: Restriction) -> list:
         coords, vals = self.influences(s)
         cut = self.params.tau
-        if self.params.threshold_mode == THRESHOLD_ESTIMATED:
+        if self.i_oracle.kind != KIND_EXACT:
             cut = 0.75 * self.params.tau
         return [i for i, v in zip(coords, vals) if v >= cut]
 
@@ -176,23 +178,6 @@ class _Search:
             node, obj = best
         self.memo[key] = (node, obj)
         return node, obj
-
-
-def tree_objective(
-    t: Union[DistTree, Node], i_oracle: InfluenceOracle, s: Restriction = EMPTY
-) -> float:
-    """E over leaves (each internal node splitting the mass evenly) of the
-    estimated total influence of the restricted weighting at the leaf."""
-    node = t.root if isinstance(t, DistTree) else t
-
-    def walk(nd, r):
-        if isinstance(nd, Leaf):
-            return i_oracle.total_at(r)
-        return 0.5 * (
-            walk(nd.lo, r.extended(nd.var, -1)) + walk(nd.hi, r.extended(nd.var, +1))
-        )
-
-    return walk(node, s)
 
 
 def build_dt(
@@ -257,38 +242,37 @@ def learn_distribution_result(
     estimator_kind: str = KIND_EXACT,
     tau: Optional[float] = None,
     accuracy: Optional[float] = None,
-    confidence: Optional[float] = None,
-    leaf_sample_count: Optional[int] = None,
     budget: Optional[EstimatorBudget] = None,
 ) -> LearnResult:
     """Learn a depth-d tree distribution within eps total variation.
 
-    Defaults follow the analysis: threshold tau = eps/(8 d^2), influence
-    accuracy min(tau/4, eps/n), per-query confidence delta split over the
-    worst-case number of distinct queries.  Those estimator targets can be
-    extremely sample-hungry at deep restrictions; pass an EstimatorBudget
-    (and optionally a coarser tau) to bound the work, at the cost of the
-    formal guarantee.  The returned tree is renormalized exactly; the raw
-    estimated leaf values are kept in the result.
+    eps and delta must lie in (0, 1).  The rest follows the analysis:
+    threshold tau = eps/(8 d^2) unless given, influence accuracy
+    min(tau/4, eps/n) unless given, per-query confidence delta split over
+    the worst-case number of distinct queries, and
+    default_leaf_sample_count plain draws per leaf mass.  The threshold
+    rule follows from estimator_kind (see BuildParams.validate).  Those
+    estimator targets can be extremely sample-hungry at deep
+    restrictions; pass an EstimatorBudget (and optionally a coarser tau)
+    to bound the work, at the cost of the formal guarantee.  The returned
+    tree is renormalized exactly; the raw estimated leaf values are kept
+    in the result.
     """
     n = d_oracle.n
-    tau = default_tau(eps, depth_budget) if tau is None else float(tau)
-    if accuracy is None:
-        accuracy = min(tau / 4.0, eps / max(n, 1))
-    if confidence is None:
-        confidence = delta / (2.0 * _expected_query_count(n, depth_budget))
-    if leaf_sample_count is None:
-        leaf_sample_count = default_leaf_sample_count(eps, delta, depth_budget)
-    mode = THRESHOLD_EXACT if estimator_kind == KIND_EXACT else THRESHOLD_ESTIMATED
-    i_oracle = InfluenceOracle(estimator_kind, d_oracle, accuracy, confidence, budget)
+    check_unit("eps", eps)
+    check_unit("delta", delta)
     params = BuildParams(
         depth_budget=depth_budget,
-        tau=tau,
+        tau=default_tau(eps, depth_budget) if tau is None else float(tau),
         eps=eps,
         delta=delta,
-        leaf_sample_count=leaf_sample_count,
-        threshold_mode=mode,
+        leaf_sample_count=default_leaf_sample_count(eps, delta, depth_budget),
     )
+    params.validate(n)  # a bad tau is reported as such, not as the accuracy it feeds
+    if accuracy is None:
+        accuracy = min(params.tau / 4.0, eps / max(n, 1))
+    confidence = delta / (2.0 * _expected_query_count(n, depth_budget))
+    i_oracle = InfluenceOracle(estimator_kind, d_oracle, accuracy, confidence, budget)
     root, objective, stats = build_dt(d_oracle, i_oracle, EMPTY, params)
 
     # collect raw leaf densities and the realized normalization

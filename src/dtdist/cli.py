@@ -46,6 +46,7 @@ from .errors import (
 )
 from .influence import (
     KIND_EXACT,
+    KIND_MODES,
     KIND_MONOTONE,
     KIND_SUBCUBE,
     EstimatorBudget,
@@ -53,7 +54,7 @@ from .influence import (
     exact_conditional_influence,
     exact_influence,
 )
-from .builddt import learn_distribution_result
+from .builddt import check_unit, learn_distribution_result
 from .lift import (
     dist_error,
     end_to_end,
@@ -70,13 +71,6 @@ from .testbed import (
 )
 
 DEFAULT_SEED = 271828
-
-_ORACLE_MODES = {
-    "exact": OracleMode.EXACT_PMF,
-    "monotone": OracleMode.SAMPLE,
-    "subcube": OracleMode.SUBCUBE_SAMPLE,
-}
-_ORACLE_KINDS = {"exact": KIND_EXACT, "monotone": KIND_MONOTONE, "subcube": KIND_SUBCUBE}
 
 
 def _parse_seed(text: str) -> int:
@@ -120,11 +114,6 @@ def _reference_dense(dist) -> DensePmf:
     return dist if isinstance(dist, DensePmf) else tree_to_dense(dist)
 
 
-def _check_unit(name: str, value: float):
-    if not 0.0 < value < 1.0:
-        raise ConfigError(f"{name} must be in (0,1), got {value}")
-
-
 def _emit(result: dict, started: float) -> dict:
     result["elapsed_s"] = time.time() - started
     print(json_dumps(result))
@@ -133,9 +122,9 @@ def _emit(result: dict, started: float) -> dict:
 
 def _estimator_budget(args) -> EstimatorBudget:
     b = EstimatorBudget()
-    if getattr(args, "max_pool", None):
+    if args.max_pool is not None:
         b.max_pool = args.max_pool
-    if getattr(args, "infest_reps", None):
+    if args.infest_reps is not None:
         b.infest_reps_cap = args.infest_reps
     return b
 
@@ -183,19 +172,19 @@ def cmd_gen(args) -> int:
 
 def cmd_learn_dist(args) -> int:
     started = time.time()
-    _check_unit("--eps", args.eps)
-    _check_unit("--delta", args.delta)
+    check_unit("--eps", args.eps)
+    check_unit("--delta", args.delta)
     dist = _load_dist(args.dist)
     if not 0 <= args.depth <= dist.n:
         raise ConfigError(f"--depth must be in [0,{dist.n}]")
     seed = _parse_seed(args.seed)
-    oracle = DistOracle(dist, _ORACLE_MODES[args.oracle], seed)
+    oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
     result = learn_distribution_result(
         oracle,
         args.depth,
         args.eps,
         args.delta,
-        _ORACLE_KINDS[args.oracle],
+        args.oracle,
         tau=args.tau,
         accuracy=args.accuracy,
         budget=_estimator_budget(args),
@@ -228,8 +217,8 @@ def cmd_learn_dist(args) -> int:
 
 def cmd_estimate_influence(args) -> int:
     started = time.time()
-    _check_unit("--eps", args.eps)
-    _check_unit("--delta", args.delta)
+    check_unit("--eps", args.eps)
+    check_unit("--delta", args.delta)
     dist = _load_dist(args.dist)
     if not 0 <= args.coord < dist.n:
         raise ConfigError(f"--coord must be in [0,{dist.n})")
@@ -237,8 +226,8 @@ def cmd_estimate_influence(args) -> int:
     if args.coord in s.coords():
         raise ConfigError(f"--coord {args.coord} is fixed by --restrict")
     seed = _parse_seed(args.seed)
-    oracle = DistOracle(dist, _ORACLE_MODES[args.oracle], seed)
-    i_oracle = InfluenceOracle(_ORACLE_KINDS[args.oracle], oracle, args.eps, args.delta)
+    oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
+    i_oracle = InfluenceOracle(args.oracle, oracle, args.eps, args.delta)
     if args.oracle == "exact":
         est = i_oracle.estimate(args.coord, s)
     else:
@@ -266,8 +255,8 @@ def cmd_estimate_influence(args) -> int:
 
 def cmd_lift(args) -> int:
     started = time.time()
-    _check_unit("--eps", args.eps)
-    _check_unit("--delta", args.delta)
+    check_unit("--eps", args.eps)
+    check_unit("--delta", args.delta)
     dist = _load_dist(args.dist)
     target_obj = _load_input(args.target)
     if not isinstance(target_obj, dict) or "table" not in target_obj:
@@ -294,7 +283,7 @@ def cmd_lift(args) -> int:
     else:
         raise ConfigError(f"unknown learner {name!r}")
     seed = _parse_seed(args.seed)
-    oracle = DistOracle(dist, _ORACLE_MODES[args.oracle], seed)
+    oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
     labeled = make_labeled_source(
         DistOracle(dist, OracleMode.SAMPLE, derive_seed(seed, "labels"), n=dist.n), table
     )
@@ -305,7 +294,7 @@ def cmd_lift(args) -> int:
         args.depth,
         args.eps,
         args.delta,
-        _ORACLE_KINDS[args.oracle],
+        args.oracle,
         dist_eps=args.dist_eps,
         dist_kwargs={"tau": args.tau, "budget": _estimator_budget(args)},
         seed=seed,
@@ -563,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--oracle", choices=sorted(_ORACLE_MODES), default="exact")
+    p.add_argument("--oracle", choices=sorted(KIND_MODES), default="exact")
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--accuracy", type=float, default=None)
     p.add_argument("--max-pool", type=int, default=None, help=MAX_POOL_HELP)
@@ -577,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restrict", default="", help="e.g. '0=+1,3=-1'")
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--oracle", choices=sorted(_ORACLE_MODES), default="subcube")
+    p.add_argument("--oracle", choices=sorted(KIND_MODES), default="subcube")
     _common(p)
     p.set_defaults(func=cmd_estimate_influence)
 
@@ -588,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--oracle", choices=sorted(_ORACLE_MODES), default="exact")
+    p.add_argument("--oracle", choices=sorted(KIND_MODES), default="exact")
     p.add_argument("--dist-eps", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
     p.add_argument("--max-pool", type=int, default=None, help=MAX_POOL_HELP)

@@ -447,16 +447,9 @@ Dist = Union[DistTree, DensePmf]
 # shared operations
 
 
-def weighting(dist: Dist, x) -> float:
-    """Density of `dist` relative to uniform: 2^n * pmf(x).
-
-    Averages to exactly 1 over a uniform point.
-    """
-    return float(2.0 ** dist.n) * dist.eval(x)
-
-
 def weighting_table(dist: Dist) -> np.ndarray:
-    """Full table of 2^n * pmf over all points, indexed like DensePmf."""
+    """Full table of the weighting 2^n * pmf over all points, indexed like
+    DensePmf; it averages to exactly 1 over a uniform point."""
     d = dist if isinstance(dist, DensePmf) else tree_to_dense(dist)
     return d.table * (2.0 ** d.n)
 
@@ -570,8 +563,9 @@ class DistOracle:
     int8 array` standing in for an external sample stream.  The mode caps
     what callers may ask for regardless of what the backing could answer;
     `query_count[mode]` tallies points drawn (or pmf evaluations) per mode.
-    A stream backing answers conditioned queries by reject_sample over its
-    plain draws; only the conditioned points returned are counted.
+    A stream backing answers conditioned queries by reject_sample over
+    sample_batch, so every plain draw that filtering consumes is counted
+    as SAMPLE on top of the conditioned points returned.
     """
 
     def __init__(self, backing, mode: OracleMode, seed: int = 0, n: Optional[int] = None):
@@ -624,9 +618,6 @@ class DistOracle:
         self.query_count[OracleMode.SUBCUBE_SAMPLE] += k
         return self._draw(s, k)
 
-    def subcube_sample(self, s: Restriction) -> np.ndarray:
-        return self.subcube_sample_batch(s, 1)[0]
-
     def two_point_fraction_batch(self, X: np.ndarray, i: int, k: int) -> np.ndarray:
         """For each row x, draw k samples conditioned on the two-point
         subcube {x, x with coordinate i flipped} and report the fraction
@@ -653,7 +644,7 @@ class DistOracle:
         out = np.empty(rows, dtype=np.float64)
         for r in range(rows):
             pairs = [(j, int(X[r, j])) for j in range(self.n) if j != i]
-            got = reject_sample(lambda b: self._draw(EMPTY, b), Restriction.of(*pairs), k)
+            got = reject_sample(self.sample_batch, Restriction.of(*pairs), k)
             out[r] = float(np.mean(got[:, i] == X[r, i]))
         return out
 
@@ -691,7 +682,7 @@ class DistOracle:
             if got.shape != (k, self.n):
                 raise DimensionMismatchError(f"stream returned shape {got.shape}")
             return got
-        return reject_sample(lambda b: self._draw(EMPTY, b), s, k)
+        return reject_sample(self.sample_batch, s, k)
 
     def _draw_tree(self, s: Restriction, k: int) -> np.ndarray:
         t: DistTree = self.backing
@@ -822,19 +813,3 @@ def save_json(path, obj):
 def load_json(path):
     with open(path) as fh:
         return json.load(fh)
-
-
-def save_tree(path, t: DistTree):
-    save_json(path, t.to_json_dict())
-
-
-def load_tree(path) -> DistTree:
-    return DistTree.from_json_dict(load_json(path))
-
-
-def save_dense(path, d: DensePmf):
-    save_json(path, d.to_json_dict())
-
-
-def load_dense(path) -> DensePmf:
-    return DensePmf.from_json_dict(load_json(path))

@@ -48,7 +48,12 @@ from .errors import BudgetExceededError, ConfigError, OracleModeError
 KIND_EXACT = "exact"
 KIND_MONOTONE = "monotone"
 KIND_SUBCUBE = "subcube"
-KINDS = (KIND_EXACT, KIND_MONOTONE, KIND_SUBCUBE)
+# the oracle access each estimator kind needs
+KIND_MODES = {
+    KIND_EXACT: OracleMode.EXACT_PMF,
+    KIND_MONOTONE: OracleMode.SAMPLE,
+    KIND_SUBCUBE: OracleMode.SUBCUBE_SAMPLE,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +195,16 @@ class EstimatorBudget:
     demand astronomically many draws.  When a cap binds, the engine uses
     everything the cap allows and reports the realized sample count
     instead of failing; pass strict=True to InfluenceOracle to fail
-    instead.
+    instead.  Both caps must be at least 1.
 
     max_pool caps the plain draws the shared pool takes in total.  The
     pool keeps distinct points with counts, so its memory is
-    O(min(2^n, draws) * n), not O(max_pool * n).
+    O(min(2^n, draws) * n), not O(max_pool * n).  infest_reps_cap caps
+    the two-point runs per subcube query, not the draws of each run.
     """
 
     max_pool: int = 2_000_000
     infest_reps_cap: int = 20_000
-    infest_run_eps: Optional[float] = None  # default: half the conditional accuracy
 
 
 class InfluenceOracle:
@@ -209,14 +214,16 @@ class InfluenceOracle:
     "monotone" averages coordinates of plain samples (valid for monotone
     D); "subcube" runs two-point conditioning through subcube samples.
 
-    Two entry points.  estimate_all (and estimate, total_at) reports the
+    Two entry points.  estimate_all (and estimate) reports the
     restricted scale Inf_i((f_D)_s) that the tree search needs:
-    `accuracy` and `confidence` are the per-query targets on that scale;
-    weight estimation gets accuracy/2^(|s|+2) and the conditional
-    estimate accuracy/(2^|s| * w_hat), each at half the failure budget,
-    served from the pool below and bounded by the EstimatorBudget caps.
-    estimate_conditional reports the conditional scale Inf_i(f_{D_s})
-    at `accuracy` and `confidence`, sized by the contract alone.
+    `accuracy` > 0 and `confidence` in (0, 1) are the per-query targets
+    on that scale; weight estimation gets accuracy/2^(|s|+2) and the
+    conditional estimate accuracy/(2^|s| * w_hat), each at half the
+    failure budget, served from the pool below and bounded by the
+    EstimatorBudget caps.  estimate_conditional reports the conditional
+    scale Inf_i(f_{D_s}) at `accuracy` and `confidence`, sized by the
+    contract alone.  strict=True raises BudgetExceededError where a cap
+    would bind instead of running with fewer samples.
 
     The sample-based kinds keep one growing pool of plain samples and
     reuse it across queries (weights, monotone biases, and leaf-mass
@@ -242,13 +249,9 @@ class InfluenceOracle:
         budget: Optional[EstimatorBudget] = None,
         strict: bool = False,
     ):
-        if kind not in KINDS:
+        if kind not in KIND_MODES:
             raise ValueError(f"unknown influence oracle kind {kind!r}")
-        needed = {
-            KIND_EXACT: OracleMode.EXACT_PMF,
-            KIND_MONOTONE: OracleMode.SAMPLE,
-            KIND_SUBCUBE: OracleMode.SUBCUBE_SAMPLE,
-        }[kind]
+        needed = KIND_MODES[kind]
         if source.mode < needed:
             raise OracleModeError(
                 f"influence kind {kind!r} needs oracle mode {needed.name}, "
@@ -259,11 +262,15 @@ class InfluenceOracle:
         self.accuracy = float(accuracy)
         self.confidence = float(confidence)
         self.budget = budget or EstimatorBudget()
-        if kind != KIND_EXACT:
-            if source.n > 64:
-                raise ConfigError(f"the sample pool keys points by a 64-bit index, n={source.n}")
-            if self.budget.max_pool < 1:
-                raise ConfigError(f"max_pool must be positive, got {self.budget.max_pool}")
+        if not self.accuracy > 0.0:
+            raise ConfigError(f"influence accuracy must be positive, got {accuracy}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ConfigError(f"influence confidence must be in (0,1), got {confidence}")
+        for cap in ("max_pool", "infest_reps_cap"):
+            if getattr(self.budget, cap) < 1:
+                raise ConfigError(f"{cap} must be positive, got {getattr(self.budget, cap)}")
+        if kind != KIND_EXACT and source.n > 64:
+            raise ConfigError(f"the sample pool keys points by a 64-bit index, n={source.n}")
         self.strict = strict
         self.queries = 0
         self.pool_draws = 0
@@ -318,19 +325,12 @@ class InfluenceOracle:
 
     # -- queries ---------------------------------------------------------------
 
-    def estimate_all(
-        self,
-        s: Restriction = EMPTY,
-        coords: Optional[Sequence[int]] = None,
-        accuracy: Optional[float] = None,
-        confidence: Optional[float] = None,
-    ):
+    def estimate_all(self, s: Restriction = EMPTY, coords: Optional[Sequence[int]] = None):
         """Restricted-scale influence estimates for each free coordinate.
 
         Returns (coords, values, samples_used_per_query).
         """
-        a = self.accuracy if accuracy is None else float(accuracy)
-        dq = self.confidence if confidence is None else float(confidence)
+        a, dq = self.accuracy, self.confidence
         coords = list(s.free_coords(self.source.n) if coords is None else coords)
         self.queries += len(coords)
         if not coords:
@@ -380,24 +380,17 @@ class InfluenceOracle:
         # two-point conditioning path
         runs_wanted = infest_repetitions(e_cond, d_rest)
         runs = self._capped(runs_wanted, self.budget.infest_reps_cap, "infest repetitions")
-        run_eps = self.budget.infest_run_eps or e_cond / 2.0
-        vals, used = _two_point_means(self.source, s, coords, run_eps, runs)
+        vals, used = _two_point_means(self.source, s, coords, e_cond / 2.0, runs)
         vals *= 2.0 ** len(s) * w_hat
         return coords, vals, used
 
-    def estimate(
-        self,
-        i: int,
-        s: Restriction = EMPTY,
-        accuracy: Optional[float] = None,
-        confidence: Optional[float] = None,
-    ) -> InfluenceEstimate:
-        coords, vals, used = self.estimate_all(s, [i], accuracy, confidence)
+    def estimate(self, i: int, s: Restriction = EMPTY) -> InfluenceEstimate:
+        _, vals, used = self.estimate_all(s, [i])
         return InfluenceEstimate(
             coordinate=i,
             value=float(vals[0]),
-            accuracy_target=self.accuracy if accuracy is None else float(accuracy),
-            confidence=self.confidence if confidence is None else float(confidence),
+            accuracy_target=self.accuracy,
+            confidence=self.confidence,
             samples_used=int(used),
             restriction=s,
             kind=self.kind,
@@ -434,8 +427,3 @@ class InfluenceOracle:
             restriction=s,
             kind=self.kind,
         )
-
-    def total_at(self, s: Restriction = EMPTY) -> float:
-        """Estimated total influence of (f_D)_s over the free coordinates."""
-        _, vals, _ = self.estimate_all(s)
-        return float(vals.sum())

@@ -28,6 +28,8 @@ from .core import (
 from .errors import BudgetExceededError, ConfigError, ZeroWeightSubcubeError
 
 CHECK_TOL = 1e-9
+# chance that a non-root node above the target depth of a random tree is a leaf
+EARLY_LEAF = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -66,13 +68,13 @@ def is_monotone_dense(d: DensePmf) -> bool:
     return True
 
 
-def _random_topology(n: int, d: int, rng: np.random.Generator, early_leaf: float):
+def _random_topology(n: int, d: int, rng: np.random.Generator):
     """Tree shape of depth exactly d: nodes split on fresh uniform
-    coordinates and turn into leaves early with probability early_leaf;
+    coordinates and turn into leaves early with probability EARLY_LEAF;
     shapes are redrawn until one reaches depth d."""
 
     def build(depth, avail):
-        if depth == d or (depth > 0 and rng.random() < early_leaf):
+        if depth == d or (depth > 0 and rng.random() < EARLY_LEAF):
             return ("leaf",)
         var = int(avail[rng.integers(len(avail))])
         rest = [v for v in avail if v != var]
@@ -90,14 +92,14 @@ def _random_topology(n: int, d: int, rng: np.random.Generator, early_leaf: float
     raise BudgetExceededError(f"could not draw a depth-{d} topology")
 
 
-def gen_dt_dist(n: int, d: int, seed: int, early_leaf: float = 0.2) -> Instance:
+def gen_dt_dist(n: int, d: int, seed: int) -> Instance:
     """Random depth-d tree distribution: random topology, then leaf
     masses drawn jointly uniform on the simplex (Dirichlet with all
     concentrations 1)."""
     if d > n:
         raise ConfigError(f"depth {d} exceeds n={n}")
     rng = stream(seed, "gen-dt", n, d)
-    shape = _random_topology(n, d, rng, early_leaf) if d > 0 else ("leaf",)
+    shape = _random_topology(n, d, rng) if d > 0 else ("leaf",)
 
     leaf_depths: list = []
 
@@ -131,25 +133,11 @@ def gen_dt_dist(n: int, d: int, seed: int, early_leaf: float = 0.2) -> Instance:
     )
 
 
-def gen_monotone_dist(n: int, d: int, seed: int, method: str = "product") -> Instance:
-    """Monotone depth-d tree distribution.
-
-    The default constructive family picks d coordinates J and a factor
-    c > 1 and sets pmf(x) proportional to c^(number of +1s of x on J),
-    realized as the complete depth-d tree over J.  method="rejection"
-    redraws gen_dt_dist until the result happens to be monotone (capped
-    at 10^4 attempts).
-    """
-    if method == "rejection":
-        for t in range(10_000):
-            inst = gen_dt_dist(n, d, derive_seed(seed, "mono-reject", t))
-            if inst.monotone:
-                inst.kind = "monotone-rejection"
-                inst.seed = seed
-                return inst
-        raise BudgetExceededError("no monotone draw within 10^4 attempts")
-    if method != "product":
-        raise ConfigError(f"unknown method {method!r}")
+def gen_monotone_dist(n: int, d: int, seed: int) -> Instance:
+    """Monotone depth-d tree distribution from a constructive family:
+    pick d coordinates J and a factor c > 1, and set pmf(x) proportional
+    to c^(number of +1s of x on J), realized as the complete depth-d tree
+    over J."""
     rng = stream(seed, "gen-monotone", n, d)
     J = sorted(int(v) for v in rng.choice(n, size=d, replace=False))
     c = float(rng.uniform(1.5, 3.0))
@@ -190,7 +178,7 @@ def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
     if name == "depth":
         if k > n:
             raise ConfigError(f"depth {k} exceeds n={n}")
-        shape = _random_topology(n, k, rng, 0.2) if k > 0 else ("leaf",)
+        shape = _random_topology(n, k, rng) if k > 0 else ("leaf",)
 
         def evaluate(sh, X):
             if sh[0] == "leaf":

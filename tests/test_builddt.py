@@ -19,19 +19,15 @@ from dtdist import (
     KIND_SUBCUBE,
     Leaf,
     Restriction,
-    THRESHOLD_ESTIMATED,
-    THRESHOLD_EXACT,
     build_dt,
     call_count_bound,
     default_leaf_sample_count,
     default_tau,
     learn_distribution,
     learn_distribution_result,
-    tree_objective,
     tree_to_dense,
     tv_distance,
     uniform_dense,
-    uniform_tree,
 )
 from dtdist.builddt import _Search
 from dtdist.testbed import brute_optimal_tree, gen_dt_dist, gen_monotone_dist
@@ -50,7 +46,6 @@ def exact_params(depth, eps=0.2, tau=None):
         eps=eps,
         delta=0.1,
         leaf_sample_count=1000,
-        threshold_mode=THRESHOLD_EXACT,
     )
 
 
@@ -81,24 +76,19 @@ def test_build_params_validation(e2_dense):
     with pytest.raises(ConfigError):
         exact_params(5).validate(2)
     with pytest.raises(ConfigError):
-        BuildParams(1, tau=0.0, eps=0.2, delta=0.1, leaf_sample_count=10,
-                    threshold_mode=THRESHOLD_EXACT).validate(2)
+        BuildParams(1, tau=0.0, eps=0.2, delta=0.1, leaf_sample_count=10).validate(2)
     with pytest.raises(ConfigError):
-        BuildParams(1, tau=0.05, eps=1.5, delta=0.1, leaf_sample_count=10,
-                    threshold_mode=THRESHOLD_EXACT).validate(2)
-    with pytest.raises(ConfigError):
-        BuildParams(1, tau=0.05, eps=0.2, delta=0.1, leaf_sample_count=10,
-                    threshold_mode="guess").validate(2)
-    # estimated thresholds demand influence accuracy <= tau/4
+        BuildParams(1, tau=0.05, eps=1.5, delta=0.1, leaf_sample_count=10).validate(2)
+    # an estimating oracle demands influence accuracy <= tau/4; an exact
+    # one advertises an accuracy its values do not depend on
     io = InfluenceOracle(
         KIND_MONOTONE, DistOracle.sampler(e2_dense, seed=1), 0.05, 0.1
     )
-    bad = BuildParams(1, tau=0.1, eps=0.2, delta=0.1, leaf_sample_count=10,
-                      threshold_mode=THRESHOLD_ESTIMATED)
+    bad = BuildParams(1, tau=0.1, eps=0.2, delta=0.1, leaf_sample_count=10)
     with pytest.raises(ConfigError):
         bad.validate(2, io)
-    ok = BuildParams(1, tau=0.2, eps=0.2, delta=0.1, leaf_sample_count=10,
-                     threshold_mode=THRESHOLD_ESTIMATED)
+    bad.validate(2, exact_io(e2_dense, accuracy=0.05))
+    ok = BuildParams(1, tau=0.2, eps=0.2, delta=0.1, leaf_sample_count=10)
     ok.validate(2, io)
 
 
@@ -135,23 +125,15 @@ def test_leaf_label_exact(e2_dense):
 
 
 def test_leaf_label_sampled(e2_dense):
-    # a fresh pool grows to leaf_sample_count draws for the first leaf
-    p = exact_params(2)
+    # a fresh pool grows to leaf_sample_count draws for the first leaf; a
+    # monotone oracle at accuracy 0.05 needs tau >= 0.2, which leaf masses
+    # do not read
+    p = exact_params(2, tau=0.2)
     o = DistOracle.sampler(e2_dense, seed=2)
     search = _Search(o, InfluenceOracle(KIND_MONOTONE, o, 0.05, 0.05), p)
     got = search.leaf_density(Restriction.of((0, 1), (1, 1)))
     assert abs(got - 0.5) <= 0.06
     assert o.query_count[o.mode.SAMPLE] == p.leaf_sample_count
-
-
-def test_tree_objective_values(e2_dense, e2_tree):
-    io = exact_io(e2_dense)
-    assert tree_objective(e2_tree, io) == pytest.approx(0.0, abs=ATOL)
-    assert tree_objective(uniform_tree(2), io) == pytest.approx(
-        E2_EXPECTED["total_influence"], abs=ATOL
-    )
-    iou = exact_io(uniform_dense(3))
-    assert tree_objective(uniform_tree(3), iou) == pytest.approx(0.0, abs=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +232,6 @@ def test_monotone_pipeline_small():
     tv = tv_distance(tree_to_dense(res.tree), inst.dense)
     assert tv <= 0.2
     assert res.estimator_kind == KIND_MONOTONE
-    assert res.params.threshold_mode == THRESHOLD_ESTIMATED
     # normalization holds exactly after rescaling
     assert sum(
         2.0 ** (6 - len(s)) * dens for s, dens in res.tree.leaves()
@@ -267,6 +248,19 @@ def test_subcube_pipeline_small():
     res = learn_distribution_result(o, 2, 0.2, 0.1, "subcube")
     assert tv_distance(tree_to_dense(res.tree), inst.dense) <= 0.2
     assert res.estimator_kind == KIND_SUBCUBE
+
+
+@pytest.mark.parametrize("kind", [KIND_EXACT, KIND_MONOTONE])
+@pytest.mark.parametrize("eps, delta, tau", [
+    (0.0, 0.1, None), (-0.1, 0.1, None), (1.0, 0.1, None), (0.2, 0.0, None),
+    (0.2, 1.0, None), (0.2, 0.1, 0.0), (0.2, 0.1, 0.5),
+])
+def test_learn_distribution_rejects_out_of_range_targets(e2_dense, kind, eps, delta, tau):
+    # eps and delta are checked before the defaults, which divide by eps,
+    # and tau before the default accuracy it feeds
+    o = DistOracle.exact(e2_dense, seed=1)
+    with pytest.raises(ConfigError, match="eps|delta" if tau is None else "tau"):
+        learn_distribution_result(o, 1, eps, delta, kind, tau=tau)
 
 
 def test_estimated_mode_requires_capable_oracle(e2_dense):

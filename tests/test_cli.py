@@ -146,6 +146,35 @@ def test_learn_dist_deterministic_output(e2_file, capsys):
     assert strip_elapsed(line1) == strip_elapsed(line2)
 
 
+# sha256 of the summary line (elapsed_s stripped) and of the --out tree,
+# recorded before the threshold rule was derived from the estimator kind;
+# any change to a sampled stream, a threshold or a leaf mass shows here
+LEARN_PINS = {
+    "exact": ("f2312db08bb6575b9f079dd690828cea0c78a9655810e85b4f861252e698e906",
+              "8dd7be079926edf6c9f66b6ba8b34c1bfb3f30e6ad83471c90436edbca34aa1e"),
+    "monotone": ("af91480e4fa4569f3ba01d75bf5af6f8d13e1df1ea96e5ccdff6e368812f4a9f",
+                 "f988afb6b85f28f0a7e1871043d1a2a85f305dea72e3983590e0edc8eb4d188b"),
+    "subcube": ("c20358c353c31451ea99177198c696a831c01dc1a28b6016d16cf5d8a0a518a2",
+                "df4191696b4490227de05698ecfe49ea3a15ca2af1a5c3d35258dc782cdf41a6"),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(LEARN_PINS))
+def test_learn_dist_output_is_byte_stable(tmp_path, capsys, oracle):
+    gen_out = str(tmp_path / "pin")
+    run_json(capsys, ["gen", "--n", "6", "--depth", "2", "--seed", "33",
+                      "--out", gen_out])
+    tree_out = str(tmp_path / "learned.json")
+    code, line = run(capsys, ["learn-dist", "--dist", gen_out + ".tree.json",
+                              "--depth", "2", "--eps", "0.2", "--oracle", oracle,
+                              "--max-pool", "50000", "--infest-reps", "300",
+                              "--seed", "32", "--out", tree_out])
+    assert code == 0
+    line_digest, tree_digest = LEARN_PINS[oracle]
+    assert hashlib.sha256(strip_elapsed(line).encode()).hexdigest() == line_digest
+    assert hashlib.sha256(open(tree_out, "rb").read()).hexdigest() == tree_digest
+
+
 # ---------------------------------------------------------------------------
 # estimate-influence
 
@@ -440,9 +469,31 @@ def test_verify_rejects_nonpositive_trials(capsys, trials):
 
 
 def test_exit_code_nonpositive_max_pool(e2_file, capsys):
-    code, out = run(capsys, ["learn-dist", "--dist", e2_file, "--depth", "1",
-                             "--eps", "0.2", "--oracle", "monotone",
-                             "--max-pool", "-5"])
+    # 0 was once read as "not given" and ran with the default cap, and a
+    # negative --infest-reps died in numpy with exit 1
+    for oracle in ("exact", "monotone", "subcube"):
+        for cap in (["--max-pool", "-5"], ["--max-pool", "0"],
+                    ["--infest-reps", "0"], ["--infest-reps", "-3"]):
+            code, out = run(capsys, ["learn-dist", "--dist", e2_file, "--depth", "1",
+                                     "--eps", "0.2", "--oracle", oracle] + cap)
+            assert code == 2 and out == "", (oracle, cap)
+
+
+@pytest.mark.parametrize("argv", [
+    ["learn-dist", "--accuracy", "0"],
+    ["learn-dist", "--accuracy", "-0.1"],
+    ["learn-dist", "--oracle", "monotone", "--accuracy", "0"],
+    ["lift", "--dist-eps", "0"],
+    ["lift", "--dist-eps", "-0.1"],
+    ["lift", "--dist-eps", "1.5"],
+])
+def test_exit_code_nonpositive_accuracy(e2_file, tmp_path, capsys, argv):
+    target = str(tmp_path / "target.json")
+    save_json(target, {"n": 2, "table": [0, 1, 1, 0]})
+    common = ["--dist", e2_file, "--depth", "1", "--eps", "0.2"]
+    if argv[0] == "lift":
+        common += ["--target", target, "--learner", "tree:1"]
+    code, out = run(capsys, argv[:1] + common + argv[1:])
     assert code == 2 and out == ""
 
 

@@ -26,20 +26,17 @@ from dtdist import (
     derive_seed,
     index_to_point,
     json_dumps,
-    load_dense,
-    load_tree,
+    load_json,
     point_index,
     points_to_indices,
     restrict_dist,
-    save_dense,
-    save_tree,
+    save_json,
     stream,
     subcube_weight,
     tree_to_dense,
     tv_distance,
     uniform_dense,
     uniform_tree,
-    weighting,
     weighting_table,
 )
 
@@ -221,11 +218,12 @@ def test_dense_validation():
 
 
 def test_weighting_values(e2_dense):
-    assert weighting(e2_dense, (1, 1)) == pytest.approx(2.0, abs=ATOL)
-    assert weighting(e2_dense, (-1, 1)) == pytest.approx(0.5, abs=ATOL)
-    assert weighting_table(e2_dense) == pytest.approx(E2_EXPECTED["weighting"], abs=ATOL)
+    table = weighting_table(e2_dense)
+    assert table[point_index((1, 1))] == pytest.approx(2.0, abs=ATOL)
+    assert table[point_index((-1, 1))] == pytest.approx(0.5, abs=ATOL)
+    assert table == pytest.approx(E2_EXPECTED["weighting"], abs=ATOL)
     u = uniform_dense(5)
-    assert weighting(u, all_points(5)[17]) == pytest.approx(1.0, abs=ATOL)
+    assert weighting_table(u)[point_index(all_points(5)[17])] == pytest.approx(1.0, abs=ATOL)
     # uniform average of the weighting is exactly 1 for any distribution
     assert weighting_table(e2_dense).mean() == pytest.approx(1.0, abs=ATOL)
 
@@ -294,18 +292,18 @@ def test_conversion_roundtrip_random():
 
 def test_tree_json_roundtrip(e2_tree, tmp_path):
     p = tmp_path / "t.json"
-    save_tree(p, e2_tree)
-    assert load_tree(p) == e2_tree
+    save_json(p, e2_tree.to_json_dict())
+    assert DistTree.from_json_dict(load_json(p)) == e2_tree
     # byte-identical re-serialization
     text = p.read_text()
-    save_tree(p, load_tree(p))
+    save_json(p, DistTree.from_json_dict(load_json(p)).to_json_dict())
     assert p.read_text() == text
 
 
 def test_dense_json_roundtrip(e2_dense, tmp_path):
     p = tmp_path / "d.json"
-    save_dense(p, e2_dense)
-    got = load_dense(p)
+    save_json(p, e2_dense.to_json_dict())
+    got = DensePmf.from_json_dict(load_json(p))
     assert np.array_equal(got.table, e2_dense.table)
 
 
@@ -479,3 +477,24 @@ def test_two_point_fraction_stream_backing(e2_dense):
     x = np.array([[1, 1]], dtype=np.int8)
     fr = o.two_point_fraction_batch(np.repeat(x, 300, axis=0), 0, 40)
     assert abs(float(fr.mean()) - 0.8) <= 0.05
+
+
+def test_stream_backing_counts_filtered_draws():
+    # every plain row the stream hands over is counted as SAMPLE, also the
+    # rows that rejection discards on the way to conditioned points
+    drawn = []
+
+    def gen(k, rng):
+        drawn.append(k)
+        return (2 * rng.integers(0, 2, size=(k, 4)) - 1).astype(np.int8)
+
+    o = DistOracle.subcube(gen, seed=15, n=4)
+    X = o.subcube_sample_batch(Restriction.of((0, 1), (2, -1)), 10)
+    assert (X[:, 0] == 1).all() and (X[:, 2] == -1).all()
+    assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 10
+    assert o.query_count[OracleMode.SAMPLE] == sum(drawn) > 10
+    before = sum(drawn)
+    fr = o.two_point_fraction_batch(X[:3], 1, 5)
+    assert fr.shape == (3,)
+    assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 10 + 3 * 5
+    assert o.query_count[OracleMode.SAMPLE] == sum(drawn) > before + 3 * 5

@@ -282,6 +282,19 @@ def test_influence_oracle_mode_validation(e2_dense):
     InfluenceOracle(KIND_MONOTONE, plain, 0.1, 0.1)
 
 
+@pytest.mark.parametrize("kind", [KIND_EXACT, KIND_MONOTONE, KIND_SUBCUBE])
+def test_influence_oracle_rejects_bad_targets_and_caps(e2_dense, kind):
+    o = DistOracle.exact(e2_dense, seed=1)
+    for accuracy, confidence in ((0.0, 0.1), (-0.1, 0.1), (0.1, 0.0), (0.1, 1.0), (0.1, 1.5)):
+        with pytest.raises(ConfigError):
+            InfluenceOracle(kind, o, accuracy, confidence)
+    for budget in (EstimatorBudget(max_pool=0), EstimatorBudget(max_pool=-5),
+                   EstimatorBudget(infest_reps_cap=0), EstimatorBudget(infest_reps_cap=-3)):
+        with pytest.raises(ConfigError):
+            InfluenceOracle(kind, o, 0.1, 0.1, budget)
+    InfluenceOracle(kind, o, 0.1, 0.1, EstimatorBudget(max_pool=1, infest_reps_cap=1))
+
+
 def test_influence_oracle_exact_path(e2_dense):
     io = InfluenceOracle(KIND_EXACT, DistOracle.exact(e2_dense, seed=1), 0.01, 0.01)
     coords, vals, used = io.estimate_all()
@@ -292,7 +305,6 @@ def test_influence_oracle_exact_path(e2_dense):
     coords, vals, _ = io.estimate_all(s)
     assert coords == [1]
     assert vals[0] == pytest.approx(0.5, abs=ATOL)  # restricted scale
-    assert io.total_at(s) == pytest.approx(0.5, abs=ATOL)
     est = io.estimate(1, s)
     assert est.value == pytest.approx(0.5, abs=ATOL)
     assert est.kind == KIND_EXACT

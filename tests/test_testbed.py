@@ -123,16 +123,6 @@ def test_monotone_product_frozen_example():
     assert is_monotone_dense(dense)
 
 
-def test_gen_monotone_rejection():
-    inst = gen_monotone_dist(4, 1, seed=2, method="rejection")
-    assert inst.kind == "monotone-rejection" and inst.monotone
-    assert inst.depth() == 1 and inst.seed == 2
-    again = gen_monotone_dist(4, 1, seed=2, method="rejection")
-    assert np.array_equal(inst.dense.table, again.dense.table)
-    with pytest.raises(ConfigError):
-        gen_monotone_dist(4, 1, seed=2, method="nope")
-
-
 def test_is_monotone_dense(e2_dense):
     assert is_monotone_dense(e2_dense)
     assert is_monotone_dense(uniform_dense(3))
