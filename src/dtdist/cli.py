@@ -29,6 +29,7 @@ from .core import (
     Restriction,
     json_dumps,
     load_json,
+    points_to_indices,
     save_json,
     tree_to_dense,
     tv_distance,
@@ -277,8 +278,14 @@ def cmd_lift(args) -> int:
     # the learners only pay log(1/delta) for it
     leaf_delta = args.delta / (4.0 * 2.0 ** args.depth)
     if name == "tree":
+        # the exhaustive search refuses larger orders at every leaf
+        if not (0 <= k <= 3 and dist.n <= 16):
+            raise ConfigError(f"--learner tree:K needs 0 <= K <= 3 and n <= 16, "
+                              f"got K={k}, n={dist.n}")
         learner = make_exhaustive_tree_learner(dist.n, k, args.eps / 2.0, leaf_delta)
     elif name == "lowdeg":
+        if k < 0:
+            raise ConfigError(f"--learner lowdeg:K needs K >= 0, got {k}")
         learner = make_low_degree_learner(dist.n, k, args.eps / 2.0, leaf_delta)
     else:
         raise ConfigError(f"unknown learner {name!r}")
@@ -369,45 +376,30 @@ def _verify_estimators(trial: int, seed: int) -> list:
     # parameter, so the 1x band would make the suite outcome a coin flip
     eps, delta, slack = 0.1, 0.1, 2.0
     n, d = 6, 2
-    mono = gen_monotone_dist(n, d, derive_seed(seed, "est-mono", trial))
     rng = stream(seed, "est-pick", trial)
-    i = int(rng.integers(n))
-    oracle = DistOracle.sampler(mono.dense, derive_seed(seed, "est-mono-oracle", trial))
-    est = InfluenceOracle(KIND_MONOTONE, oracle, eps, delta).estimate_conditional(i)
-    exact = exact_conditional_influence(mono.dense, i)
-    rows = [
-        {
-            "suite": "estimators",
-            "trial": trial,
-            "estimator": "monotone",
-            "coord": i,
-            "value": est.value,
-            "exact": exact,
-            "eps": eps,
-            "slack": slack,
-            "margin": slack * eps - abs(est.value - exact),
-            "passed": abs(est.value - exact) <= slack * eps,
-        }
-    ]
-    inst = gen_dt_dist(n, d, derive_seed(seed, "est-dt", trial))
-    j = int(rng.integers(n))
-    oracle2 = DistOracle.subcube(inst.dense, derive_seed(seed, "est-dt-oracle", trial))
-    est2 = InfluenceOracle(KIND_SUBCUBE, oracle2, eps, delta).estimate_conditional(j)
-    exact2 = exact_conditional_influence(inst.dense, j)
-    rows.append(
-        {
-            "suite": "estimators",
-            "trial": trial,
-            "estimator": "subcube",
-            "coord": j,
-            "value": est2.value,
-            "exact": exact2,
-            "eps": eps,
-            "slack": slack,
-            "margin": slack * eps - abs(est2.value - exact2),
-            "passed": abs(est2.value - exact2) <= slack * eps,
-        }
-    )
+    rows = []
+    for kind, gen, tag in ((KIND_MONOTONE, gen_monotone_dist, "est-mono"),
+                           (KIND_SUBCUBE, gen_dt_dist, "est-dt")):
+        inst = gen(n, d, derive_seed(seed, tag, trial))
+        i = int(rng.integers(n))
+        oracle_seed = derive_seed(seed, tag + "-oracle", trial)
+        oracle = DistOracle(inst.dense, KIND_MODES[kind], oracle_seed)
+        est = InfluenceOracle(kind, oracle, eps, delta).estimate_conditional(i)
+        exact = exact_conditional_influence(inst.dense, i)
+        rows.append(
+            {
+                "suite": "estimators",
+                "trial": trial,
+                "estimator": kind,
+                "coord": i,
+                "value": est.value,
+                "exact": exact,
+                "eps": eps,
+                "slack": slack,
+                "margin": slack * eps - abs(est.value - exact),
+                "passed": abs(est.value - exact) <= slack * eps,
+            }
+        )
     return rows
 
 
@@ -416,30 +408,14 @@ def _verify_core(trial: int, seed: int) -> list:
     inst = gen_dt_dist(n, d, derive_seed(seed, "core", trial))
     oracle = DistOracle.subcube(inst.tree, derive_seed(seed, "core-oracle", trial))
     X = oracle.sample_batch(200_000)
-    idx = np.zeros(1 << n, dtype=np.int64)
-    np.add.at(idx, (X > 0) @ (1 << np.arange(n)), 1)
-    emp = idx / X.shape[0]
+    emp = np.bincount(points_to_indices(X), minlength=1 << n) / X.shape[0]
     worst = float(np.abs(emp - inst.dense.table).max())
-    rows = [
-        {
-            "suite": "core",
-            "trial": trial,
-            "check": "sampling-consistency",
-            "margin": 0.005 - worst,
-            "passed": worst <= 0.005,
-        }
-    ]
-    count_before = oracle.query_count[OracleMode.SAMPLE]
-    rows.append(
-        {
-            "suite": "core",
-            "trial": trial,
-            "check": "query-accounting",
-            "margin": 0.0,
-            "passed": count_before == 200_000,
-        }
+    checks = (
+        ("sampling-consistency", 0.005 - worst, worst <= 0.005),
+        ("query-accounting", 0.0, oracle.query_count[OracleMode.SAMPLE] == 200_000),
     )
-    return rows
+    return [{"suite": "core", "trial": trial, "check": check, "margin": margin, "passed": ok}
+            for check, margin, ok in checks]
 
 
 _SUITES = {
@@ -461,9 +437,12 @@ def _run_trial(packed) -> list:
 
 def _default_workers() -> int:
     env = os.environ.get("DTDIST_WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"DTDIST_WORKERS must be an integer, got {env!r}") from None
 
 
 def cmd_verify(args) -> int:
@@ -472,7 +451,9 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     seed = _parse_seed(args.seed)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
-    workers = args.workers if args.workers else _default_workers()
+    workers = _default_workers() if args.workers is None else args.workers
+    if workers < 1:
+        raise ConfigError(f"--workers (or DTDIST_WORKERS) must be at least 1, got {workers}")
     rows = []
     for suite in suites:
         jobs = [(suite, t, seed) for t in range(args.trials)]

@@ -461,20 +461,23 @@ def tv_distance(a: DensePmf, b: DensePmf) -> float:
     return 0.5 * float(np.abs(a.table - b.table).sum())
 
 
-def slice_cube(d: DensePmf, s: Restriction) -> np.ndarray:
-    """View of d's table on the subcube s, shaped [2] * (n - |s|).
+def slice_cube(d: DensePmf, s: Restriction, table: Optional[np.ndarray] = None) -> np.ndarray:
+    """View of d's table (or of `table`, any 2^n array indexed like it) on
+    the subcube s, shaped [2] * (n - |s|).
 
     Axis a indexes the free coordinate free[m-1-a], where free lists the
     unrestricted coordinates in increasing order (the DensePmf.cube
-    convention restricted to them).  Raises DimensionMismatchError for a
-    coordinate outside [0, n).
+    convention restricted to them), so the C-order flatten lists the
+    subcube's points by increasing index.  Raises DimensionMismatchError
+    for a coordinate outside [0, n).
     """
     idx = [slice(None)] * d.n
     for i, b in s.pairs:
         if not 0 <= i < d.n:
             raise DimensionMismatchError(f"restriction coordinate {i} out of range")
         idx[d.n - 1 - i] = (b + 1) // 2
-    return d.cube()[tuple(idx)]
+    cube = d.cube() if table is None else table.reshape([2] * d.n)
+    return cube[tuple(idx)]
 
 
 def restrict_dist(d: DensePmf, s: Restriction):
@@ -582,6 +585,8 @@ class DistOracle:
             self.n = int(n)
         self.rng = stream(self.seed, "oracle")
         self.query_count = {m: 0 for m in OracleMode}
+        self._dense_cache = None
+        self._clamped_table = None
 
     # -- constructors --------------------------------------------------------
 
@@ -618,34 +623,45 @@ class DistOracle:
         self.query_count[OracleMode.SUBCUBE_SAMPLE] += k
         return self._draw(s, k)
 
-    def two_point_fraction_batch(self, X: np.ndarray, i: int, k: int) -> np.ndarray:
-        """For each row x, draw k samples conditioned on the two-point
-        subcube {x, x with coordinate i flipped} and report the fraction
-        equal to x.  Counts rows*k subcube queries.
+    def two_point_fraction_batch(self, X: np.ndarray, coords, k: int) -> np.ndarray:
+        """(len(coords), rows) array: entry [pos, r] is the fraction equal
+        to x = X[r] of k draws conditioned on the pair {x, x with
+        coordinate coords[pos] flipped}.  Counts rows*k subcube queries
+        per coordinate.
 
-        Conditioned on that subcube the draws are i.i.d. Bernoulli with
-        success probability D(x) / (D(x) + D(x^i)), so with an exact
-        backing the count is drawn binomially instead of materializing k
-        points; a stream backing falls back to reject_sample.
+        On the pair the draws are Bernoulli(D(x) / (D(x) + D(x^i))), so a
+        tree or dense backing draws each count binomially: D(x) from one
+        eval_batch, the partner as _clamped()[idx ^ (1 << i)] from one
+        index pass (a tree above MAX_DENSE_N evaluates a flipped copy of
+        X instead).  A stream backing conditions each row by reject_sample.
         """
         self._require(OracleMode.SUBCUBE_SAMPLE)
         rows = X.shape[0]
-        self.query_count[OracleMode.SUBCUBE_SAMPLE] += rows * k
-        if isinstance(self.backing, (DistTree, DensePmf)):
-            Xf = np.array(X, copy=True)
-            Xf[:, i] *= -1
-            # clamped like the dense sampler's table (see _draw_dense)
-            px = np.maximum(self.backing.eval_batch(X), 0.0)
-            pf = np.maximum(self.backing.eval_batch(Xf), 0.0)
+        out = np.empty((len(coords), rows), dtype=np.float64)
+        if not isinstance(self.backing, (DistTree, DensePmf)):
+            for pos, i in enumerate(coords):
+                self.query_count[OracleMode.SUBCUBE_SAMPLE] += rows * k
+                for r in range(rows):
+                    pair = Restriction.of(*[(j, int(X[r, j])) for j in range(self.n) if j != i])
+                    got = reject_sample(self.sample_batch, pair, k)
+                    out[pos, r] = np.mean(got[:, i] == X[r, i])
+            return out
+        px = np.maximum(self.backing.eval_batch(X), 0.0)
+        indexed = self.n <= MAX_DENSE_N
+        if indexed:
+            table, idx = self._clamped(), points_to_indices(X)
+        for pos, i in enumerate(coords):
+            self.query_count[OracleMode.SUBCUBE_SAMPLE] += rows * k
+            if indexed:
+                pf = table[idx ^ (1 << i)]
+            else:
+                Xf = np.array(X, copy=True)
+                Xf[:, i] *= -1
+                pf = np.maximum(self.backing.eval_batch(Xf), 0.0)
             tot = px + pf
             if np.any(tot <= 0.0):
                 raise ZeroWeightSubcubeError("two-point subcube has zero mass")
-            return self.rng.binomial(k, px / tot) / float(k)
-        out = np.empty(rows, dtype=np.float64)
-        for r in range(rows):
-            pairs = [(j, int(X[r, j])) for j in range(self.n) if j != i]
-            got = reject_sample(self.sample_batch, Restriction.of(*pairs), k)
-            out[r] = float(np.mean(got[:, i] == X[r, i]))
+            out[pos] = self.rng.binomial(k, px / tot) / float(k)
         return out
 
     # -- exact pmf ---------------------------------------------------------------
@@ -661,11 +677,23 @@ class DistOracle:
     def dense(self) -> DensePmf:
         """Full table (EXACT_PMF mode only); conversion cached."""
         self._require(OracleMode.EXACT_PMF)
+        return self._as_dense()
+
+    def _as_dense(self) -> DensePmf:
+        """The backing's table in any mode; a DistTree is converted once."""
         if isinstance(self.backing, DensePmf):
             return self.backing
-        if not hasattr(self, "_dense_cache"):
+        if self._dense_cache is None:
             self._dense_cache = tree_to_dense(self.backing)
         return self._dense_cache
+
+    def _clamped(self) -> np.ndarray:
+        """The table clamped at 0, built once.  Validation lets entries down
+        to -1e-12 through, which rng.choice and rng.binomial reject; valid
+        tables are unchanged, as nothing is renormalized."""
+        if self._clamped_table is None:
+            self._clamped_table = np.maximum(self._as_dense().table, 0.0)
+        return self._clamped_table
 
     # -- internals -----------------------------------------------------------------
 
@@ -717,21 +745,18 @@ class DistOracle:
         return X
 
     def _draw_dense(self, s: Restriction, k: int) -> np.ndarray:
-        d: DensePmf = self.backing
-        # validation lets entries down to -1e-12 through; rng.choice rejects
-        # them.  Clamped, not renormalized, so valid tables draw unchanged.
-        table = np.maximum(d.table, 0.0)
+        table = self._clamped()
         if len(s) == 0:
             idx = self.rng.choice(table.size, size=k, p=table)
-            return all_points(d.n)[idx]
-        pts = all_points(d.n)
-        mask = s.consistent_mask(pts)
-        w = float(table[mask].sum())
+            return all_points(self.n)[idx]
+        # the subcube's indices in increasing order, sliced like its values
+        sub_idx = slice_cube(self.backing, s, np.arange(table.size)).reshape(-1)
+        sub = table[sub_idx]
+        w = float(sub.sum())
         if w <= 0.0:
             raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
-        sub_idx = np.flatnonzero(mask)
-        pick = self.rng.choice(sub_idx.size, size=k, p=table[sub_idx] / w)
-        return pts[sub_idx[pick]]
+        pick = self.rng.choice(sub_idx.size, size=k, p=sub / w)
+        return all_points(self.n)[sub_idx[pick]]
 
 
 # attempts per accepted point: ceil(REJECTION_CAP_FACTOR / w_hat)

@@ -80,12 +80,10 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
 
 def exact_influence(d: DensePmf, i: int, s: Restriction = EMPTY) -> float:
     """Inf_i((f_D)_s) by enumeration."""
-    q, free = slice_cube(d, s), s.free_coords(d.n)
+    free, vals = exact_influence_all(d, s)
     if i not in free:
         raise ValueError(f"coordinate {i} is fixed by the restriction")
-    m = len(free)
-    ax = m - 1 - free.index(i)
-    return 2.0 ** (d.n - m - 1) * float(np.abs(q - np.flip(q, axis=ax)).sum())
+    return float(vals[free.index(i)])
 
 
 def exact_total_influence(d: DensePmf, s: Restriction = EMPTY) -> float:
@@ -156,18 +154,20 @@ class InfluenceEstimate:
 def _two_point_means(source: DistOracle, s: Restriction, coords, run_eps: float, runs: int):
     """Means of `runs` independent infest(run_eps) outputs per coordinate.
 
-    One batch X ~ D_s serves every coordinate, whose k = ceil(1/run_eps^2)
-    two-point draws per run are its own.  Returns (means, runs * (k + 1)),
-    the samples behind one coordinate's mean.
+    One batch X ~ D_s serves every coordinate, and one
+    two_point_fraction_batch call gives each coordinate its own
+    k = ceil(1/run_eps^2) two-point draws per run, coordinate by
+    coordinate in the order given.  Returns (means, runs * (k + 1)), the
+    samples behind one coordinate's mean.
     """
     k = infest_sample_count(run_eps)
     X = source.subcube_sample_batch(s, runs)
-    vals = np.empty(len(coords), dtype=np.float64)
-    for pos, i in enumerate(coords):
-        p_hat = source.two_point_fraction_batch(X, i, k)
-        # np.mean reduces pairwise, keeping the result order-independent
-        vals[pos] = np.mean(np.abs(2.0 * p_hat - 1.0))
-    return vals, runs * (k + 1)
+    dev = source.two_point_fraction_batch(X, coords, k)
+    dev *= 2.0
+    dev -= 1.0
+    # |2p - 1| in place, as the batch holds len(coords) x runs floats; np.mean
+    # reduces each row pairwise, keeping the result order-independent
+    return np.mean(np.abs(dev, out=dev), axis=1), runs * (k + 1)
 
 
 def infest(oracle: DistOracle, i: int, eps: float, s: Restriction = EMPTY) -> float:

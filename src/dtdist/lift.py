@@ -305,21 +305,14 @@ def lift_learn_result(
     hyps = []
     records = []
     for j, ((restriction, _), part) in enumerate(zip(t.leaves(), parts)):
-        if len(part) < learner.m:
-            hyps.append(ConstantHypothesis(0))
-            records.append(
-                LeafRecord(j, str(restriction), len(part), "skipped",
-                           f"{len(part)} < m={learner.m}")
-            )
-            continue
-        try:
-            hyps.append(learner.learn(part))
-            records.append(LeafRecord(j, str(restriction), len(part), "ok"))
-        except Exception as exc:  # noqa: BLE001 - leaf failure must not kill the lift
-            hyps.append(ConstantHypothesis(0))
-            records.append(
-                LeafRecord(j, str(restriction), len(part), "error", repr(exc))
-            )
+        hyp, status, detail = ConstantHypothesis(0), "skipped", f"{len(part)} < m={learner.m}"
+        if len(part) >= learner.m:
+            try:
+                hyp, status, detail = learner.learn(part), "ok", ""
+            except Exception as exc:  # noqa: BLE001 - leaf failure must not kill the lift
+                status, detail = "error", repr(exc)
+        hyps.append(hyp)
+        records.append(LeafRecord(j, str(restriction), len(part), status, detail))
     return LiftReport(TreeRoutedHypothesis(t, hyps), records)
 
 

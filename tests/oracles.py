@@ -2,10 +2,12 @@
 
 Everything here is written from first principles with plain Python loops
 and bit arithmetic, deliberately avoiding the library's vectorized code
-paths, so agreement between the two is meaningful.  The one exception is
-tree_erm, the row-mask search exhaustive_tree_learn used before it moved
-to a count cube, kept as the reference for that rewrite.  Index convention:
-bit i of a dense index is 1 exactly when coordinate i equals +1.
+paths, so agreement between the two is meaningful.  The two exceptions
+are tree_erm, the row-mask search exhaustive_tree_learn used before it
+moved to a count cube, and two_point_fractions, the flipped-copy
+two-point kernel used before it moved to point indices; each is kept as
+the reference for its rewrite.  Index convention: bit i of a dense index
+is 1 exactly when coordinate i equals +1.
 """
 
 import math
@@ -213,4 +215,26 @@ def encoding_table(enc, n):
             _, var, lo, hi = cur
             cur = hi if x[var] > 0 else lo
         out.append(cur[1])
+    return out
+
+
+def two_point_fractions(oracle, X, coords, k):
+    """DistOracle.two_point_fraction_batch on a tree or dense backing, as
+    it ran before it moved to point indices: for each coordinate in turn,
+    count rows*k subcube queries, evaluate the backing on X and on a
+    flipped copy of X, clamp both at 0, and draw the binomial counts from
+    the oracle's own generator.  Returns a (len(coords), rows) array."""
+    from dtdist import OracleMode, ZeroWeightSubcubeError
+
+    out = np.empty((len(coords), X.shape[0]), dtype=np.float64)
+    for pos, i in enumerate(coords):
+        oracle.query_count[OracleMode.SUBCUBE_SAMPLE] += X.shape[0] * k
+        Xf = np.array(X, copy=True)
+        Xf[:, i] *= -1
+        px = np.maximum(oracle.backing.eval_batch(X), 0.0)
+        pf = np.maximum(oracle.backing.eval_batch(Xf), 0.0)
+        tot = px + pf
+        if np.any(tot <= 0.0):
+            raise ZeroWeightSubcubeError("two-point subcube has zero mass")
+        out[pos] = oracle.rng.binomial(k, px / tot) / float(k)
     return out

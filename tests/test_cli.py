@@ -461,6 +461,48 @@ def test_exit_code_bad_learner_order(e2_file, capsys):
         assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("learner", ["tree:5", "tree:4", "tree:-1", "lowdeg:-1"])
+def test_exit_code_learner_order_out_of_range(tmp_path, capsys, learner):
+    # tree:5 ran with every leaf's learner refusing the order (constant
+    # leaves, exit 0); lowdeg:-1 died on a math domain error (exit 1)
+    gen_out = str(tmp_path / "l")
+    run_json(capsys, ["gen", "--n", "6", "--depth", "2", "--target", "depth:2",
+                      "--seed", "11", "--out", gen_out])
+    code = main(["lift", "--dist", gen_out + ".tree.json", "--target", gen_out + ".target.json",
+                 "--learner", learner, "--depth", "2", "--eps", "0.3", "--seed", "12"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: --learner"), captured.err
+
+
+def test_exit_code_tree_learner_above_n16(tmp_path, capsys):
+    n = 17
+    dist, target = str(tmp_path / "u.json"), str(tmp_path / "t.json")
+    save_json(dist, {"n": n, "root": {"leaf": 2.0 ** -n}})
+    save_json(target, {"n": n, "table": [0] * (1 << n)})
+    code = main(["lift", "--dist", dist, "--target", target, "--learner", "tree:1",
+                 "--depth", "1", "--eps", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "n <= 16" in captured.err
+
+
+@pytest.mark.parametrize("workers, env", [("0", None), ("-3", None), (None, "abc"),
+                                          (None, "0"), (None, "2.5")])
+def test_exit_code_bad_worker_count(monkeypatch, capsys, workers, env):
+    # --workers 0 ran 2 workers, --workers -3 ran and reported -3, and a
+    # non-integer DTDIST_WORKERS died with a traceback
+    if env is None:
+        monkeypatch.delenv("DTDIST_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("DTDIST_WORKERS", env)
+    argv = ["verify", "--suite", "core", "--trials", "2"]
+    code = main(argv + ([] if workers is None else ["--workers", workers]))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_rejects_nonpositive_trials(capsys, trials):
     code, out = run(capsys, ["verify", "--suite", "core", "--trials", trials,

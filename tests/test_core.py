@@ -1,5 +1,7 @@
 """Representations, conversions, serialization, and the sampling oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles as O
 from conftest import E2_TABLE, E2_EXPECTED
+from dtdist import core
 from dtdist import (
     DensePmf,
     DimensionMismatchError,
@@ -375,7 +378,7 @@ def test_dense_sampling_tolerates_tiny_negative_mass():
     X = o.subcube_sample_batch(Restriction.of((0, -1)), 20_000)
     assert (points_to_indices(X) == 2).all()
     # the two-point partner of index 2 across coordinate 1 is index 0
-    assert (o.two_point_fraction_batch(X[:5], 1, 100) == 1.0).all()
+    assert (o.two_point_fraction_batch(X[:5], [1], 100) == 1.0).all()
 
 
 def test_subcube_sampling_conditional(e2_tree):
@@ -462,7 +465,7 @@ def test_two_point_fraction(e2_dense):
     o = DistOracle.subcube(e2_dense, seed=13)
     x = np.array([[1, 1]], dtype=np.int8)
     # p = D(+,+)/(D(+,+)+D(-,+)) = (1/2)/(5/8) = 0.8 along coordinate 0
-    fr = o.two_point_fraction_batch(np.repeat(x, 2000, axis=0), 0, 50)
+    fr = o.two_point_fraction_batch(np.repeat(x, 2000, axis=0), [0], 50)
     assert abs(float(fr.mean()) - 0.8) <= 0.01
     assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 2000 * 50
 
@@ -475,7 +478,7 @@ def test_two_point_fraction_stream_backing(e2_dense):
 
     o = DistOracle.subcube(gen, seed=14, n=2)
     x = np.array([[1, 1]], dtype=np.int8)
-    fr = o.two_point_fraction_batch(np.repeat(x, 300, axis=0), 0, 40)
+    fr = o.two_point_fraction_batch(np.repeat(x, 300, axis=0), [0], 40)
     assert abs(float(fr.mean()) - 0.8) <= 0.05
 
 
@@ -494,7 +497,130 @@ def test_stream_backing_counts_filtered_draws():
     assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 10
     assert o.query_count[OracleMode.SAMPLE] == sum(drawn) > 10
     before = sum(drawn)
-    fr = o.two_point_fraction_batch(X[:3], 1, 5)
-    assert fr.shape == (3,)
+    fr = o.two_point_fraction_batch(X[:3], [1], 5)
+    assert fr.shape == (1, 3)
     assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 10 + 3 * 5
     assert o.query_count[OracleMode.SAMPLE] == sum(drawn) > before + 3 * 5
+
+
+# ---------------------------------------------------------------------------
+# the two-point kernel against its flipped-copy reference
+
+
+def _two_point_backing(kind, table):
+    n = int(table.size).bit_length() - 1
+    return DensePmf(n, table) if kind == "dense" else dense_to_tree(DensePmf(n, table))
+
+
+def _assert_kernel_matches_reference(kind, table, s, coords, rows, k, seed, X=None):
+    """Equal seeds: the kernel and tests/oracles.py give bit-equal
+    fractions on X (by default `rows` draws from D_s), or both raise, and
+    they leave equal query counts and the two generators at the same
+    point of their streams."""
+    new = DistOracle.subcube(_two_point_backing(kind, table), seed=seed)
+    ref = DistOracle.subcube(_two_point_backing(kind, table), seed=seed)
+    # "tree-routed": a tree too large for a table evaluates flipped copies
+    limit = 0 if kind == "tree-routed" else core.MAX_DENSE_N
+    with mock.patch.object(core, "MAX_DENSE_N", limit):
+        if X is None:
+            X = new.subcube_sample_batch(s, rows)
+            assert np.array_equal(X, ref.subcube_sample_batch(s, rows))
+        try:
+            got = new.two_point_fraction_batch(X, coords, k)
+        except ZeroWeightSubcubeError:
+            got = None
+        try:
+            want = O.two_point_fractions(ref, X, coords, k)
+        except ZeroWeightSubcubeError:
+            want = None
+    if want is None:
+        assert got is None
+    else:
+        assert got.shape == (len(coords), X.shape[0])
+        assert np.array_equal(got, want)
+    assert new.query_count == ref.query_count
+    assert new.rng.random() == ref.rng.random()
+    return got
+
+
+@st.composite
+def two_point_cases(draw):
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.dirichlet(np.ones(1 << n))
+    table[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    signs = {i: draw(st.sampled_from([-1, 1]))
+             for i in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))}
+    # one point of the subcube keeps positive mass, so it can be sampled
+    keep = int(rng.integers(1 << n))
+    for i, b in signs.items():
+        keep = keep | (1 << i) if b > 0 else keep & ~(1 << i)
+    table[keep] += 0.05
+    table /= table.sum()
+    tiny = int(rng.integers(1 << n))
+    if draw(st.booleans()) and tiny != keep:  # validation admits it; the kernel clamps it
+        table[tiny] = -1e-13
+        table[keep] += 1.0 - table.sum()
+    coords = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    kind = draw(st.sampled_from(["dense", "tree", "tree-routed"]))
+    return (kind, table, Restriction.of(signs), coords, draw(st.integers(0, 40)),
+            draw(st.integers(1, 300)), draw(st.integers(0, 2**31)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(two_point_cases())
+def test_two_point_kernel_matches_flipped_copy_reference(case):
+    _assert_kernel_matches_reference(*case)
+
+
+@pytest.mark.parametrize("kind", ["dense", "tree", "tree-routed"])
+def test_two_point_kernel_zero_mass_pair_raises(kind):
+    # x = (-1, -1) and its partner across coordinate 0 both have mass 0;
+    # coordinate 1 comes first and draws before coordinate 0 raises
+    table = np.array([0.0, 0.0, 0.5, 0.5])
+    X = np.repeat(all_points(2), 3, axis=0)
+    o = DistOracle.subcube(_two_point_backing(kind, table), seed=3)
+    with mock.patch.object(core, "MAX_DENSE_N", 0 if kind == "tree-routed" else core.MAX_DENSE_N):
+        with pytest.raises(ZeroWeightSubcubeError):
+            o.two_point_fraction_batch(X, [1, 0], 10)
+    assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 2 * 12 * 10
+    assert _assert_kernel_matches_reference(kind, table, None, [1, 0], 0, 10, 3, X) is None
+
+
+@pytest.mark.parametrize("kind", ["dense", "tree", "tree-routed"])
+def test_two_point_kernel_clamps_tiny_negative_mass(kind):
+    table = np.array([-1e-13, 0.25, 0.25, 0.5 + 1e-13])
+    for s in (Restriction.empty(), Restriction.of((0, 1)), Restriction.of((1, -1))):
+        _assert_kernel_matches_reference(kind, table, s, [0, 1, 1, 0], 25, 60, 5)
+    # index 1's partner across coordinate 0 is the clamped index 0: p = 1
+    o = DistOracle.subcube(_two_point_backing(kind, table), seed=5)
+    X = np.repeat(all_points(2)[[1]], 4, axis=0)
+    assert (o.two_point_fraction_batch(X, [0], 50) == 1.0).all()
+
+
+def test_dense_conditional_draws_match_mask_path():
+    # the subcube's indices come from slicing an index cube like the table;
+    # the old path masked all 2^n points, and both list them in the same
+    # order, so the weight and the draws are bit-equal at a fixed seed
+    n, seed = 7, 23
+    table = np.random.default_rng(4).dirichlet(np.ones(1 << n))
+    table[:5] = 0.0
+    table /= table.sum()
+    d = DensePmf(n, table)
+    for s in (Restriction.of((0, 1)), Restriction.of((6, -1), (2, 1)),
+              Restriction.of((3, 1), (1, -1), (5, 1)), Restriction.of(*[(i, -1) for i in range(n)])):
+        pts = all_points(n)
+        mask = s.consistent_mask(pts)
+        sub_idx = np.flatnonzero(mask)
+        w_mask = float(table[mask].sum())
+        sliced = core.slice_cube(d, s, np.arange(1 << n)).reshape(-1)
+        assert np.array_equal(sliced, sub_idx)
+        assert float(table[sliced].sum()) == w_mask
+        if w_mask == 0.0:
+            with pytest.raises(ZeroWeightSubcubeError):
+                DistOracle.subcube(d, seed=seed).subcube_sample_batch(s, 10)
+            continue
+        rng = stream(seed, "oracle")
+        want = pts[sub_idx[rng.choice(sub_idx.size, size=3000, p=table[sub_idx] / w_mask)]]
+        got = DistOracle.subcube(d, seed=seed).subcube_sample_batch(s, 3000)
+        assert np.array_equal(got, want)
