@@ -60,6 +60,11 @@ KIND_MODES = {
 # exact enumeration
 
 
+# cells of the exact kernel's difference buffer: it holds at most this many
+# floats, or one subcube row when that is larger
+_CHUNK_CELLS = 1 << 16
+
+
 def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
     """(free coords, their influences) of the restricted weighting (f_D)_s.
 
@@ -67,14 +72,30 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
     fraction 2^-m of the full cube mapping to y, so
 
         Inf_i((f_D)_s) = 2^(n-m-1) * sum_y |D(y) - D(y with i flipped)|.
+
+    The subcube is read once as a flat vector q, its points by increasing
+    index, so flipping free position p pairs q[y] with q[y ^ 2^p].  The
+    differences of several positions fill the rows of one buffer, and
+    each chunk of rows takes one in-place abs and one row sum; transient
+    memory is at most 2^m + _CHUNK_CELLS floats (one row when 2^m is
+    larger).  Each row lists |D(y) - D(y^e_i)| in y order and is summed
+    pairwise as one contiguous run, the order a sum over the flipped
+    copy of the cube uses, so the values are bit-identical to it.
     """
-    q, free = slice_cube(d, s), s.free_coords(d.n)
+    q, free = slice_cube(d, s).reshape(-1), s.free_coords(d.n)
     m = len(free)
     scale = 2.0 ** (d.n - m - 1)
     vals = np.empty(m, dtype=np.float64)
-    for pos in range(m):
-        ax = m - 1 - pos
-        vals[pos] = scale * float(np.abs(q - np.flip(q, axis=ax)).sum())
+    rows = max(1, min(m, _CHUNK_CELLS >> m))
+    buf = np.empty((rows, q.size), dtype=np.float64)
+    for lo in range(0, m, rows):
+        block = buf[: min(rows, m - lo)]
+        for row, p in zip(block, range(lo, m)):
+            a = q.reshape(-1, 2, 1 << p)
+            np.subtract(a, a[:, ::-1], out=row.reshape(a.shape))
+        np.abs(block, out=block)
+        vals[lo : lo + len(block)] = block.sum(axis=1)
+    vals *= scale
     return free, vals
 
 
@@ -337,8 +358,13 @@ class InfluenceOracle:
             return coords, np.zeros(0), 0
         if self.kind == KIND_EXACT:
             free, vals = exact_influence_all(self._dense, s)
-            pos = [free.index(i) for i in coords]
-            return coords, vals[pos], 0
+            if coords != free:
+                pos = {c: p for p, c in enumerate(free)}
+                try:
+                    vals = vals[[pos[i] for i in coords]]
+                except KeyError as e:
+                    raise ValueError(f"coordinate {e.args[0]} is fixed by the restriction") from None
+            return coords, vals, 0
 
         # weight of the subcube from plain samples
         if len(s) == 0:

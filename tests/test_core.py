@@ -289,6 +289,23 @@ def test_conversion_roundtrip_random():
         assert np.abs(tree_to_dense(dense_to_tree(d)).table - table).max() <= 1e-12
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 4), st.integers(0, 2**32 - 1))
+def test_conversion_roundtrip_property(n, levels, seed):
+    # levels > 0 draws cells from that many values, so equal halves merge
+    # into shared leaves; 0 draws a Dirichlet table
+    rng = np.random.default_rng(seed)
+    if levels:
+        table = rng.integers(0, levels + 1, 1 << n).astype(np.float64)
+        table[rng.integers(1 << n)] += 1.0
+    else:
+        table = rng.dirichlet(np.ones(1 << n))
+    d = DensePmf(n, table / table.sum())
+    back = tree_to_dense(dense_to_tree(d))
+    assert back.n == n
+    assert np.abs(back.table - d.table).max() <= core.ATOL_ROUNDTRIP
+
+
 # ---------------------------------------------------------------------------
 # serialization
 

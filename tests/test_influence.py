@@ -1,6 +1,8 @@
 """Exact influences, the three estimators, and the unified oracle."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles as O
 from conftest import E2_EXPECTED
+from dtdist import influence
 from dtdist import (
     BudgetExceededError,
     ConfigError,
@@ -22,6 +25,7 @@ from dtdist import (
     KIND_SUBCUBE,
     OracleModeError,
     Restriction,
+    ZeroWeightSubcubeError,
     bias_sample_count,
     exact_conditional_influence,
     exact_influence,
@@ -37,6 +41,7 @@ from dtdist import (
     uniform_dense,
     weighting_table,
 )
+from dtdist.core import slice_cube
 from dtdist.testbed import gen_dt_dist
 
 ATOL = 1e-9
@@ -49,6 +54,31 @@ def conditional(kind, oracle, i, s=Restriction.empty(), eps=0.05, delta=0.05):
 def random_dense(n, seed):
     rng = np.random.default_rng(seed)
     return DensePmf(n, rng.dirichlet(np.ones(1 << n)))
+
+
+@st.composite
+def restricted_tables(draw, max_n=9):
+    """(d, s): n in 1..max_n, a share of zero cells, 0..n fixed coordinates."""
+    n = draw(st.integers(1, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.dirichlet(np.ones(1 << n))
+    table[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if table.sum() == 0.0:
+        table[rng.integers(1 << n)] = 1.0
+    coords = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    s = Restriction.of(*[(c, draw(st.sampled_from([-1, 1]))) for c in coords])
+    return DensePmf(n, table / table.sum()), s
+
+
+def flipped_copy_influences(d, s):
+    """The exact kernel as one flipped copy of the subcube per coordinate."""
+    q, free = slice_cube(d, s), s.free_coords(d.n)
+    m = len(free)
+    scale = 2.0 ** (d.n - m - 1)
+    vals = np.empty(m, dtype=np.float64)
+    for pos in range(m):
+        vals[pos] = scale * float(np.abs(q - np.flip(q, axis=m - 1 - pos)).sum())
+    return free, vals
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +177,59 @@ def test_scaling_identity_random_triples():
         lhs = exact_influence(d, i, s)
         rhs = scale_to_restriction(exact_conditional_influence(d, i, s), s, w)
         assert lhs == pytest.approx(rhs, abs=ATOL)
+
+
+@settings(max_examples=150, deadline=None)
+@given(restricted_tables(max_n=7), st.data())
+def test_scaling_identity_property(case, data):
+    d, s = case
+    free = s.free_coords(d.n)
+    if not free:
+        return
+    i = data.draw(st.sampled_from(free))
+    w = subcube_weight(d, s)
+    lhs = exact_influence(d, i, s)
+    if w == 0.0:
+        assert lhs == 0.0
+        with pytest.raises(ZeroWeightSubcubeError):
+            exact_conditional_influence(d, i, s)
+        return
+    rhs = scale_to_restriction(exact_conditional_influence(d, i, s), s, w)
+    assert lhs == pytest.approx(rhs, abs=ATOL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(restricted_tables())
+def test_exact_kernel_bit_equal_to_flipped_copy(case):
+    d, s = case
+    free, vals = exact_influence_all(d, s)
+    want_free, want = flipped_copy_influences(d, s)
+    assert free == want_free
+    assert np.array_equal(vals, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(restricted_tables(), st.integers(1, 1 << 10))
+def test_exact_kernel_bit_equal_across_chunks(case, chunk):
+    # the full-size buffer splits rows into chunks only from m=13 on
+    d, s = case
+    with mock.patch.object(influence, "_CHUNK_CELLS", chunk):
+        free, vals = exact_influence_all(d, s)
+    want_free, want = flipped_copy_influences(d, s)
+    assert free == want_free
+    assert np.array_equal(vals, want)
+
+
+def test_exact_kernel_memory_bound():
+    # one 2^16-float row is 0.5 MB; an (m, 2^m) stack would be 8.4 MB
+    d = random_dense(16, 3)
+    tracemalloc.start()
+    try:
+        exact_influence_all(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_scale_to_restriction_edges():
@@ -311,6 +394,18 @@ def test_influence_oracle_exact_path(e2_dense):
     cond = io.estimate_conditional(1, s)
     assert cond.value == exact_conditional_influence(e2_dense, 1, s)
     assert cond.samples_used == 0 and cond.kind == KIND_EXACT
+
+
+def test_influence_oracle_exact_path_picks_coords():
+    d = random_dense(5, 11)
+    io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
+    s = Restriction.of((1, -1), (3, 1))
+    free, all_vals = exact_influence_all(d, s)
+    coords, vals, _ = io.estimate_all(s, [4, 0, 4])
+    assert coords == [4, 0, 4]
+    assert np.array_equal(vals, all_vals[[2, 0, 2]])
+    with pytest.raises(ValueError):
+        io.estimate_all(s, [0, 3])
 
 
 def test_influence_oracle_monotone_path(e2_dense):
