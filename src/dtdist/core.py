@@ -106,7 +106,9 @@ class Restriction:
 
     `pairs` holds (coordinate, sign) with distinct coordinates.  The
     canonical key sorts by coordinate so that restrictions built in
-    different orders compare and hash the same.
+    different orders compare and hash the same.  The key is sorted once,
+    here, and kept as a plain attribute rather than a field, so equality,
+    hashing and repr still see `pairs` alone.
     """
 
     pairs: tuple = ()
@@ -120,6 +122,7 @@ class Restriction:
                 raise ValueError(f"negative coordinate {i}")
             if b not in (-1, 1):
                 raise ValueError(f"sign must be -1 or +1, got {b}")
+        object.__setattr__(self, "_key", tuple(sorted(self.pairs)))
 
     @classmethod
     def empty(cls) -> "Restriction":
@@ -145,7 +148,7 @@ class Restriction:
         return Restriction(self.pairs + ((int(i), int(b)),))
 
     def key(self) -> tuple:
-        return tuple(sorted(self.pairs))
+        return self._key
 
     def free_coords(self, n: int) -> list:
         taken = set(self.coords())

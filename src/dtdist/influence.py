@@ -43,7 +43,7 @@ from .core import (
     restrict_dist,
     slice_cube,
 )
-from .errors import BudgetExceededError, ConfigError, OracleModeError
+from .errors import BudgetExceededError, ConfigError, DimensionMismatchError, OracleModeError
 
 KIND_EXACT = "exact"
 KIND_MONOTONE = "monotone"
@@ -64,6 +64,21 @@ KIND_MODES = {
 # floats, or one subcube row when that is larger
 _CHUNK_CELLS = 1 << 16
 
+# m -> the (m, 2^m) table P[p, y] = y ^ 2^p, built on first use for subcubes
+# whose whole difference buffer fits one chunk (m <= 12 at the default size,
+# under 1 MB for all of them).  The tables stay private and writable: np.take
+# copies a read-only index array on every call, which costs more than the
+# gather itself at m=12.
+_PARTNERS: dict = {}
+
+
+def _partners(m: int) -> np.ndarray:
+    got = _PARTNERS.get(m)
+    if got is None:
+        got = np.arange(1 << m, dtype=np.intp) ^ (1 << np.arange(m, dtype=np.intp))[:, None]
+        _PARTNERS[m] = got
+    return got
+
 
 def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
     """(free coords, their influences) of the restricted weighting (f_D)_s.
@@ -74,27 +89,37 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
         Inf_i((f_D)_s) = 2^(n-m-1) * sum_y |D(y) - D(y with i flipped)|.
 
     The subcube is read once as a flat vector q, its points by increasing
-    index, so flipping free position p pairs q[y] with q[y ^ 2^p].  The
-    differences of several positions fill the rows of one buffer, and
-    each chunk of rows takes one in-place abs and one row sum; transient
-    memory is at most 2^m + _CHUNK_CELLS floats (one row when 2^m is
-    larger).  Each row lists |D(y) - D(y^e_i)| in y order and is summed
-    pairwise as one contiguous run, the order a sum over the flipped
-    copy of the cube uses, so the values are bit-identical to it.
+    index, so flipping free position p pairs q[y] with q[y ^ 2^p].  Row p
+    of a difference buffer holds q[y] - q[y ^ 2^p] in y order; each chunk
+    of rows takes one in-place abs and one row sum.  When all m rows fit
+    one chunk (m * 2^m <= _CHUNK_CELLS) the buffer is one gather through
+    the cached partner table P[p, y] = y ^ 2^p; otherwise each row is
+    written from two strided views of q.  Transient memory is at most
+    2^m + _CHUNK_CELLS floats (one row when 2^m is larger), plus the
+    cached tables, which hold _CHUNK_CELLS indices at most per m.  Each
+    row is summed pairwise as one contiguous run, the order a sum over
+    the flipped copy of the cube uses, so the values are bit-identical to
+    it whichever way the rows were filled.
     """
     q, free = slice_cube(d, s).reshape(-1), s.free_coords(d.n)
     m = len(free)
     scale = 2.0 ** (d.n - m - 1)
-    vals = np.empty(m, dtype=np.float64)
-    rows = max(1, min(m, _CHUNK_CELLS >> m))
-    buf = np.empty((rows, q.size), dtype=np.float64)
-    for lo in range(0, m, rows):
-        block = buf[: min(rows, m - lo)]
-        for row, p in zip(block, range(lo, m)):
-            a = q.reshape(-1, 2, 1 << p)
-            np.subtract(a, a[:, ::-1], out=row.reshape(a.shape))
-        np.abs(block, out=block)
-        vals[lo : lo + len(block)] = block.sum(axis=1)
+    if m * q.size <= _CHUNK_CELLS:
+        buf = np.take(q, _partners(m))
+        np.subtract(q, buf, out=buf)
+        np.abs(buf, out=buf)
+        vals = buf.sum(axis=1)
+    else:
+        vals = np.empty(m, dtype=np.float64)
+        rows = max(1, min(m, _CHUNK_CELLS >> m))
+        buf = np.empty((rows, q.size), dtype=np.float64)
+        for lo in range(0, m, rows):
+            block = buf[: min(rows, m - lo)]
+            for row, p in zip(block, range(lo, m)):
+                a = q.reshape(-1, 2, 1 << p)
+                np.subtract(a, a[:, ::-1], out=row.reshape(a.shape))
+            np.abs(block, out=block)
+            vals[lo : lo + len(block)] = block.sum(axis=1)
     vals *= scale
     return free, vals
 
@@ -346,25 +371,40 @@ class InfluenceOracle:
 
     # -- queries ---------------------------------------------------------------
 
+    def _checked(self, s: Restriction, coords: Sequence[int]) -> list:
+        """coords as a list, each a coordinate in [0, n) that s leaves free."""
+        coords, n, fixed = list(coords), self.source.n, s.fixed()
+        for i in coords:
+            if not 0 <= i < n:
+                raise DimensionMismatchError(f"coordinate {i} out of range for n={n}")
+            if i in fixed:
+                raise ValueError(f"coordinate {i} is fixed by the restriction")
+        return coords
+
     def estimate_all(self, s: Restriction = EMPTY, coords: Optional[Sequence[int]] = None):
         """Restricted-scale influence estimates for each free coordinate.
 
-        Returns (coords, values, samples_used_per_query).
+        Returns (coords, values, samples_used_per_query).  Raises
+        DimensionMismatchError for a coordinate outside [0, n) and
+        ValueError for one that s fixes.
         """
         a, dq = self.accuracy, self.confidence
-        coords = list(s.free_coords(self.source.n) if coords is None else coords)
+        if coords is not None:
+            coords = self._checked(s, coords)
+        if self.kind == KIND_EXACT:
+            free, vals = exact_influence_all(self._dense, s)
+            if coords is None:
+                coords = free
+            elif coords != free:
+                pos = {c: p for p, c in enumerate(free)}
+                vals = vals[[pos[i] for i in coords]]
+            self.queries += len(coords)
+            return coords, vals, 0
+        if coords is None:
+            coords = s.free_coords(self.source.n)
         self.queries += len(coords)
         if not coords:
             return coords, np.zeros(0), 0
-        if self.kind == KIND_EXACT:
-            free, vals = exact_influence_all(self._dense, s)
-            if coords != free:
-                pos = {c: p for p, c in enumerate(free)}
-                try:
-                    vals = vals[[pos[i] for i in coords]]
-                except KeyError as e:
-                    raise ValueError(f"coordinate {e.args[0]} is fixed by the restriction") from None
-            return coords, vals, 0
 
         # weight of the subcube from plain samples
         if len(s) == 0:
@@ -433,7 +473,10 @@ class InfluenceOracle:
         be); "subcube" averages infest_repetitions(accuracy, confidence)
         runs of infest(accuracy / 2), each biased by at most accuracy/2
         with the mean concentrating to accuracy/2; "exact" enumerates.
+        Raises as estimate_all does for a coordinate outside [0, n) or
+        one that s fixes.
         """
+        self._checked(s, [i])
         if self.kind == KIND_EXACT:
             value, used = exact_conditional_influence(self._dense, i, s), 0
         elif self.kind == KIND_MONOTONE:

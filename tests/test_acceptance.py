@@ -10,6 +10,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 import conftest
 from dtdist import (
@@ -92,6 +93,7 @@ def test_criterion_2_builddt_optimality():
                   f"instances (n<=5, d<=2)")
 
 
+@pytest.mark.slow
 def test_criterion_3_monotone_pipeline():
     wins = 0
     for t in range(20):
@@ -106,6 +108,7 @@ def test_criterion_3_monotone_pipeline():
                   f"trials (need >=18)")
 
 
+@pytest.mark.slow
 def test_criterion_4_subcube_pipeline():
     wins = 0
     for t in range(20):
@@ -187,6 +190,7 @@ def test_criterion_8_inequality_suite():
                   f"beyond 1e-9 across {checked} relations on 10^3 instances")
 
 
+@pytest.mark.slow
 def test_criterion_9_lifting_end_to_end():
     learner = make_exhaustive_tree_learner(10, 2, eps=0.04, delta=0.0125)
     wins = {}

@@ -1,5 +1,7 @@
 """Influence-guided tree search and the learning pipeline around it."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ from dtdist import (
     call_count_bound,
     default_leaf_sample_count,
     default_tau,
+    derive_seed,
     learn_distribution,
     learn_distribution_result,
     tree_to_dense,
@@ -276,3 +279,23 @@ def test_budget_override_plumbs_through():
     res = learn_distribution_result(o, 2, 0.2, 0.1, "monotone", budget=small)
     assert o.query_count[o.mode.SAMPLE] <= 50_000
     assert tv_distance(tree_to_dense(res.tree), inst.dense) <= 0.3
+
+
+# sha256 over the first 40 criterion-1 instances (n=12, d=3, eps=0.1) of
+# each learned tree's JSON, repr(objective), the raw leaf values and the
+# SearchStats counts, recorded before the exact kernel read free positions
+# through cached partner-index tables; any bit the kernel moves shows here
+EXACT_SEARCH_PIN = "5b510841e859229f293131e0513c6acf393e58043cb3fdf50e43924b14b714b8"
+
+
+def test_exact_search_output_is_byte_stable():
+    h = hashlib.sha256()
+    for t in range(40):
+        inst = gen_dt_dist(12, 3, derive_seed(271828, "acc1", t))
+        oracle = DistOracle.exact(inst.dense, derive_seed(271828, "acc1-oracle", t))
+        res = learn_distribution_result(oracle, 3, 0.1, 0.1, KIND_EXACT)
+        st = res.stats
+        h.update(json.dumps(res.tree.to_json_dict()).encode())
+        h.update(repr((res.objective, res.raw_leaf_values, st.recursive_calls,
+                       st.influence_queries, st.leaf_estimates)).encode())
+    assert h.hexdigest() == EXACT_SEARCH_PIN

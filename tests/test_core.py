@@ -1,5 +1,6 @@
 """Representations, conversions, serialization, and the sampling oracle."""
 
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -82,6 +83,16 @@ def test_restriction_rejects_bad_input():
         Restriction.of((0, 2))
     with pytest.raises(ValueError):
         Restriction.of((-2, 1))
+
+
+def test_restriction_pickle_keeps_key():
+    # the sorted key is an attribute, not a field: equality, hash and repr
+    # see pairs alone, and a restored restriction carries the same key
+    s = Restriction.of((3, -1), (1, 1))
+    t = pickle.loads(pickle.dumps(s))
+    assert t == s and hash(t) == hash(s)
+    assert t.key() == s.key() == ((1, 1), (3, -1))
+    assert repr(t) == "Restriction(pairs=((3, -1), (1, 1)))"
 
 
 def test_restriction_parse_str_roundtrip():

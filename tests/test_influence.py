@@ -232,6 +232,38 @@ def test_exact_kernel_memory_bound():
     assert peak < 2_000_000
 
 
+@pytest.mark.parametrize("m, cells, gathered", [
+    (1, 2, True), (1, 1, False),
+    (5, 5 << 5, True), (5, (5 << 5) - 1, False),
+    (9, 9 << 9, True), (9, (9 << 9) - 1, False),
+    (12, None, True), (13, None, False),  # the default _CHUNK_CELLS
+])
+def test_exact_kernel_bit_equal_at_chunk_boundary(m, cells, gathered):
+    # a subcube whose m x 2^m buffer fits one chunk is one partner gather,
+    # one cell more and each row is written from strided views
+    d = random_dense(m + 2, m)
+    s = Restriction.of((0, 1), (m + 1, -1))
+    chunk = influence._CHUNK_CELLS if cells is None else cells
+    with mock.patch.object(influence, "_CHUNK_CELLS", chunk), \
+            mock.patch.dict(influence._PARTNERS, clear=True):
+        free, vals = exact_influence_all(d, s)
+        assert (m in influence._PARTNERS) == gathered
+    want_free, want = flipped_copy_influences(d, s)
+    assert free == want_free
+    assert np.array_equal(vals, want)
+
+
+def test_exact_kernel_partner_cache_bound():
+    # subcubes of every size 0..16: only m <= 12 fits one chunk, and the
+    # thirteen tables hold 90,114 indices (0.72 MB) together
+    d = random_dense(16, 5)
+    with mock.patch.dict(influence._PARTNERS, clear=True):
+        for k in range(17):
+            exact_influence_all(d, Restriction.of(*[(i, 1) for i in range(k)]))
+        assert sorted(influence._PARTNERS) == list(range(13))
+        assert sum(t.nbytes for t in influence._PARTNERS.values()) < 1 << 20
+
+
 def test_scale_to_restriction_edges():
     assert scale_to_restriction(0.37, Restriction.empty(), 1.0) == pytest.approx(0.37)
     assert scale_to_restriction(0.5, Restriction.of((0, 1)), 0.0) == 0.0
@@ -406,6 +438,22 @@ def test_influence_oracle_exact_path_picks_coords():
     assert np.array_equal(vals, all_vals[[2, 0, 2]])
     with pytest.raises(ValueError):
         io.estimate_all(s, [0, 3])
+
+
+@pytest.mark.parametrize("kind", [KIND_EXACT, KIND_MONOTONE, KIND_SUBCUBE])
+@pytest.mark.parametrize("coord, error, match", [
+    (6, DimensionMismatchError, "out of range"),
+    (-1, DimensionMismatchError, "out of range"),
+    (1, ValueError, "coordinate 1 is fixed by the restriction"),
+])
+def test_influence_oracle_checks_coordinates(kind, coord, error, match):
+    inst = gen_dt_dist(6, 2, 5)
+    io = InfluenceOracle(kind, DistOracle.exact(inst.dense, seed=1), 0.3, 0.3)
+    s = Restriction.of((1, -1))
+    with pytest.raises(error, match=match):
+        io.estimate_all(s, [0, coord])
+    with pytest.raises(error, match=match):
+        io.estimate_conditional(coord, s)
 
 
 def test_influence_oracle_monotone_path(e2_dense):
