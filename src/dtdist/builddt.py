@@ -13,11 +13,11 @@ is why only influential coordinates are worth considering and why the
 tree returned by exhaustive recursion over candidates is optimal among
 all such trees.
 
-Influences come from an InfluenceOracle (exact, monotone-bias, or
-two-point conditioning); leaf masses come from the distribution oracle
-(exactly, or as consistent fractions of a plain-sample pool).  The
-threshold rule follows from the oracle's kind: exact influences are cut
-at tau, estimated ones (accuracy <= tau/4) at 0.75 tau.
+Influences and leaf masses both come from one InfluenceOracle (exact,
+monotone-bias, or two-point conditioning); its weight reads leaf masses
+exactly or from its plain-sample pool.  The search knows the kind only
+for the threshold rule: exact influences are cut at tau, estimated ones
+(accuracy <= tau/4) at 0.75 tau.
 """
 
 import math
@@ -31,9 +31,7 @@ from .core import (
     Internal,
     Leaf,
     Node,
-    OracleMode,
     Restriction,
-    subcube_weight,
 )
 from .errors import BudgetExceededError, ConfigError, DegenerateEstimateError
 from .influence import (
@@ -116,13 +114,13 @@ class SearchStats:
 class _Search:
     """One memoized search: shared caches, stats, and the recursion guard."""
 
-    def __init__(self, d_oracle: DistOracle, i_oracle: InfluenceOracle, params: BuildParams):
-        params.validate(d_oracle.n, i_oracle)
-        self.d_oracle = d_oracle
+    def __init__(self, i_oracle: InfluenceOracle, params: BuildParams):
+        self.n = i_oracle.source.n
+        params.validate(self.n, i_oracle)
         self.i_oracle = i_oracle
         self.params = params
         self.stats = SearchStats()
-        self.guard = call_count_bound(params.eps, params.depth_budget) * d_oracle.n
+        self.guard = call_count_bound(params.eps, params.depth_budget) * self.n
         self.memo: dict = {}
         self.inf_cache: dict = {}
 
@@ -144,12 +142,9 @@ class _Search:
 
     def leaf_density(self, s: Restriction) -> float:
         self.stats.leaf_estimates += 1
-        if self.d_oracle.mode == OracleMode.EXACT_PMF:
-            w = subcube_weight(self.d_oracle.dense(), s)
-        else:
-            w = self.i_oracle.pool_fraction(s, self.params.leaf_sample_count)
+        w = self.i_oracle.weight(s, self.params.leaf_sample_count)
         # weighting value 2^|s| * w, stored as a density by dividing by 2^n
-        return w / 2.0 ** (self.d_oracle.n - len(s))
+        return w / 2.0 ** (self.n - len(s))
 
     def build(self, s: Restriction, budget: int):
         self.stats.recursive_calls += 1
@@ -180,19 +175,14 @@ class _Search:
         return node, obj
 
 
-def build_dt(
-    d_oracle: DistOracle,
-    i_oracle: InfluenceOracle,
-    s: Restriction,
-    p: BuildParams,
-):
+def build_dt(i_oracle: InfluenceOracle, s: Restriction, p: BuildParams):
     """Best depth-limited subtree for the restriction s.
 
     Returns (root node, objective value, SearchStats).  Recursion over
     all candidate splits with memoization on (canonical restriction,
     remaining budget); aborts past call_count_bound * n recursive calls.
     """
-    search = _Search(d_oracle, i_oracle, p)
+    search = _Search(i_oracle, p)
     node, obj = search.build(s, p.depth_budget)
     return node, obj, search.stats
 
@@ -273,7 +263,7 @@ def learn_distribution_result(
         accuracy = min(params.tau / 4.0, eps / max(n, 1))
     confidence = delta / (2.0 * _expected_query_count(n, depth_budget))
     i_oracle = InfluenceOracle(estimator_kind, d_oracle, accuracy, confidence, budget)
-    root, objective, stats = build_dt(d_oracle, i_oracle, EMPTY, params)
+    root, objective, stats = build_dt(i_oracle, EMPTY, params)
 
     # collect raw leaf densities and the realized normalization
     raw_vals: list = []

@@ -100,15 +100,14 @@ def index_to_point(idx, n: int) -> np.ndarray:
 # restrictions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Restriction:
     """A partial assignment of coordinates to signs; names a subcube.
 
-    `pairs` holds (coordinate, sign) with distinct coordinates.  The
-    canonical key sorts by coordinate so that restrictions built in
-    different orders compare and hash the same.  The key is sorted once,
-    here, and kept as a plain attribute rather than a field, so equality,
-    hashing and repr still see `pairs` alone.
+    `pairs` holds (coordinate, sign) with distinct coordinates, in the
+    order given, which repr and path-ordered callers read.  The canonical
+    key sorts by coordinate, once, here; equality and hashing use it, so
+    restrictions built in different orders compare and hash the same.
     """
 
     pairs: tuple = ()
@@ -123,6 +122,12 @@ class Restriction:
             if b not in (-1, 1):
                 raise ValueError(f"sign must be -1 or +1, got {b}")
         object.__setattr__(self, "_key", tuple(sorted(self.pairs)))
+
+    def __eq__(self, other):
+        return isinstance(other, Restriction) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     @classmethod
     def empty(cls) -> "Restriction":
@@ -569,9 +574,10 @@ class DistOracle:
     int8 array` standing in for an external sample stream.  The mode caps
     what callers may ask for regardless of what the backing could answer;
     `query_count[mode]` tallies points drawn (or pmf evaluations) per mode.
-    A stream backing answers conditioned queries by reject_sample over
-    sample_batch, so every plain draw that filtering consumes is counted
-    as SAMPLE on top of the conditioned points returned.
+    A stream backing grants SAMPLE only: conditioning its draws by
+    rejection costs about 1/Pr[subcube] draws per point, about 2^(n-1)
+    for a two-point pair, which subcube-conditioning access exists to
+    avoid.  Sample-only callers filter sample_batch with reject_sample.
     """
 
     def __init__(self, backing, mode: OracleMode, seed: int = 0, n: Optional[int] = None):
@@ -583,8 +589,8 @@ class DistOracle:
         else:
             if n is None:
                 raise DimensionMismatchError("stream backing requires explicit n")
-            if self.mode == OracleMode.EXACT_PMF:
-                raise OracleModeError("EXACT_PMF mode requires a tree or dense backing")
+            if self.mode > OracleMode.SAMPLE:
+                raise OracleModeError(f"a stream backing grants SAMPLE only, not {self.mode.name}")
             self.n = int(n)
         self.rng = stream(self.seed, "oracle")
         self.query_count = {m: 0 for m in OracleMode}
@@ -598,8 +604,8 @@ class DistOracle:
         return cls(dist, OracleMode.EXACT_PMF, seed)
 
     @classmethod
-    def subcube(cls, dist, seed: int = 0, n: Optional[int] = None) -> "DistOracle":
-        return cls(dist, OracleMode.SUBCUBE_SAMPLE, seed, n)
+    def subcube(cls, dist: Dist, seed: int = 0) -> "DistOracle":
+        return cls(dist, OracleMode.SUBCUBE_SAMPLE, seed)
 
     @classmethod
     def sampler(cls, dist, seed: int = 0, n: Optional[int] = None) -> "DistOracle":
@@ -636,19 +642,11 @@ class DistOracle:
         tree or dense backing draws each count binomially: D(x) from one
         eval_batch, the partner as _clamped()[idx ^ (1 << i)] from one
         index pass (a tree above MAX_DENSE_N evaluates a flipped copy of
-        X instead).  A stream backing conditions each row by reject_sample.
+        X instead).
         """
         self._require(OracleMode.SUBCUBE_SAMPLE)
         rows = X.shape[0]
         out = np.empty((len(coords), rows), dtype=np.float64)
-        if not isinstance(self.backing, (DistTree, DensePmf)):
-            for pos, i in enumerate(coords):
-                self.query_count[OracleMode.SUBCUBE_SAMPLE] += rows * k
-                for r in range(rows):
-                    pair = Restriction.of(*[(j, int(X[r, j])) for j in range(self.n) if j != i])
-                    got = reject_sample(self.sample_batch, pair, k)
-                    out[pos, r] = np.mean(got[:, i] == X[r, i])
-            return out
         px = np.maximum(self.backing.eval_batch(X), 0.0)
         indexed = self.n <= MAX_DENSE_N
         if indexed:
@@ -708,12 +706,10 @@ class DistOracle:
             return self._draw_tree(s, k)
         if isinstance(self.backing, DensePmf):
             return self._draw_dense(s, k)
-        if len(s) == 0:
-            got = np.asarray(self.backing(k, self.rng), dtype=np.int8)
-            if got.shape != (k, self.n):
-                raise DimensionMismatchError(f"stream returned shape {got.shape}")
-            return got
-        return reject_sample(self.sample_batch, s, k)
+        got = np.asarray(self.backing(k, self.rng), dtype=np.int8)
+        if got.shape != (k, self.n):
+            raise DimensionMismatchError(f"stream returned shape {got.shape}")
+        return got
 
     def _draw_tree(self, s: Restriction, k: int) -> np.ndarray:
         t: DistTree = self.backing

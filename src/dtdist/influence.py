@@ -42,6 +42,7 @@ from .core import (
     reject_sample,
     restrict_dist,
     slice_cube,
+    subcube_weight,
 )
 from .errors import BudgetExceededError, ConfigError, DimensionMismatchError, OracleModeError
 
@@ -54,6 +55,18 @@ KIND_MODES = {
     KIND_MONOTONE: OracleMode.SAMPLE,
     KIND_SUBCUBE: OracleMode.SUBCUBE_SAMPLE,
 }
+
+
+def _checked(n: int, s: Restriction, coords: Sequence[int]) -> list:
+    """coords as a list; raises DimensionMismatchError for a coordinate
+    outside [0, n) and ValueError for one that s fixes."""
+    coords, fixed = list(coords), s.fixed()
+    for i in coords:
+        if not 0 <= i < n:
+            raise DimensionMismatchError(f"coordinate {i} out of range for n={n}")
+        if i in fixed:
+            raise ValueError(f"coordinate {i} is fixed by the restriction")
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +138,10 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
 
 
 def exact_influence(d: DensePmf, i: int, s: Restriction = EMPTY) -> float:
-    """Inf_i((f_D)_s) by enumeration."""
+    """Inf_i((f_D)_s) by enumeration.  Raises DimensionMismatchError for i
+    outside [0, n) and ValueError for an i that s fixes."""
+    _checked(d.n, s, [i])
     free, vals = exact_influence_all(d, s)
-    if i not in free:
-        raise ValueError(f"coordinate {i} is fixed by the restriction")
     return float(vals[free.index(i)])
 
 
@@ -138,12 +151,13 @@ def exact_total_influence(d: DensePmf, s: Restriction = EMPTY) -> float:
 
 
 def exact_conditional_influence(d: DensePmf, i: int, s: Restriction = EMPTY) -> float:
-    """Inf_i(f_{D_s}): influence under the conditional distribution itself."""
+    """Inf_i(f_{D_s}): influence under the conditional distribution itself.
+    Raises for i as exact_influence does."""
+    _checked(d.n, s, [i])
     if len(s) == 0:
         return exact_influence(d, i)
     cond, _ = restrict_dist(d, s)
-    free = s.free_coords(d.n)
-    return exact_influence(cond, free.index(i))
+    return exact_influence(cond, s.free_coords(d.n).index(i))
 
 
 def scale_to_restriction(cond_value: float, s: Restriction, weight: float) -> float:
@@ -259,6 +273,8 @@ class InfluenceOracle:
     kind "exact" reads a dense table through an EXACT_PMF DistOracle;
     "monotone" averages coordinates of plain samples (valid for monotone
     D); "subcube" runs two-point conditioning through subcube samples.
+    The kind alone also decides how weight reads a subcube's mass, so a
+    search that holds this engine reads influences and leaf masses alike.
 
     Two entry points.  estimate_all (and estimate) reports the
     restricted scale Inf_i((f_D)_s) that the tree search needs:
@@ -272,8 +288,8 @@ class InfluenceOracle:
     would bind instead of running with fewer samples.
 
     The sample-based kinds keep one growing pool of plain samples and
-    reuse it across queries (weights, monotone biases, and leaf-mass
-    estimates elsewhere); a union bound over queries is unaffected by the
+    reuse it across queries (weights, monotone biases, and the search's
+    leaf masses); a union bound over queries is unaffected by the
     reuse, and the pool is the dominant sample cost.  Every pool estimate
     is a count over the draws, so the pool is held as its sufficient
     statistic: the distinct points drawn so far, sorted by dense-table
@@ -355,8 +371,11 @@ class InfluenceOracle:
         counts = self._counts[mask]
         return int(counts.sum()), counts @ self._points[mask][:, list(coords)]
 
-    def pool_fraction(self, s: Restriction, min_rows: int) -> float:
-        """Share of the pool's draws in s, after growing it to min_rows."""
+    def weight(self, s: Restriction, min_rows: int) -> float:
+        """Pr_D[x in s]: summed from the table for the exact kind, else the
+        share of the pool's draws in s after growing it to min_rows."""
+        if self.kind == KIND_EXACT:
+            return subcube_weight(self._dense, s)
         self.plain_pool(min_rows)
         return self.pool_tally(s)[0] / self.pool_draws
 
@@ -371,16 +390,6 @@ class InfluenceOracle:
 
     # -- queries ---------------------------------------------------------------
 
-    def _checked(self, s: Restriction, coords: Sequence[int]) -> list:
-        """coords as a list, each a coordinate in [0, n) that s leaves free."""
-        coords, n, fixed = list(coords), self.source.n, s.fixed()
-        for i in coords:
-            if not 0 <= i < n:
-                raise DimensionMismatchError(f"coordinate {i} out of range for n={n}")
-            if i in fixed:
-                raise ValueError(f"coordinate {i} is fixed by the restriction")
-        return coords
-
     def estimate_all(self, s: Restriction = EMPTY, coords: Optional[Sequence[int]] = None):
         """Restricted-scale influence estimates for each free coordinate.
 
@@ -390,7 +399,7 @@ class InfluenceOracle:
         """
         a, dq = self.accuracy, self.confidence
         if coords is not None:
-            coords = self._checked(s, coords)
+            coords = _checked(self.source.n, s, coords)
         if self.kind == KIND_EXACT:
             free, vals = exact_influence_all(self._dense, s)
             if coords is None:
@@ -414,7 +423,7 @@ class InfluenceOracle:
             n_w = self._capped(
                 bias_sample_count(e_w, dq / 2.0), self.budget.max_pool, "weight estimate"
             )
-            w_hat = self.pool_fraction(s, n_w)
+            w_hat = self.weight(s, n_w)
             d_rest = dq / 2.0
         if w_hat <= 0.0:
             # no observed mass: restricted influences are below resolution
@@ -476,7 +485,7 @@ class InfluenceOracle:
         Raises as estimate_all does for a coordinate outside [0, n) or
         one that s fixes.
         """
-        self._checked(s, [i])
+        _checked(self.source.n, s, [i])
         if self.kind == KIND_EXACT:
             value, used = exact_conditional_influence(self._dense, i, s), 0
         elif self.kind == KIND_MONOTONE:

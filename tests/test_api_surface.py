@@ -57,3 +57,13 @@ def test_learn_distribution_result_parameters():
     names = list(inspect.signature(dtdist.learn_distribution_result).parameters)
     assert names == ["d_oracle", "depth_budget", "eps", "delta", "estimator_kind",
                      "tau", "accuracy", "budget"]
+
+
+def test_build_dt_parameters():
+    names = list(inspect.signature(dtdist.build_dt).parameters)
+    assert names == ["i_oracle", "s", "p"]
+
+
+def test_dist_oracle_subcube_parameters():
+    names = list(inspect.signature(dtdist.DistOracle.subcube).parameters)
+    assert names == ["dist", "seed"]

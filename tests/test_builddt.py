@@ -100,7 +100,7 @@ def test_build_params_validation(e2_dense):
 
 
 def exact_search(dense, params):
-    return _Search(DistOracle.exact(dense, seed=1), exact_io(dense), params)
+    return _Search(exact_io(dense), params)
 
 
 def test_candidate_set_e2(e2_dense):
@@ -133,7 +133,7 @@ def test_leaf_label_sampled(e2_dense):
     # do not read
     p = exact_params(2, tau=0.2)
     o = DistOracle.sampler(e2_dense, seed=2)
-    search = _Search(o, InfluenceOracle(KIND_MONOTONE, o, 0.05, 0.05), p)
+    search = _Search(InfluenceOracle(KIND_MONOTONE, o, 0.05, 0.05), p)
     got = search.leaf_density(Restriction.of((0, 1), (1, 1)))
     assert abs(got - 0.5) <= 0.06
     assert o.query_count[o.mode.SAMPLE] == p.leaf_sample_count

@@ -16,9 +16,11 @@ from dtdist import (
     DimensionMismatchError,
     DistOracle,
     DistTree,
+    InfluenceOracle,
     Internal,
     InvalidPmfError,
     InvalidTreeError,
+    KIND_MONOTONE,
     Leaf,
     OracleMode,
     OracleModeError,
@@ -26,6 +28,7 @@ from dtdist import (
     Restriction,
     ZeroWeightSubcubeError,
     all_points,
+    bias_sample_count,
     dense_to_tree,
     derive_seed,
     index_to_point,
@@ -86,13 +89,23 @@ def test_restriction_rejects_bad_input():
 
 
 def test_restriction_pickle_keeps_key():
-    # the sorted key is an attribute, not a field: equality, hash and repr
-    # see pairs alone, and a restored restriction carries the same key
+    # the sorted key is an attribute, not a field: repr sees pairs alone,
+    # and a restored restriction carries the same key
     s = Restriction.of((3, -1), (1, 1))
     t = pickle.loads(pickle.dumps(s))
     assert t == s and hash(t) == hash(s)
     assert t.key() == s.key() == ((1, 1), (3, -1))
     assert repr(t) == "Restriction(pairs=((3, -1), (1, 1)))"
+
+
+def test_restriction_equality_follows_key():
+    # one subcube named in two orders: equal and hashed alike, while pairs
+    # keeps the order each was built in
+    a, b = Restriction.of((2, -1), (0, 1)), Restriction.of((0, 1), (2, -1))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a.pairs == ((2, -1), (0, 1)) and b.pairs == ((0, 1), (2, -1))
+    assert a != Restriction.of((0, 1), (2, 1)) and a != Restriction.of((0, 1))
+    assert a != a.key()
 
 
 def test_restriction_parse_str_roundtrip():
@@ -433,10 +446,6 @@ def test_stream_backing_sampling():
     X = o.sample_batch(20_000)
     assert X.shape == (20_000, 3)
     assert np.abs(X.mean(axis=0)).max() <= 0.05
-    # rejection-based conditioning works over a stream backing
-    o2 = DistOracle.subcube(gen, seed=8, n=3)
-    Y = o2.subcube_sample_batch(Restriction.of((2, 1)), 2_000)
-    assert (Y[:, 2] == 1).all()
 
 
 def test_mode_gating(e2_dense):
@@ -455,12 +464,13 @@ def test_mode_gating(e2_dense):
     exact.subcube_sample_batch(Restriction.of((0, 1)), 3)
 
 
-def test_exact_mode_requires_explicit_dist():
+@pytest.mark.parametrize("mode", ["SUBCUBE_SAMPLE", "EXACT_PMF"])
+def test_stream_backing_grants_sample_only(mode):
     def gen(k, rng):
         return (2 * rng.integers(0, 2, size=(k, 2)) - 1).astype(np.int8)
 
-    with pytest.raises(OracleModeError):
-        DistOracle(gen, OracleMode.EXACT_PMF, seed=0, n=2)
+    with pytest.raises(OracleModeError, match="SAMPLE only"):
+        DistOracle(gen, OracleMode[mode], seed=0, n=2)
 
 
 def test_query_accounting(e2_dense):
@@ -484,9 +494,9 @@ def test_rejection_cap_on_zero_weight():
     def gen(k, rng):
         return DistOracle.sampler(d, seed=int(rng.integers(1 << 31))).sample_batch(k)
 
-    o = DistOracle.subcube(gen, seed=12, n=2)
+    o = DistOracle(gen, OracleMode.SAMPLE, seed=12, n=2)
     with pytest.raises(RejectionCapExceededError):
-        o.subcube_sample_batch(Restriction.of((1, -1)), 4)
+        core.reject_sample(o.sample_batch, Restriction.of((1, -1)), 4)
 
 
 def test_two_point_fraction(e2_dense):
@@ -498,18 +508,6 @@ def test_two_point_fraction(e2_dense):
     assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 2000 * 50
 
 
-def test_two_point_fraction_stream_backing(e2_dense):
-    # literal rejection over a stream backing agrees in expectation
-    def gen(k, rng):
-        idx = rng.choice(4, size=k, p=np.asarray(E2_TABLE))
-        return (2 * ((idx[:, None] >> np.arange(2)) & 1) - 1).astype(np.int8)
-
-    o = DistOracle.subcube(gen, seed=14, n=2)
-    x = np.array([[1, 1]], dtype=np.int8)
-    fr = o.two_point_fraction_batch(np.repeat(x, 300, axis=0), [0], 40)
-    assert abs(float(fr.mean()) - 0.8) <= 0.05
-
-
 def test_stream_backing_counts_filtered_draws():
     # every plain row the stream hands over is counted as SAMPLE, also the
     # rows that rejection discards on the way to conditioned points
@@ -519,16 +517,12 @@ def test_stream_backing_counts_filtered_draws():
         drawn.append(k)
         return (2 * rng.integers(0, 2, size=(k, 4)) - 1).astype(np.int8)
 
-    o = DistOracle.subcube(gen, seed=15, n=4)
-    X = o.subcube_sample_batch(Restriction.of((0, 1), (2, -1)), 10)
-    assert (X[:, 0] == 1).all() and (X[:, 2] == -1).all()
-    assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 10
-    assert o.query_count[OracleMode.SAMPLE] == sum(drawn) > 10
-    before = sum(drawn)
-    fr = o.two_point_fraction_batch(X[:3], [1], 5)
-    assert fr.shape == (1, 3)
-    assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 10 + 3 * 5
-    assert o.query_count[OracleMode.SAMPLE] == sum(drawn) > before + 3 * 5
+    o = DistOracle.sampler(gen, seed=15, n=4)
+    io = InfluenceOracle(KIND_MONOTONE, o, 0.2, 0.2)
+    est = io.estimate_conditional(1, Restriction.of((0, 1), (2, -1)))
+    assert est.samples_used == bias_sample_count(0.2, 0.2)
+    assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 0
+    assert o.query_count[OracleMode.SAMPLE] == sum(drawn) > est.samples_used
 
 
 # ---------------------------------------------------------------------------
@@ -652,3 +646,43 @@ def test_dense_conditional_draws_match_mask_path():
         want = pts[sub_idx[rng.choice(sub_idx.size, size=3000, p=table[sub_idx] / w_mask)]]
         got = DistOracle.subcube(d, seed=seed).subcube_sample_batch(s, 3000)
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the conditional sampler's law
+
+
+@st.composite
+def sampler_cases(draw):
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # integer weights: every positive cell holds over 1/(10 * 2^n) of the
+    # mass, so a 6-standard-error band is not left by a rare draw
+    weights = rng.integers(1, 10, size=1 << n).astype(np.float64)
+    weights[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.3, 0.7]))] = 0.0
+    signs = {i: draw(st.sampled_from([-1, 1]))
+             for i in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))}
+    keep = int(rng.integers(1 << n))  # one point of the subcube keeps mass
+    for i, b in signs.items():
+        keep = keep | (1 << i) if b > 0 else keep & ~(1 << i)
+    weights[keep] += 1.0
+    d = DensePmf(n, weights / weights.sum())
+    backing = d if draw(st.sampled_from(["dense", "tree"])) == "dense" else dense_to_tree(d)
+    return d, backing, Restriction.of(signs), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sampler_cases())
+def test_subcube_sampler_follows_conditional_pmf(case):
+    d, backing, s, seed = case
+    draws = 20_000
+    X = DistOracle.subcube(backing, seed=seed).subcube_sample_batch(s, draws)
+    assert X.shape == (draws, d.n)
+    assert s.consistent_mask(X).all()
+    assert (d.table[points_to_indices(X)] > 0.0).all()
+    # the conditional pmf lists the free coordinates in increasing order
+    cond, _ = restrict_dist(d, s)
+    free = s.free_coords(d.n)
+    freq = np.bincount(points_to_indices(X[:, free]), minlength=1 << len(free)) / draws
+    se = np.sqrt(cond.table * (1.0 - cond.table) / draws)
+    assert (np.abs(freq - cond.table) <= 6.0 * se).all()

@@ -108,6 +108,18 @@ def test_exact_influence_rejects_fixed_coordinate(e2_dense):
         exact_influence(e2_dense, 0, Restriction.of((0, 1)))
 
 
+@pytest.mark.parametrize("fn", [exact_influence, exact_conditional_influence])
+@pytest.mark.parametrize("coord, s, error, match", [
+    (5, Restriction.empty(), DimensionMismatchError, "coordinate 5 out of range"),
+    (-1, Restriction.of((1, -1)), DimensionMismatchError, "coordinate -1 out of range"),
+    (1, Restriction.of((1, -1)), ValueError, "coordinate 1 is fixed by the restriction"),
+], ids=["above-n", "negative", "fixed"])
+def test_exact_functions_check_coordinates(fn, coord, s, error, match):
+    d = gen_dt_dist(3, 2, 5).dense
+    with pytest.raises(error, match=match):
+        fn(d, coord, s)
+
+
 def test_restriction_coordinate_out_of_range():
     # coordinate n once wrapped to a negative axis: subcube_weight read the
     # weight of coordinate 0 = +1 and exact_influence_all raised AxisError
@@ -614,7 +626,7 @@ def test_pool_counts_equal_row_scan(case):
         assert have == int(mask.sum())
         assert np.array_equal(sums, seen[mask][:, coords].sum(axis=0))
         # the estimates built on them match the row-scan floats bit for bit
-        assert io.pool_fraction(s, rows) == float(mask.mean())
+        assert io.weight(s, rows) == float(mask.mean())
         if have:
             assert np.array_equal(sums / have, seen[mask][:, coords].mean(axis=0))
     # the store holds each distinct row once, in index order
