@@ -101,6 +101,8 @@ class TruthTableHypothesis(Hypothesis):
             raise DimensionMismatchError(f"table shape {self.table.shape}")
 
     def predict_batch(self, X):
+        if X.shape[1] != self.n:
+            raise DimensionMismatchError(f"points have {X.shape[1]} coords, table has {self.n}")
         return self.table[points_to_indices(X)]
 
     def to_json_dict(self):
@@ -120,6 +122,8 @@ class LowDegreeHypothesis(Hypothesis):
         self.terms = {tuple(int(i) for i in t): float(c) for t, c in terms.items()}
 
     def predict_batch(self, X):
+        if X.shape[1] != self.n:
+            raise DimensionMismatchError(f"points have {X.shape[1]} coords, expansion has {self.n}")
         acc = np.zeros(X.shape[0], dtype=np.float64)
         for t, c in self.terms.items():
             if t:
@@ -410,6 +414,8 @@ def make_low_degree_learner(n: int, k: int, eps: float, delta: float) -> Uniform
 
 def count_depth_trees(n: int, k: int) -> int:
     """Number of (not necessarily reduced) depth <= k tree predictors."""
+    if k < 0:
+        raise ConfigError(f"tree depth must be >= 0, got {k}")
     if k == 0 or n == 0:
         return 2
     return 2 + n * count_depth_trees(n - 1, k - 1) ** 2
@@ -418,48 +424,86 @@ def count_depth_trees(n: int, k: int) -> int:
 def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
     """Empirical-risk-minimizing decision tree of depth <= k.
 
-    The risk depends on the sample only through how often each (point,
-    label) pair occurs, so the tree is fit from the (point, label) count
-    cube: 2^(n+1) integers shaped [2] * (n + 1), where axis a indexes
-    coordinate n-1-a (the DensePmf.cube convention) and the last axis the
-    label.  Memory is O(2^(n+1)) integers; time is one O(N * n) pass to
-    fill the cube plus an exhaustive search over its sub-cubes, memoized
-    on (restriction, depth), that does not depend on N.  Among minimizers
-    the lexicographically least encoding wins, where a leaf labeled 0
-    precedes a leaf labeled 1 precedes any split and splits compare by
-    variable then subtrees.  Guarded at k <= 3, n <= 16.
+    A literal a = 2v + [x_v > 0] fixes one coordinate.  The risk depends
+    on the sample only through C_j[a_1..a_j, label], the number of draws
+    that satisfy j literals and carry the label, so the tree is fit by a
+    bottom-up dynamic program over literal tuples of length j <= depth =
+    min(k, n).  C_depth comes from the u <= min(N, 2^n) distinct points
+    by float64 matmuls, exact since counts stay below 2^53: per literal
+    prefix of length depth - 2 and per label, one (R * w).T @ R over the
+    rows R of the u x 2n literal indicator that satisfy the prefix, so
+    transient memory is O(u * n) floats.  C_{j-1} is C_j summed over the
+    two literals of coordinate 0.  A tuple's leaf error is min(zeros,
+    ones); its split error on v is E_{j+1}[.., 2v] + E_{j+1}[.., 2v + 1],
+    barred when v is on the path.  Time is one O(N * n) pass, then
+    O(u * (2n)^depth) for the counts and O(n * (2n)^depth) for the
+    program; nothing grows with 2^n apart from one bincount and the
+    returned truth table.
+
+    Among minimizers the lexicographically least encoding wins, where a
+    leaf labeled 0 precedes a leaf labeled 1 precedes any split and splits
+    compare by variable then subtrees: a node splits only when its best
+    split errs strictly less than its leaf, and on the least v among
+    equal splits.  Guarded at 0 <= k <= 3, n <= 16.
     """
     n = sample.n
+    if k < 0:
+        raise ConfigError(f"tree depth must be >= 0, got {k}")
     if k > 3 or n > 16:
         raise BudgetExceededError(f"exhaustive search capped at k<=3, n<=16; got k={k}, n={n}")
     cell = points_to_indices(sample.X) * 2 + sample.y
-    counts = np.bincount(cell, minlength=2 << n).reshape([2] * (n + 1))
-    memo: dict = {}
+    cnt = np.bincount(cell, minlength=2 << n).reshape(-1, 2)
+    pts = np.flatnonzero(cnt.any(axis=1))
+    w = cnt[pts].astype(np.float64)  # (u, 2) label counts per distinct point
+    lits = 2 * n
+    bits = (pts[:, None] >> np.arange(n)) & 1
+    L = np.stack((1 - bits, bits), axis=-1).reshape(pts.size, lits).astype(np.float64)
 
-    def rec(key: tuple, C: np.ndarray, depth: int):
-        got = memo.get((key, depth))
-        if got is not None:
-            return got
-        zeros, ones = (int(c) for c in C.reshape(-1, 2).sum(axis=0))
-        # leaf encoding (0, label); internal (1, var, lo, hi)
-        best = (ones, (0, 0)) if ones <= zeros else (zeros, (0, 1))
-        if depth > 0:
-            taken = {i for i, _ in key}
-            for v in range(n):
-                if v in taken:
-                    continue
-                # size-1 slices along axis n-1-v keep every axis in place
-                head = (slice(None),) * (n - 1 - v)
-                lo, hi = C[head + (slice(0, 1),)], C[head + (slice(1, 2),)]
-                elo, tlo = rec(tuple(sorted(key + ((v, -1),))), lo, depth - 1)
-                ehi, thi = rec(tuple(sorted(key + ((v, 1),))), hi, depth - 1)
-                cand = (elo + ehi, (1, v, tlo, thi))
-                if cand < best:
-                    best = cand
-        memo[(key, depth)] = best
-        return best
+    # deepest count table C[a_1..a_depth, label]; a node deeper than n has
+    # every coordinate on its path, so it is a leaf
+    depth = min(k, n)
+    if depth == 0:
+        C = w.sum(axis=0)
+    elif depth == 1:
+        C = L.T @ w
+    else:
+        C = np.empty((lits,) * depth + (2,), dtype=np.float64)
+        for prefix in np.ndindex(*(lits,) * (depth - 2)):
+            rows = L[:, list(prefix)].all(axis=1)
+            R = L[rows]
+            for label in (0, 1):
+                C[prefix + (Ellipsis, label)] = (R * w[rows, label, None]).T @ R
 
-    _, encoding = rec((), counts, k)
+    # bottom-up: E is the least error below each tuple, split[j] the chosen
+    # variable (-1 for a leaf) and labels[j] the leaf label at level j
+    on_path = (np.arange(lits) // 2)[:, None] == np.arange(n)  # literal a names v
+    split = [None] * depth
+    labels = [None] * (depth + 1)
+    labels[depth] = C[..., 1] > C[..., 0]
+    E = C.min(axis=-1)
+    for j in range(depth - 1, -1, -1):
+        C = C[..., 0, :] + C[..., 1, :]
+        labels[j] = C[..., 1] > C[..., 0]
+        errs = E.reshape(E.shape[:-1] + (n, 2)).sum(axis=-1)
+        barred = np.zeros(errs.shape, dtype=bool)
+        for ax in range(j):
+            barred |= on_path.reshape((1,) * ax + (lits,) + (1,) * (j - 1 - ax) + (n,))
+        errs[barred] = np.inf
+        v = errs.argmin(axis=-1)
+        best = errs.min(axis=-1)
+        leaf = C.min(axis=-1)
+        take = best < leaf
+        split[j] = np.where(take, v, -1)
+        E = np.where(take, best, leaf)
+
+    # leaf encoding (0, label); internal (1, var, lo, hi)
+    def build(path: tuple, j: int):
+        v = int(split[j][path]) if j < depth else -1
+        if v < 0:
+            return (0, int(labels[j][path]))
+        return (1, v, build(path + (2 * v,), j + 1), build(path + (2 * v + 1,), j + 1))
+
+    encoding = build((), 0)
 
     def evaluate(enc, P):
         if enc[0] == 0:

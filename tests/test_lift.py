@@ -6,6 +6,7 @@ reimplementations in oracles.py; Monte Carlo claims run at fixed seeds.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,16 @@ def test_truth_table_hypothesis():
         TruthTableHypothesis(17, np.zeros(1 << 17, dtype=np.uint8))
     with pytest.raises(DimensionMismatchError):
         TruthTableHypothesis(3, [0, 1])
+
+
+def test_hypotheses_reject_wrong_width():
+    # a narrower batch would read the wrong cells, a wider one ignore columns
+    table = TruthTableHypothesis(3, coord_table(3, 0))
+    lowdeg = LowDegreeHypothesis(3, {(0,): 1.0})
+    for h in (table, lowdeg):
+        for width in (2, 4):
+            with pytest.raises(DimensionMismatchError):
+                h.predict_batch(all_points(width))
 
 
 def test_low_degree_hypothesis_sign_convention():
@@ -451,6 +462,16 @@ def test_count_depth_trees_frozen_and_oracle():
             assert count_depth_trees(n, k) == oracles.tree_depth_count(n, k)
 
 
+def test_negative_tree_depth_is_config_error():
+    sample = labeled_uniform(np.zeros(16, dtype=np.uint8), 4, 10, stream(22, "neg"))
+    with pytest.raises(ConfigError):
+        count_depth_trees(4, -1)
+    with pytest.raises(ConfigError):
+        make_exhaustive_tree_learner(4, -1, 0.1, 0.1)
+    with pytest.raises(ConfigError):
+        exhaustive_tree_learn(sample, -1)
+
+
 def test_learner_budget_formulas():
     tl = make_exhaustive_tree_learner(10, 2, eps=0.04, delta=0.0125)
     want = math.ceil(
@@ -529,15 +550,61 @@ def erm_cases(draw):
     return LabeledSample(X, y), k
 
 
-@settings(max_examples=200, deadline=None)
-@given(erm_cases())
-def test_exhaustive_tree_matches_row_mask_search(case):
-    sample, k = case
+def assert_matches_row_mask_search(sample, k):
     risk, encoding = oracles.tree_erm(sample.X, sample.y, k)
     hyp = exhaustive_tree_learn(sample, k)
     assert hyp.tree_encoding == encoding
     assert hyp.table.tolist() == oracles.encoding_table(encoding, sample.n)
     assert int((hyp.predict_batch(sample.X) != sample.y).sum()) == risk
+
+
+@settings(max_examples=200, deadline=None)
+@given(erm_cases())
+def test_exhaustive_tree_matches_row_mask_search(case):
+    assert_matches_row_mask_search(*case)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [8, 10, 12, 16])
+def test_exhaustive_tree_matches_row_mask_search_wide(n, k):
+    # the count tables have (2n)^k cells; a noisy parity on the top
+    # coordinate and one below it makes the search split past coordinate 7
+    rng = np.random.default_rng(100 * n + k)
+    N = int(rng.integers(100, 301))
+    support = rng.integers(0, 1 << n, size=int(rng.integers(8, 65)))
+    X = index_to_point(rng.choice(support, size=N), n)
+    coords = [n - 1, int(rng.integers(0, n - 1))]
+    y = (np.prod(X[:, coords], axis=1) < 0) ^ (rng.random(N) < 0.1)
+    assert_matches_row_mask_search(LabeledSample(X, y.astype(np.uint8)), k)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("coords", [[3, 6], [1, 4, 7]])
+def test_exhaustive_tree_matches_row_mask_search_all_points_parity(coords, k):
+    # every point of the 8-cube once: splits tie with leaves up to the
+    # parity's degree, and equal splits tie across variables
+    X = all_points(8)
+    y = (np.prod(X[:, coords], axis=1) < 0).astype(np.uint8)
+    assert_matches_row_mask_search(LabeledSample(X, y), k)
+
+
+def test_exhaustive_tree_memory_at_limit():
+    # n=16, k=3: (2n)^3 table cells, built one literal prefix at a time;
+    # a u x (2n)^2 product of all prefixes at once would take about 140 MB
+    # per label for the ~17,000 distinct points here
+    rng = stream(23, "erm-mem")
+    X = uniform_points(16, 20_000, rng)
+    y = ((X[:, 2] * X[:, 11] * X[:, 15]) < 0).astype(np.uint8)
+    sample = LabeledSample(X, y)
+    tracemalloc.start()
+    try:
+        hyp = exhaustive_tree_learn(sample, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20
+    target = (all_points(16)[:, [2, 11, 15]].prod(axis=1) < 0).astype(np.uint8)
+    assert uniform_error(hyp, target) == 0.0
 
 
 def test_exhaustive_tree_empty_and_zero_dimensional():
