@@ -125,12 +125,12 @@ class _Search:
         self.inf_cache: dict = {}
 
     def influences(self, s: Restriction):
-        got = self.inf_cache.get(s.key())
+        got = self.inf_cache.get((s.mask, s.bits))
         if got is None:
             coords, vals, _ = self.i_oracle.estimate_all(s)
             self.stats.influence_queries += len(coords)
             got = (coords, vals)
-            self.inf_cache[s.key()] = got
+            self.inf_cache[(s.mask, s.bits)] = got
         return got
 
     def candidates(self, s: Restriction) -> list:
@@ -152,7 +152,7 @@ class _Search:
             raise BudgetExceededError(
                 f"tree search exceeded {self.guard:.3g} recursive calls"
             )
-        key = (s.key(), budget)
+        key = (s.mask, s.bits, budget)
         hit = self.memo.get(key)
         if hit is not None:
             return hit

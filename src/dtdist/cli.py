@@ -104,10 +104,9 @@ def _load_dist(path: str):
 def _parse_restriction(text: str, n: int) -> Restriction:
     try:
         s = Restriction.parse(text)
-    except ValueError as exc:
+        s.check(n)
+    except (ValueError, DimensionMismatchError) as exc:
         raise ConfigError(f"--restrict {text!r}: {exc}") from exc
-    if any(i >= n for i in s.coords()):
-        raise ConfigError(f"--restrict {text!r}: coordinates must be below n={n}")
     return s
 
 

@@ -105,29 +105,34 @@ class Restriction:
     """A partial assignment of coordinates to signs; names a subcube.
 
     `pairs` holds (coordinate, sign) with distinct coordinates, in the
-    order given, which repr and path-ordered callers read.  The canonical
-    key sorts by coordinate, once, here; equality and hashing use it, so
-    restrictions built in different orders compare and hash the same.
+    order given, which repr and path-ordered callers read.  Two ints,
+    computed once here, name the subcube in the dense-table index
+    convention: `mask` has bit i set when coordinate i is fixed and
+    `bits` when it is fixed to +1, so index k lies in the subcube exactly
+    when k & mask == bits.  Equality and hashing use them alone.
     """
 
     pairs: tuple = ()
 
     def __post_init__(self):
-        coords = [i for i, _ in self.pairs]
-        if len(set(coords)) != len(coords):
-            raise ValueError(f"repeated coordinate in restriction {self.pairs}")
+        mask = bits = 0
         for i, b in self.pairs:
             if i < 0:
                 raise ValueError(f"negative coordinate {i}")
             if b not in (-1, 1):
                 raise ValueError(f"sign must be -1 or +1, got {b}")
-        object.__setattr__(self, "_key", tuple(sorted(self.pairs)))
+            if mask >> i & 1:
+                raise ValueError(f"repeated coordinate in restriction {self.pairs}")
+            mask |= 1 << i
+            bits |= (b > 0) << i
+        self.__dict__.update(mask=mask, bits=bits)  # frozen: bypass __setattr__
 
     def __eq__(self, other):
-        return isinstance(other, Restriction) and self._key == other._key
+        return (isinstance(other, Restriction)
+                and self.mask == other.mask and self.bits == other.bits)
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return hash((self.mask, self.bits))
 
     @classmethod
     def empty(cls) -> "Restriction":
@@ -143,8 +148,11 @@ class Restriction:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def fixed(self) -> dict:
-        return dict(self.pairs)
+    def check(self, n: int):
+        """Raise DimensionMismatchError unless every coordinate is below n."""
+        if self.mask >> n:
+            i = self.mask.bit_length() - 1
+            raise DimensionMismatchError(f"restriction coordinate {i} out of range for n={n}")
 
     def coords(self) -> tuple:
         return tuple(i for i, _ in self.pairs)
@@ -152,15 +160,13 @@ class Restriction:
     def extended(self, i: int, b: int) -> "Restriction":
         return Restriction(self.pairs + ((int(i), int(b)),))
 
-    def key(self) -> tuple:
-        return self._key
-
     def free_coords(self, n: int) -> list:
-        taken = set(self.coords())
-        return [i for i in range(n) if i not in taken]
+        self.check(n)
+        return [i for i in range(n) if not self.mask >> i & 1]
 
     def consistent_mask(self, X: np.ndarray) -> np.ndarray:
         """Boolean mask over the rows of X that lie in the subcube."""
+        self.check(X.shape[1])
         mask = np.ones(X.shape[0], dtype=bool)
         for i, b in self.pairs:
             mask &= X[:, i] == b
@@ -169,7 +175,7 @@ class Restriction:
     def __str__(self) -> str:
         if not self.pairs:
             return "(empty)"
-        return ",".join(f"{i}={'+1' if b > 0 else '-1'}" for i, b in self.key())
+        return ",".join(f"{i}={'+1' if b > 0 else '-1'}" for i, b in sorted(self.pairs))
 
     @classmethod
     def parse(cls, text: str) -> "Restriction":
@@ -206,10 +212,11 @@ class Internal:
 Node = Union[Internal, Leaf]
 
 
-def node_depth(node: Node) -> int:
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + max(node_depth(node.lo), node_depth(node.hi))
+def _nonneg_int(value, what: str, error) -> int:
+    """value as an int; raises error for a bool, a non-integer or a negative."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise error(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 class DistTree:
@@ -218,17 +225,16 @@ class DistTree:
     A point's probability is the density at the leaf its path reaches;
     conditioned on a leaf, the distribution is uniform on the leaf's
     subcube.  Valid trees never repeat a split variable along a path and
-    satisfy sum over leaves of 2^(n-|path|) * density = 1 within 1e-9.
-    Treat instances as immutable.
+    satisfy sum over leaves of 2^(n-|path|) * density = 1 within 1e-9,
+    with every density finite.  Treat instances as immutable.
     """
 
     def __init__(self, n: int, root: Node):
-        if n < 0:
-            raise InvalidTreeError(f"n must be nonnegative, got {n}")
-        self.n = int(n)
+        self.n = _nonneg_int(n, "tree n", InvalidTreeError)
         self.root = root
         self._flat = None  # lazy: parallel arrays for vectorized descent
         self._cond_cache: dict = {}
+        self._depth = 0  # deepest leaf, recorded by the validation walk
         self._validate()
 
     # -- structure ---------------------------------------------------------
@@ -239,69 +245,63 @@ class DistTree:
         def walk(node, path):
             nonlocal total
             if isinstance(node, Leaf):
-                if node.density < -1e-12:
-                    raise InvalidTreeError(f"negative leaf density {node.density}")
+                if not -1e-12 <= node.density < math.inf:
+                    raise InvalidTreeError(f"leaf density {node.density} is negative or not finite")
                 total += node.density * 2.0 ** (self.n - len(path))
+                self._depth = max(self._depth, len(path))
                 return
-            if not 0 <= node.var < self.n:
-                raise InvalidTreeError(f"split variable {node.var} out of range")
-            if node.var in path:
-                raise InvalidTreeError(f"variable {node.var} repeated on a path")
-            walk(node.lo, path | {node.var})
-            walk(node.hi, path | {node.var})
+            var = _nonneg_int(node.var, "split variable", InvalidTreeError)
+            if var >= self.n:
+                raise InvalidTreeError(f"split variable {var} out of range")
+            if var in path:
+                raise InvalidTreeError(f"variable {var} repeated on a path")
+            walk(node.lo, path | {var})
+            walk(node.hi, path | {var})
 
         walk(self.root, set())
-        if abs(total - 1.0) > ATOL:
+        if not abs(total - 1.0) <= ATOL:
             raise InvalidTreeError(f"leaf masses sum to {total!r}, not 1")
 
     def depth(self) -> int:
-        return node_depth(self.root)
+        return self._depth
 
     def leaves(self) -> list:
         """Preorder list of (Restriction, density) over the leaves."""
-        out = []
-
-        def walk(node, restriction):
-            if isinstance(node, Leaf):
-                out.append((restriction, node.density))
-                return
-            walk(node.lo, restriction.extended(node.var, -1))
-            walk(node.hi, restriction.extended(node.var, +1))
-
-        walk(self.root, EMPTY)
-        return out
+        return list(self._flatten()["leaves"])
 
     def _flatten(self):
-        """Preorder arrays: var (-1 at leaves), child indices (a leaf is its
-        own child), density, depth.
+        """One preorder walk, on first use: arrays var (-1 at leaves), child
+        indices (a leaf is its own child) and density per node, and
+        "leaves", each leaf's (Restriction, density) in preorder.
 
         Children always carry a larger index than their parent, so a single
         reversed pass computes bottom-up aggregates.
         """
         if self._flat is not None:
             return self._flat
-        var, lo, hi, density, depth = [], [], [], [], []
+        var, lo, hi, density, leaves = [], [], [], [], []
 
-        def walk(node, d):
+        def walk(node, s):
             j = len(var)
             leaf = isinstance(node, Leaf)
             var.append(-1 if leaf else node.var)
             lo.append(j)
             hi.append(j)
             density.append(node.density if leaf else 0.0)
-            depth.append(d)
-            if not leaf:
-                lo[j] = walk(node.lo, d + 1)
-                hi[j] = walk(node.hi, d + 1)
+            if leaf:
+                leaves.append((s, node.density))
+            else:
+                lo[j] = walk(node.lo, s.extended(node.var, -1))
+                hi[j] = walk(node.hi, s.extended(node.var, +1))
             return j
 
-        walk(self.root, 0)
+        walk(self.root, EMPTY)
         self._flat = {
             "var": np.array(var, dtype=np.int64),
             "lo": np.array(lo, dtype=np.int64),
             "hi": np.array(hi, dtype=np.int64),
             "density": np.array(density, dtype=np.float64),
-            "depth": np.array(depth, dtype=np.int64),
+            "leaves": leaves,
         }
         return self._flat
 
@@ -311,30 +311,22 @@ class DistTree:
         Entry j is Pr[x in subtree j and x consistent with s] when leaf
         densities are interpreted as probabilities.  Cached per subcube;
         with s empty this is the plain subtree-mass table used by sampling.
+        Raises DimensionMismatchError for a coordinate of s outside [0, n).
         """
-        key = s.key()
-        cached = self._cond_cache.get(key)
+        cached = self._cond_cache.get(s)
         if cached is not None:
             return cached
+        s.check(self.n)
         f = self._flatten()
-        fixed = s.fixed()
         out = np.zeros(len(f["var"]), dtype=np.float64)
-
-        def rec(j, consumed):
-            v = f["var"][j]
-            if v < 0:
-                outside = len(fixed) - consumed  # s-coords not on the path
-                out[j] = f["density"][j] * 2.0 ** (self.n - f["depth"][j] - outside)
-                return out[j]
-            if v in fixed:
-                child = f["lo"][j] if fixed[v] < 0 else f["hi"][j]
-                out[j] = rec(child, consumed + 1)
-            else:
-                out[j] = rec(f["lo"][j], consumed) + rec(f["hi"][j], consumed)
-            return out[j]
-
-        rec(0, 0)
-        self._cond_cache[key] = out
+        # a leaf's cell meets s in 2^(n - |path and s together|) points, or none
+        for j, (r, density) in zip(np.flatnonzero(f["var"] < 0), f["leaves"]):
+            if not (r.bits ^ s.bits) & r.mask & s.mask:
+                out[j] = density * 2.0 ** (self.n - (r.mask | s.mask).bit_count())
+        for j in range(len(out) - 1, -1, -1):  # children follow their parent
+            if f["var"][j] >= 0:
+                out[j] = out[f["lo"][j]] + out[f["hi"][j]]
+        self._cond_cache[s] = out
         return out
 
     # -- evaluation ---------------------------------------------------------
@@ -351,7 +343,7 @@ class DistTree:
         f = self._flatten()
         rows = np.arange(X.shape[0])
         node = np.zeros(X.shape[0], dtype=np.int64)
-        for _ in range(int(f["depth"].max())):
+        for _ in range(self.depth()):
             node = np.where(X[rows, f["var"][node]] > 0, f["hi"][node], f["lo"][node])
         return node
 
@@ -382,9 +374,9 @@ class DistTree:
         def conv(d):
             if "leaf" in d:
                 return Leaf(float(d["leaf"]))
-            return Internal(int(d["var"]), conv(d["lo"]), conv(d["hi"]))
+            return Internal(d["var"], conv(d["lo"]), conv(d["hi"]))
 
-        return cls(int(obj["n"]), conv(obj["root"]))
+        return cls(obj["n"], conv(obj["root"]))
 
     def __eq__(self, other):
         return (
@@ -409,19 +401,19 @@ class DensePmf:
     """
 
     def __init__(self, n: int, table, validate: bool = True):
+        n = self.n = _nonneg_int(n, "dense n", InvalidPmfError)
         if n > MAX_DENSE_N:
             raise InvalidPmfError(f"dense representation capped at n={MAX_DENSE_N}, got {n}")
-        self.n = int(n)
         self.table = np.asarray(table, dtype=np.float64)
         if self.table.shape != (1 << n,):
             raise DimensionMismatchError(
                 f"table has shape {self.table.shape}, expected ({1 << n},)"
             )
         if validate:
-            if self.table.min() < -1e-12:
-                raise InvalidPmfError(f"negative probability {self.table.min()}")
+            if not self.table.min() >= -1e-12:
+                raise InvalidPmfError(f"probability {self.table.min()} is negative or NaN")
             total = float(self.table.sum())
-            if abs(total - 1.0) > ATOL:
+            if not abs(total - 1.0) <= ATOL:
                 raise InvalidPmfError(f"probabilities sum to {total!r}, not 1")
 
     def cube(self) -> np.ndarray:
@@ -441,7 +433,7 @@ class DensePmf:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DensePmf":
-        return cls(int(obj["n"]), np.array(obj["table"], dtype=np.float64))
+        return cls(obj["n"], np.array(obj["table"], dtype=np.float64))
 
 
 def uniform_dense(n: int) -> DensePmf:
@@ -469,23 +461,21 @@ def tv_distance(a: DensePmf, b: DensePmf) -> float:
     return 0.5 * float(np.abs(a.table - b.table).sum())
 
 
-def slice_cube(d: DensePmf, s: Restriction, table: Optional[np.ndarray] = None) -> np.ndarray:
-    """View of d's table (or of `table`, any 2^n array indexed like it) on
-    the subcube s, shaped [2] * (n - |s|).
+def slice_cube(d: DensePmf, s: Restriction) -> np.ndarray:
+    """View of d's table on the subcube s, shaped [2] * (n - |s|).
 
     Axis a indexes the free coordinate free[m-1-a], where free lists the
     unrestricted coordinates in increasing order (the DensePmf.cube
     convention restricted to them), so the C-order flatten lists the
-    subcube's points by increasing index.  Raises DimensionMismatchError
-    for a coordinate outside [0, n).
+    subcube's points by increasing index, the indices k with
+    k & s.mask == s.bits.  Raises DimensionMismatchError for a
+    coordinate outside [0, n).
     """
+    s.check(d.n)
     idx = [slice(None)] * d.n
     for i, b in s.pairs:
-        if not 0 <= i < d.n:
-            raise DimensionMismatchError(f"restriction coordinate {i} out of range")
         idx[d.n - 1 - i] = (b + 1) // 2
-    cube = d.cube() if table is None else table.reshape([2] * d.n)
-    return cube[tuple(idx)]
+    return d.cube()[tuple(idx)]
 
 
 def restrict_dist(d: DensePmf, s: Restriction):
@@ -699,9 +689,7 @@ class DistOracle:
     # -- internals -----------------------------------------------------------------
 
     def _draw(self, s: Restriction, k: int) -> np.ndarray:
-        for i, _ in s.pairs:
-            if not 0 <= i < self.n:
-                raise DimensionMismatchError(f"restriction coordinate {i} out of range")
+        s.check(self.n)
         if isinstance(self.backing, DistTree):
             return self._draw_tree(s, k)
         if isinstance(self.backing, DensePmf):
@@ -717,7 +705,6 @@ class DistOracle:
         if cm[0] <= 0.0:
             raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
         f = t._flatten()
-        fixed = s.fixed()
         bits = self.rng.integers(0, 2, size=(k, self.n), dtype=np.int8)
         X = (2 * bits - 1).astype(np.int8)
         for i, b in s.pairs:
@@ -727,11 +714,11 @@ class DistOracle:
             j, rows = todo.pop()
             if rows.size == 0:
                 continue
-            v = f["var"][j]
+            v = int(f["var"][j])
             if v < 0:
                 continue
-            if v in fixed:
-                child = f["lo"][j] if fixed[v] < 0 else f["hi"][j]
+            if s.mask >> v & 1:
+                child = f["hi"][j] if s.bits >> v & 1 else f["lo"][j]
                 todo.append((child, rows))
                 continue
             mlo, mhi = cm[f["lo"][j]], cm[f["hi"][j]]
@@ -748,8 +735,7 @@ class DistOracle:
         if len(s) == 0:
             idx = self.rng.choice(table.size, size=k, p=table)
             return all_points(self.n)[idx]
-        # the subcube's indices in increasing order, sliced like its values
-        sub_idx = slice_cube(self.backing, s, np.arange(table.size)).reshape(-1)
+        sub_idx = np.flatnonzero((np.arange(table.size) & s.mask) == s.bits)
         sub = table[sub_idx]
         w = float(sub.sum())
         if w <= 0.0:

@@ -58,13 +58,14 @@ KIND_MODES = {
 
 
 def _checked(n: int, s: Restriction, coords: Sequence[int]) -> list:
-    """coords as a list; raises DimensionMismatchError for a coordinate
-    outside [0, n) and ValueError for one that s fixes."""
-    coords, fixed = list(coords), s.fixed()
+    """coords as a list; raises DimensionMismatchError for a coordinate of
+    s or of coords outside [0, n) and ValueError for one that s fixes."""
+    s.check(n)
+    coords = list(coords)
     for i in coords:
         if not 0 <= i < n:
             raise DimensionMismatchError(f"coordinate {i} out of range for n={n}")
-        if i in fixed:
+        if s.mask >> i & 1:
             raise ValueError(f"coordinate {i} is fixed by the restriction")
     return coords
 
@@ -376,6 +377,7 @@ class InfluenceOracle:
         share of the pool's draws in s after growing it to min_rows."""
         if self.kind == KIND_EXACT:
             return subcube_weight(self._dense, s)
+        s.check(self.source.n)  # before the pool grows
         self.plain_pool(min_rows)
         return self.pool_tally(s)[0] / self.pool_draws
 
@@ -394,8 +396,8 @@ class InfluenceOracle:
         """Restricted-scale influence estimates for each free coordinate.
 
         Returns (coords, values, samples_used_per_query).  Raises
-        DimensionMismatchError for a coordinate outside [0, n) and
-        ValueError for one that s fixes.
+        DimensionMismatchError for a coordinate of s or of coords outside
+        [0, n) and ValueError for one of coords that s fixes.
         """
         a, dq = self.accuracy, self.confidence
         if coords is not None:

@@ -2,11 +2,13 @@
 
 Everything here is written from first principles with plain Python loops
 and bit arithmetic, deliberately avoiding the library's vectorized code
-paths, so agreement between the two is meaningful.  The two exceptions
-are tree_erm, the row-mask search exhaustive_tree_learn used before it
-moved to a count cube, and two_point_fractions, the flipped-copy
-two-point kernel used before it moved to point indices; each is kept as
-the reference for its rewrite.  Index convention: bit i of a dense index
+paths, so agreement between the two is meaningful.  The exceptions are
+tree_erm, the row-mask search exhaustive_tree_learn used before it
+moved to a count cube, two_point_fractions, the flipped-copy two-point
+kernel used before it moved to point indices, and the tree walks
+tree_leaves, tree_depth and conditional_masses, which DistTree ran
+before its validation walk recorded the depth and one flattening walk
+the leaves; each is kept as the reference for its rewrite.  Index convention: bit i of a dense index
 is 1 exactly when coordinate i equals +1.
 """
 
@@ -237,4 +239,54 @@ def two_point_fractions(oracle, X, coords, k):
         if np.any(tot <= 0.0):
             raise ZeroWeightSubcubeError("two-point subcube has zero mass")
         out[pos] = oracle.rng.binomial(k, px / tot) / float(k)
+    return out
+
+
+def tree_leaves(node):
+    """Preorder (path, density) over the leaves of a Leaf/Internal tree,
+    where path lists the (var, sign) pairs from the root down."""
+    out = []
+
+    def walk(node, path):
+        if not hasattr(node, "var"):
+            out.append((path, node.density))
+            return
+        walk(node.lo, path + ((node.var, -1),))
+        walk(node.hi, path + ((node.var, 1),))
+
+    walk(node, ())
+    return out
+
+
+def tree_depth(node):
+    if not hasattr(node, "var"):
+        return 0
+    return 1 + max(tree_depth(node.lo), tree_depth(node.hi))
+
+
+def conditional_masses(node, n, fixed):
+    """Preorder per-node mass of (subtree cell) intersect (subcube fixed),
+    by the recursion DistTree.conditional_masses ran before it summed leaf
+    cells bottom up: a split on a fixed coordinate takes its one
+    consistent child, and nodes under the other child keep 0."""
+    out = []
+
+    def rec(node, depth, consumed, reached):
+        j = len(out)
+        out.append(0.0)
+        if not hasattr(node, "var"):
+            outside = len(fixed) - consumed  # fixed coordinates off the path
+            if reached:
+                out[j] = node.density * 2.0 ** (n - depth - outside)
+            return out[j]
+        if node.var in fixed:
+            lo = rec(node.lo, depth + 1, consumed + 1, reached and fixed[node.var] < 0)
+            hi = rec(node.hi, depth + 1, consumed + 1, reached and fixed[node.var] > 0)
+            out[j] = lo if fixed[node.var] < 0 else hi
+        else:
+            out[j] = rec(node.lo, depth + 1, consumed, reached) + rec(
+                node.hi, depth + 1, consumed, reached)
+        return out[j]
+
+    rec(node, 0, 0, True)
     return out

@@ -67,3 +67,21 @@ def test_build_dt_parameters():
 def test_dist_oracle_subcube_parameters():
     names = list(inspect.signature(dtdist.DistOracle.subcube).parameters)
     assert names == ["dist", "seed"]
+
+
+def _public(obj) -> list:
+    return sorted(name for name in dir(obj) if not name.startswith("_"))
+
+
+def test_restriction_attributes():
+    assert _public(dtdist.Restriction.of((0, 1))) == [
+        "bits", "check", "consistent_mask", "coords", "empty", "extended",
+        "free_coords", "mask", "of", "pairs", "parse",
+    ]
+
+
+def test_dist_tree_attributes():
+    assert _public(dtdist.uniform_tree(2)) == [
+        "conditional_masses", "depth", "eval", "eval_batch", "from_json_dict",
+        "leaf_index_batch", "leaves", "n", "root", "to_json_dict",
+    ]

@@ -441,6 +441,19 @@ def test_exit_code_invalid_distribution(e2_file, tmp_path, capsys):
     code, out = run(capsys, ["estimate-influence", "--dist", wrong_length,
                              "--coord", "0"])
     assert code == 2 and out == ""
+    # non-finite values; NaN once passed both checks, and exited 1 (exact)
+    # or with a traceback (subcube)
+    for name, text in (
+        ("nan_table", '{"n": 1, "table": [0.5, NaN]}'),
+        ("inf_table", '{"n": 1, "table": [0.5, Infinity]}'),
+        ("nan_leaf", '{"n": 1, "root": {"var": 0, "lo": {"leaf": 0.5}, "hi": {"leaf": NaN}}}'),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        for oracle in ("exact", "subcube"):
+            code, out = run(capsys, ["learn-dist", "--dist", str(path), "--depth", "1",
+                                     "--eps", "0.2", "--oracle", oracle])
+            assert code == 2 and out == "", (name, oracle)
     # target labels other than the integers 0 and 1; 0.5 was once cast to 0
     fair_coin = str(tmp_path / "coin.json")
     save_json(fair_coin, {"n": 1, "table": [0.5, 0.5]})
@@ -451,6 +464,27 @@ def test_exit_code_invalid_distribution(e2_file, tmp_path, capsys):
                                  "--learner", "tree:1", "--depth", "1",
                                  "--eps", "0.2"])
         assert code == 2 and out == "", labels
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"n": True, "table": [0.5, 0.5]}, "dense n"),
+    ({"n": 1.5, "table": [0.5, 0.5]}, "dense n"),
+    ({"n": -1, "table": [1.0]}, "dense n"),
+    ({"n": True, "root": {"leaf": 0.5}}, "tree n"),
+    ({"n": 1.5, "root": {"leaf": 0.5}}, "tree n"),
+    ({"n": -1, "root": {"leaf": 1.0}}, "tree n"),
+    ({"n": 1, "root": {"var": True, "lo": {"leaf": 0.5}, "hi": {"leaf": 0.5}}}, "split variable"),
+    ({"n": 1, "root": {"var": 0.5, "lo": {"leaf": 0.5}, "hi": {"leaf": 0.5}}}, "split variable"),
+    ({"n": 1, "root": {"var": -1, "lo": {"leaf": 0.5}, "hi": {"leaf": 0.5}}}, "split variable"),
+])
+def test_exit_code_non_integer_n_or_var(tmp_path, capsys, obj, field):
+    # true and 1.5 once loaded as n=1, and n=-1 reported a negative shift
+    path = str(tmp_path / "dist.json")
+    save_json(path, obj)
+    code = main(["learn-dist", "--dist", path, "--depth", "1", "--eps", "0.2"])
+    got = capsys.readouterr()
+    assert code == 2 and got.out == ""
+    assert f"{field} must be a nonnegative integer" in got.err
 
 
 def test_exit_code_bad_learner_order(e2_file, capsys):

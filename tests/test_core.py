@@ -70,12 +70,14 @@ def test_all_points_order_and_indices():
 
 def test_restriction_construction_and_key():
     s = Restriction.of((3, -1), (1, 1))
-    assert s.key() == ((1, 1), (3, -1))
+    assert str(s) == "1=+1,3=-1"
+    assert (s.mask, s.bits) == (0b1010, 0b0010)
     assert s.coords() == (3, 1)
-    assert s.fixed() == {3: -1, 1: 1}
+    assert dict(s.pairs) == {3: -1, 1: 1}
     assert len(s) == 2
-    assert Restriction.of({3: -1, 1: 1}).key() == s.key()
-    assert s.extended(0, 1).key() == ((0, 1), (1, 1), (3, -1))
+    assert Restriction.of({3: -1, 1: 1}) == s
+    assert s.extended(0, 1) == Restriction.of((0, 1), (1, 1), (3, -1))
+    assert str(s.extended(0, 1)) == "0=+1,1=+1,3=-1"
     assert s.free_coords(5) == [0, 2, 4]
 
 
@@ -89,12 +91,13 @@ def test_restriction_rejects_bad_input():
 
 
 def test_restriction_pickle_keeps_key():
-    # the sorted key is an attribute, not a field: repr sees pairs alone,
-    # and a restored restriction carries the same key
+    # mask and bits are attributes, not fields: repr sees pairs alone, and
+    # a restored restriction carries the same ones
     s = Restriction.of((3, -1), (1, 1))
     t = pickle.loads(pickle.dumps(s))
     assert t == s and hash(t) == hash(s)
-    assert t.key() == s.key() == ((1, 1), (3, -1))
+    assert (t.mask, t.bits) == (s.mask, s.bits) == (0b1010, 0b0010)
+    assert str(t) == "1=+1,3=-1"
     assert repr(t) == "Restriction(pairs=((3, -1), (1, 1)))"
 
 
@@ -105,13 +108,13 @@ def test_restriction_equality_follows_key():
     assert a == b and hash(a) == hash(b) and len({a, b}) == 1
     assert a.pairs == ((2, -1), (0, 1)) and b.pairs == ((0, 1), (2, -1))
     assert a != Restriction.of((0, 1), (2, 1)) and a != Restriction.of((0, 1))
-    assert a != a.key()
+    assert a != (a.mask, a.bits)
 
 
 def test_restriction_parse_str_roundtrip():
     s = Restriction.parse("0=+1,3=-1")
-    assert s.fixed() == {0: 1, 3: -1}
-    assert Restriction.parse(str(s)).key() == s.key()
+    assert dict(s.pairs) == {0: 1, 3: -1}
+    assert Restriction.parse(str(s)) == s
     assert Restriction.parse("").pairs == ()
     assert str(Restriction.empty()) == "(empty)"
 
@@ -122,6 +125,73 @@ def test_restriction_mask_and_apply():
     mask = s.consistent_mask(X)
     assert mask.sum() == 2
     assert (X[mask][:, 0] == 1).all() and (X[mask][:, 2] == -1).all()
+
+
+@st.composite
+def restriction_cases(draw):
+    n = draw(st.integers(1, 10))
+    pairs = st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from([-1, 1])),
+                     unique_by=lambda p: p[0], max_size=n)
+    a = draw(pairs)
+    # the other restriction is often the same pairs in another order
+    b = draw(st.one_of(st.permutations(a), pairs))
+    return n, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(restriction_cases(), st.randoms(use_true_random=False))
+def test_restriction_integer_form(case, rnd):
+    n, a, b = case
+    s, t = Restriction(tuple(a)), Restriction(tuple(b))
+    pts = all_points(n)
+    in_s = s.consistent_mask(pts)
+    # equal, and hashed alike, exactly when the two name one subcube
+    assert (s == t) == np.array_equal(in_s, t.consistent_mask(pts))
+    if s == t:
+        assert hash(s) == hash(t)
+    idx = np.flatnonzero((np.arange(1 << n) & s.mask) == s.bits)
+    assert np.array_equal(idx, np.flatnonzero(in_s))
+    # free_coords lists, in increasing order, the bits of [0, n) outside mask
+    free = s.free_coords(n)
+    assert free == sorted(free) and sum(1 << i for i in free) == (1 << n) - 1 - s.mask
+    if a:
+        top = max(i for i, _ in a)
+        s.check(top + 1)
+        with pytest.raises(DimensionMismatchError):
+            s.check(top)
+    # extending one pair at a time, in shuffled order, names the same subcube
+    order = list(a)
+    rnd.shuffle(order)
+    grown = Restriction.empty()
+    for i, sign in order:
+        grown = grown.extended(i, sign)
+    assert grown.pairs == tuple(order)
+    assert grown == s and (grown.mask, grown.bits) == (s.mask, s.bits)
+    back = pickle.loads(pickle.dumps(s))
+    assert back.pairs == s.pairs and (back.mask, back.bits) == (s.mask, s.bits)
+
+
+_PAST_N = {
+    "slice_cube": lambda d, t, s: core.slice_cube(d, s),
+    "subcube_weight": lambda d, t, s: subcube_weight(d, s),
+    "restrict_dist": lambda d, t, s: restrict_dist(d, s),
+    "conditional_masses": lambda d, t, s: t.conditional_masses(s),
+    "subcube_sample_batch dense":
+        lambda d, t, s: DistOracle.subcube(d, seed=1).subcube_sample_batch(s, 5),
+    "subcube_sample_batch tree":
+        lambda d, t, s: DistOracle.subcube(t, seed=1).subcube_sample_batch(s, 5),
+    "consistent_mask": lambda d, t, s: s.consistent_mask(all_points(d.n)),
+    "free_coords": lambda d, t, s: s.free_coords(d.n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_PAST_N))
+def test_restriction_entry_points_reject_coordinate_past_n(entry):
+    # conditional_masses once returned a root mass of 0.5 here
+    d = DensePmf(6, np.random.default_rng(3).dirichlet(np.ones(64)))
+    s = Restriction.of((1, -1), (9, 1))
+    with pytest.raises(DimensionMismatchError, match="restriction coordinate 9 out of range"):
+        _PAST_N[entry](d, dense_to_tree(d), s)
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +242,15 @@ def routing_cases(draw):
     return n, shape, X
 
 
-@settings(max_examples=150, deadline=None)
-@given(routing_cases())
-def test_route_matches_object_walk(case):
-    n, shape, X = case
-    # leaf weights w become densities with leaf masses w / total
+def _shape_tree(n, shape):
+    """DistTree of a routing_cases shape and its node objects in preorder
+    (a node's position is its id); leaf weights w become densities with
+    leaf masses w / total."""
     def weights(node):
         return node[2] if node[0] == "leaf" else weights(node[2]) + weights(node[3])
 
     total = weights(shape)
-    preorder = []  # node objects in preorder; a node's position is its id
+    preorder = []
 
     def build(node):
         j = len(preorder)
@@ -194,7 +263,14 @@ def test_route_matches_object_walk(case):
             preorder[j] = Internal(node[1], lo, hi)
         return preorder[j]
 
-    t = DistTree(n, build(shape))
+    return DistTree(n, build(shape)), preorder
+
+
+@settings(max_examples=150, deadline=None)
+@given(routing_cases())
+def test_route_matches_object_walk(case):
+    n, shape, X = case
+    t, preorder = _shape_tree(n, shape)
     ids = {id(node): j for j, node in enumerate(preorder)}
     leaf_ids = [j for j, node in enumerate(preorder) if isinstance(node, Leaf)]
     want = []
@@ -206,6 +282,24 @@ def test_route_matches_object_walk(case):
     assert t._route(X).tolist() == want
     assert t.leaf_index_batch(X).tolist() == [leaf_ids.index(j) for j in want]
     assert t.eval_batch(X).tolist() == [preorder[j].density for j in want]
+
+
+@settings(max_examples=150, deadline=None)
+@given(routing_cases(), st.data())
+def test_flattened_walk_matches_object_walks(case, data):
+    # leaves, depth and conditional masses against the recursive walks the
+    # tree ran before its validation walk recorded the depth and one
+    # flattening walk the leaves; the masses must be bit-equal, as the
+    # seeded tree sampler reads them
+    n, shape, _ = case
+    t, _ = _shape_tree(n, shape)
+    assert [(s.pairs, d) for s, d in t.leaves()] == O.tree_leaves(t.root)
+    assert t.depth() == O.tree_depth(t.root)
+    t.leaves().clear()  # a copy: the recorded list stays whole
+    assert len(t.leaves()) == len(O.tree_leaves(t.root))
+    signs = data.draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([-1, 1])))
+    got = t.conditional_masses(Restriction.of(signs)).tolist()
+    assert got == O.conditional_masses(t.root, n, signs)
 
 
 def test_route_dimension_mismatch(e2_tree):
@@ -222,6 +316,18 @@ def test_tree_validation_errors():
         DistTree(1, Internal(0, Leaf(-0.5), Leaf(1.5)))
     with pytest.raises(InvalidTreeError):
         DistTree(1, Leaf(0.3))  # masses sum to 0.6
+    # a non-finite density fails too; NaN once passed both checks
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidTreeError):
+            DistTree(1, Internal(0, Leaf(0.5), Leaf(bad)))
+    # n and split variables are nonnegative ints, never a bool or a float
+    for n in (True, 1.5, 1.0, -1):
+        with pytest.raises(InvalidTreeError, match="tree n must be a nonnegative integer"):
+            DistTree.from_json_dict({"n": n, "root": {"leaf": 0.5}})
+    for var in (True, 0.5, 0.0, -1):
+        with pytest.raises(InvalidTreeError, match="split variable must be a nonnegative integer"):
+            DistTree.from_json_dict(
+                {"n": 1, "root": {"var": var, "lo": {"leaf": 0.5}, "hi": {"leaf": 0.5}}})
 
 
 def test_leaves_preorder(e2_tree):
@@ -242,6 +348,16 @@ def test_dense_validation():
         DensePmf(2, [0.5, 0.5])
     with pytest.raises(InvalidPmfError):
         DensePmf(21, np.full(2 ** 21, 2.0 ** -21))
+    # a non-finite probability fails too; NaN once passed both checks
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(InvalidPmfError):
+            DensePmf(1, [0.5, bad])
+    # n is a nonnegative int, never a bool or a float
+    for n in (True, 1.5, 1.0, -1):
+        with pytest.raises(InvalidPmfError, match="dense n must be a nonnegative integer"):
+            DensePmf(n, [0.5, 0.5])
+        with pytest.raises(InvalidPmfError, match="dense n must be a nonnegative integer"):
+            DensePmf.from_json_dict({"n": n, "table": [0.5, 0.5]})
 
 
 def test_weighting_values(e2_dense):
@@ -277,9 +393,9 @@ def test_restrict_dist_e2(e2_dense):
     d = DensePmf(5, table)
     s = Restriction.of((1, -1), (4, 1))
     cond3, w3 = restrict_dist(d, s)
-    assert w3 == pytest.approx(O.subcube_weight(table, 5, s.fixed()), abs=ATOL)
+    assert w3 == pytest.approx(O.subcube_weight(table, 5, dict(s.pairs)), abs=ATOL)
     assert cond3.table == pytest.approx(
-        O.conditional_table(table, 5, s.fixed()), abs=ATOL
+        O.conditional_table(table, 5, dict(s.pairs)), abs=ATOL
     )
     assert subcube_weight(d, s) == pytest.approx(w3, abs=ATOL)
 
@@ -621,9 +737,9 @@ def test_two_point_kernel_clamps_tiny_negative_mass(kind):
 
 
 def test_dense_conditional_draws_match_mask_path():
-    # the subcube's indices come from slicing an index cube like the table;
-    # the old path masked all 2^n points, and both list them in the same
-    # order, so the weight and the draws are bit-equal at a fixed seed
+    # the subcube's indices come from the mask expression on indices; the
+    # old path masked all 2^n points, and both list them in the same order,
+    # so the weight and the draws are bit-equal at a fixed seed
     n, seed = 7, 23
     table = np.random.default_rng(4).dirichlet(np.ones(1 << n))
     table[:5] = 0.0
@@ -635,7 +751,7 @@ def test_dense_conditional_draws_match_mask_path():
         mask = s.consistent_mask(pts)
         sub_idx = np.flatnonzero(mask)
         w_mask = float(table[mask].sum())
-        sliced = core.slice_cube(d, s, np.arange(1 << n)).reshape(-1)
+        sliced = np.flatnonzero((np.arange(1 << n) & s.mask) == s.bits)
         assert np.array_equal(sliced, sub_idx)
         assert float(table[sliced].sum()) == w_mask
         if w_mask == 0.0:

@@ -155,7 +155,7 @@ def test_exact_matches_loop_oracle_restricted():
         free, vals = exact_influence_all(d, s)
         assert free == s.free_coords(6)
         for i, v in zip(free, vals):
-            assert v == pytest.approx(O.influence(f, 6, i, s.fixed()), abs=ATOL)
+            assert v == pytest.approx(O.influence(f, 6, i, dict(s.pairs)), abs=ATOL)
 
 
 def test_conditional_influence_e2(e2_dense):
@@ -466,6 +466,20 @@ def test_influence_oracle_checks_coordinates(kind, coord, error, match):
         io.estimate_all(s, [0, coord])
     with pytest.raises(error, match=match):
         io.estimate_conditional(coord, s)
+
+
+@pytest.mark.parametrize("kind", [KIND_EXACT, KIND_MONOTONE, KIND_SUBCUBE])
+def test_influence_oracle_rejects_restriction_past_n(kind):
+    # the sample kinds once raised a bare IndexError from the pool filter
+    inst = gen_dt_dist(6, 2, 5)
+    io = InfluenceOracle(kind, DistOracle.exact(inst.dense, seed=1), 0.3, 0.3)
+    s = Restriction.of((1, -1), (9, 1))
+    for call in (lambda: io.estimate_all(s), lambda: io.estimate_all(s, [0]),
+                 lambda: io.weight(s, 100), lambda: io.estimate_conditional(0, s)):
+        with pytest.raises(DimensionMismatchError, match="restriction coordinate 9 out of range"):
+            call()
+    # rejected before any draw
+    assert io.pool_draws == 0 and not any(io.source.query_count.values())
 
 
 def test_influence_oracle_monotone_path(e2_dense):
