@@ -22,6 +22,7 @@ import numpy as np
 
 from ._seeds import derive_seed, stream
 from .core import (
+    MAX_DENSE_N,
     DensePmf,
     DistOracle,
     DistTree,
@@ -91,10 +92,17 @@ def _load_dist(path: str):
     obj = _load_input(path)
     try:
         if "root" in obj:
-            return DistTree.from_json_dict(obj)
+            tree = DistTree.from_json_dict(obj)
+            # every command scores its result against the dense table
+            if tree.n > MAX_DENSE_N:
+                raise ConfigError(f"{path}: n={tree.n} is past the dense table's "
+                                  f"limit n={MAX_DENSE_N}, which every command compares against")
+            return tree
         if "table" in obj:
             return DensePmf.from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: an integer mass past float range, or an n so
+        # large that 2^n overflows while the masses are summed
         raise ConfigError(f"{path} is malformed: {exc!r}") from exc
     except (InvalidPmfError, InvalidTreeError, DimensionMismatchError) as exc:
         raise ConfigError(f"{path} is not a valid distribution: {exc}") from exc

@@ -557,6 +557,48 @@ class OracleMode(IntEnum):
     EXACT_PMF = 3
 
 
+# uniforms per pass of _inverse_cdf
+_DRAW_CHUNK = 1 << 16
+
+
+def _inverse_cdf(rng: np.random.Generator, p: np.ndarray, k: int) -> np.ndarray:
+    """k int64 indices drawn from the pmf p: equal to
+    rng.choice(p.size, k, p=p) index for index, leaving rng in the same
+    state.
+
+    rng.choice inverts cdf = p.cumsum() / cdf[-1] at rng.random(k), one
+    binary search per draw: searchsorted(cdf, u, "right").  This builds
+    the same cdf and adds a guide table over G = 2^g equal buckets of
+    [0, 1) (Chen-Asau indexed search): lo[b] counts the cdf entries
+    <= b/G, hi[b] those < (b+1)/G, and amb[b] = lo[b] != hi[b].  The
+    bucket of u is b = floor(u * G), exact since G is a power of two, and
+    lo[b] <= idx <= hi[b], so where the two agree the index is lo[b];
+    only draws in ambiguous buckets, which number at most p.size, are
+    searched.
+    With g = bit_length(p.size) + 3, capped at 16, at most 1/8 of [0, 1)
+    is ambiguous for p.size < 2^13; the guide is 9 bytes a bucket, 576 KB
+    at the cap.  The uniforms come in chunks of _DRAW_CHUNK, which read
+    the same doubles as one rng.random(k); so the transient memory beside
+    the 8k-byte result is O(_DRAW_CHUNK + G + p.size), not the several
+    k-length arrays a one-shot lookup would hold.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    G = 1 << min(p.size.bit_length() + 3, 16)
+    edges = np.arange(G + 1) / G
+    lo = cdf.searchsorted(edges[:-1], "right")
+    amb = lo != cdf.searchsorted(edges[1:], "left")
+    out = np.empty(k, dtype=np.int64)
+    for start in range(0, k, _DRAW_CHUNK):
+        u = rng.random(min(_DRAW_CHUNK, k - start))
+        b = (u * G).astype(np.intp)
+        got = out[start:start + u.size]
+        np.take(lo, b, out=got)
+        hard = amb[b]
+        got[hard] = cdf.searchsorted(u[hard], "right")
+    return out
+
+
 class DistOracle:
     """Query interface to an unknown distribution.
 
@@ -680,8 +722,9 @@ class DistOracle:
 
     def _clamped(self) -> np.ndarray:
         """The table clamped at 0, built once.  Validation lets entries down
-        to -1e-12 through, which rng.choice and rng.binomial reject; valid
-        tables are unchanged, as nothing is renormalized."""
+        to -1e-12 through, which rng.binomial rejects and which would make
+        the cdf that _inverse_cdf searches non-monotone; valid tables are
+        unchanged, as nothing is renormalized."""
         if self._clamped_table is None:
             self._clamped_table = np.maximum(self._as_dense().table, 0.0)
         return self._clamped_table
@@ -731,16 +774,22 @@ class DistOracle:
         return X
 
     def _draw_dense(self, s: Restriction, k: int) -> np.ndarray:
+        """k points of the table conditioned on s, inverted from its cdf
+        (over the subcube's cells, in index order, weights sub / w) by
+        _inverse_cdf: the same indices and stream position as
+        rng.choice(size, k, p=...), from one guide-table lookup per draw
+        and a chunked read of the uniforms.  Memory is the int64 indices
+        (a second copy for a subcube, mapped back through sub_idx) and
+        the (k, n) int8 points returned."""
         table = self._clamped()
         if len(s) == 0:
-            idx = self.rng.choice(table.size, size=k, p=table)
-            return all_points(self.n)[idx]
+            return all_points(self.n)[_inverse_cdf(self.rng, table, k)]
         sub_idx = np.flatnonzero((np.arange(table.size) & s.mask) == s.bits)
         sub = table[sub_idx]
         w = float(sub.sum())
         if w <= 0.0:
             raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
-        pick = self.rng.choice(sub_idx.size, size=k, p=sub / w)
+        pick = _inverse_cdf(self.rng, sub / w, k)
         return all_points(self.n)[sub_idx[pick]]
 
 

@@ -26,10 +26,11 @@ from .core import (
     DistTree,
     Internal,
     Leaf,
+    _nonneg_int,
     all_points,
     points_to_indices,
 )
-from .errors import BudgetExceededError, ConfigError, DimensionMismatchError
+from .errors import BudgetExceededError, ConfigError, DimensionMismatchError, InvalidTreeError
 from .builddt import LearnResult, learn_distribution_result
 
 
@@ -93,9 +94,9 @@ class TruthTableHypothesis(Hypothesis):
     """Explicit truth table, indexed like DensePmf (n <= 16)."""
 
     def __init__(self, n: int, table):
+        n = self.n = _nonneg_int(n, "hypothesis n", ConfigError)
         if n > 16:
             raise ConfigError(f"truth tables capped at n=16, got {n}")
-        self.n = int(n)
         self.table = np.asarray(table, dtype=np.uint8)
         if self.table.shape != (1 << n,):
             raise DimensionMismatchError(f"table shape {self.table.shape}")
@@ -118,7 +119,7 @@ class LowDegreeHypothesis(Hypothesis):
     """
 
     def __init__(self, n: int, terms: dict):
-        self.n = int(n)
+        self.n = _nonneg_int(n, "hypothesis n", ConfigError)
         self.terms = {tuple(int(i) for i in t): float(c) for t, c in terms.items()}
 
     def predict_batch(self, X):
@@ -183,7 +184,10 @@ def hypothesis_from_json(obj: dict) -> Hypothesis:
             obj["n"], {tuple(t["vars"]): t["coef"] for t in obj["terms"]}
         )
     if kind == "tree-routed":
-        n = int(obj["n"])
+        # n gets DistTree's own check before it sizes the leaves, and each
+        # var goes to DistTree unconverted: a bool, a float or a negative
+        # fails instead of being cast
+        n = _nonneg_int(obj["n"], "tree n", InvalidTreeError)
         hyps: list = []
 
         # a routing skeleton: uniform leaves are a valid pmf on any full
@@ -192,7 +196,7 @@ def hypothesis_from_json(obj: dict) -> Hypothesis:
             if "hyp" in d:
                 hyps.append(hypothesis_from_json(d["hyp"]))
                 return Leaf(2.0 ** -n)
-            return Internal(int(d["var"]), conv(d["lo"]), conv(d["hi"]))
+            return Internal(d["var"], conv(d["lo"]), conv(d["hi"]))
 
         return TreeRoutedHypothesis(DistTree(n, conv(obj["root"])), hyps)
     raise ConfigError(f"unknown hypothesis kind {kind!r}")

@@ -6,12 +6,16 @@ seed.  Exit codes: 0 success, 1 failed check, 2 bad configuration,
 3 oracle/budget trouble.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import E2_TABLE
 from dtdist import DensePmf, load_json, save_json
@@ -591,3 +595,128 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# generated bad input at every door
+
+# values a JSON file can hold where a count, a coordinate or a mass belongs
+_NOT_COUNTS = [-1, True, False, 1.5, "1", None, [1], 10**30]
+_NOT_MASSES = [float("nan"), float("inf"), float("-inf"), 10**400, "x", None, [], {}]
+
+
+@st.composite
+def malformed_dist_texts(draw):
+    """The text of a dist file that holds no valid distribution."""
+    n = draw(st.integers(1, 3))
+    table = [2.0 ** -n] * (1 << n)
+    # a depth-1 tree on coordinate 0 whose leaves keep the masses at 1
+    tree = {"n": n, "root": {"var": 0, "lo": {"leaf": 2.0 ** -n}, "hi": {"leaf": 2.0 ** -n}}}
+    kind = draw(st.sampled_from(["json", "n", "large", "mass", "negative", "length", "var"]))
+    if kind == "json":
+        return draw(st.sampled_from(["", "{not json", "[1, 2", "null", "[]", "3", '"root"',
+                                     '{"n": 1, "table": [0.5, 0.5]', '{"n": 1}',
+                                     '{"n": 1, "root": 5}', '{"n": 1, "root": {}}',
+                                     '{"table": {"n": 1}}']) | st.text(max_size=12))
+    if kind == "n":
+        obj = draw(st.sampled_from([{"table": table}, tree]))
+        obj["n"] = draw(st.sampled_from(_NOT_COUNTS + [n - 1, n + 1, 21]))
+    elif kind == "large":
+        # a valid tree past the dense table that every command scores against
+        m = draw(st.sampled_from([21, 30, 64]))
+        obj = {"n": m, "root": {"leaf": 2.0 ** -m}}
+    elif kind == "mass":
+        bad = draw(st.sampled_from(_NOT_MASSES))
+        if draw(st.booleans()):
+            table[draw(st.integers(0, len(table) - 1))] = bad
+            obj = {"n": n, "table": table}
+        else:
+            tree["root"][draw(st.sampled_from(["lo", "hi"]))]["leaf"] = bad
+            obj = tree
+    elif kind == "negative":
+        # still sums to 1, with one entry below -1e-12
+        x = draw(st.sampled_from([1e-9, 0.25, 2.0]))
+        table[-1] += table[0] + x
+        table[0] = -x
+        obj = {"n": n, "table": table}
+    elif kind == "length":
+        size = draw(st.integers(0, (1 << n) + 3).filter(lambda m: m != 1 << n))
+        obj = {"n": n, "table": [1.0 / max(size, 1)] * size}
+    else:
+        var = draw(st.sampled_from(_NOT_COUNTS + [n, n + 4, "repeat"]))
+        if var == "repeat":
+            leaf = {"leaf": 2.0 ** -n}
+            tree["root"]["hi"] = {"var": 0, "lo": leaf, "hi": leaf}
+        else:
+            tree["root"]["var"] = var
+        obj = tree
+    return json.dumps(obj)
+
+
+@st.composite
+def malformed_restrictions(draw):
+    """A --restrict string with out-of-range or repeated coordinates or
+    bad signs (n=2)."""
+    coord = st.integers(-3, 5) | st.sampled_from([64, 10**6])
+    sign = st.sampled_from(["+1", "-1", "1", "+2", "0", "x", "", "1.0", "++1", "+1=1"])
+    parts = draw(st.lists(st.tuples(coord, sign), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        parts.append(parts[0])
+    text = ",".join(f"{i}={b}" for i, b in parts)
+    return text + draw(st.sampled_from(["", ",", "=", ",0"]))
+
+
+def run_door(argv):
+    """(exit code, stderr) of one in-process CLI run; argparse's usage
+    errors arrive as SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def _door_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("doors")
+    good, target = str(root / "good.json"), str(root / "target.json")
+    save_json(good, DensePmf(2, E2_TABLE).to_json_dict())
+    save_json(target, {"n": 2, "table": [0, 1, 1, 0]})
+    return root, good, target
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=malformed_dist_texts())
+# strategy cases that once failed: an integer mass past float range and
+# an n whose 2^n overflows while a tree's masses are summed raised
+# OverflowError, and a valid n=30 tree exited 1 at the dense reference
+@example(text=json.dumps({"n": 1, "table": [10**400, 0.5]}))
+@example(text=json.dumps({"n": 1, "root": {"var": 0, "lo": {"leaf": 10**400}, "hi": {"leaf": 0.5}}}))
+@example(text=json.dumps({"n": 10**30, "root": {"var": 0, "lo": {"leaf": 0.5}, "hi": {"leaf": 0.5}}}))
+@example(text=json.dumps({"n": 30, "root": {"leaf": 2.0 ** -30}}))
+def test_generated_bad_dist_files_exit_two(tmp_path_factory, text):
+    root, _, target = _door_files(tmp_path_factory)
+    path = root / "bad.json"
+    path.write_text(text)
+    dist = str(path)
+    for argv in (["learn-dist", "--dist", dist, "--depth", "1", "--eps", "0.3"],
+                 ["estimate-influence", "--dist", dist, "--coord", "0", "--eps", "0.3"],
+                 ["lift", "--dist", dist, "--target", target, "--learner", "tree:1",
+                  "--depth", "1", "--eps", "0.3"]):
+        code, err = run_door(argv)
+        assert code in (0, 2), (argv[0], text, code, err)
+        assert "Traceback" not in err
+
+
+@settings(max_examples=15, deadline=None)
+@given(text=malformed_restrictions(), coord=st.integers(0, 1))
+@example(text="0=+1,0=-1", coord=1)
+@example(text="2=+1", coord=0)
+@example(text="1=+2", coord=0)
+def test_generated_bad_restrictions_exit_two(tmp_path_factory, text, coord):
+    _, good, _ = _door_files(tmp_path_factory)
+    code, err = run_door(["estimate-influence", "--dist", good, "--coord", str(coord),
+                          f"--restrict={text}", "--eps", "0.3"])
+    assert code in (0, 2), (text, code, err)
+    assert "Traceback" not in err

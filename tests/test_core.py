@@ -1,6 +1,7 @@
 """Representations, conversions, serialization, and the sampling oracle."""
 
 import pickle
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -762,6 +763,91 @@ def test_dense_conditional_draws_match_mask_path():
         want = pts[sub_idx[rng.choice(sub_idx.size, size=3000, p=table[sub_idx] / w_mask)]]
         got = DistOracle.subcube(d, seed=seed).subcube_sample_batch(s, 3000)
         assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# dense draws: guide-table inversion against rng.choice
+
+CHUNK = core._DRAW_CHUNK
+
+
+@st.composite
+def inversion_pmfs(draw):
+    """p over 1..2^12 cells: empty runs at either end and inside, cells
+    that move the cumulative sum by about one ulp, neighbours one ulp
+    apart, or a single positive cell."""
+    size = draw(st.integers(1, 1 << 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        w = np.zeros(size)
+        w[int(rng.integers(size))] = draw(st.sampled_from([1.0, 1e-300, 3.0]))
+        return w / w.sum()
+    w = rng.random(size) if draw(st.booleans()) else rng.integers(1, 4, size).astype(np.float64)
+    w[:draw(st.integers(0, size - 1))] = 0.0
+    w[size - draw(st.integers(0, size - 1)):] = 0.0
+    w[rng.random(size) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = 0.0
+    for j in rng.integers(size, size=draw(st.integers(0, 8))):
+        w[j] = np.spacing(w[:j].sum())
+    for j in rng.integers(size - 1, size=draw(st.integers(0, 8))) if size > 1 else ():
+        w[j + 1] = np.nextafter(w[j], np.inf)
+    if not w.sum() > 0.0:
+        w[int(rng.integers(size))] = 1.0
+    return w / w.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(inversion_pmfs(), st.integers(0, 2**63 - 1),
+       st.one_of(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1]),
+                 st.integers(0, 3 * CHUNK)))
+def test_inverse_cdf_matches_rng_choice(p, seed, k):
+    ref, mine = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = ref.choice(p.size, k, p=p)
+    got = core._inverse_cdf(mine, p, k)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # both generators stand at the same position of the stream
+    assert mine.random() == ref.random()
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: random(m) hands out the next m values of
+    a fixed array, so the lookup can be fed chosen uniforms."""
+
+    def __init__(self, u):
+        self.u, self.at = u, 0
+
+    def random(self, m):
+        got = self.u[self.at:self.at + m]
+        self.at += m
+        return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(inversion_pmfs())
+def test_inverse_cdf_lookup_on_adversarial_uniforms(p):
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    # b / G for every power of two G <= 2^16, the guide's bucket edges
+    edges = np.arange(1 << 16) / (1 << 16)
+    u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
+                        edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    u = u[(u >= 0.0) & (u < 1.0)]
+    got = core._inverse_cdf(_FixedUniforms(u), p, u.size)
+    assert np.array_equal(got, cdf.searchsorted(u, "right"))
+
+
+def test_inverse_cdf_memory_bound():
+    # 2M draws over 2^10 cells: the 16 MB result plus chunk-sized
+    # temporaries (about 18 MB); rng.choice peaks near 32 MB, and a lookup
+    # over all k uniforms at once near 57 MB
+    p = np.random.default_rng(3).dirichlet(np.ones(1 << 10))
+    rng = np.random.default_rng(4)
+    tracemalloc.start()
+    try:
+        core._inverse_cdf(rng, p, 2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 << 20
 
 
 # ---------------------------------------------------------------------------

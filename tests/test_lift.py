@@ -23,6 +23,7 @@ from dtdist import (
     DistOracle,
     DistTree,
     Internal,
+    InvalidTreeError,
     LabeledSample,
     Leaf,
     LowDegreeHypothesis,
@@ -170,6 +171,24 @@ def test_hypothesis_json_roundtrips(e2_tree):
             assert json_dumps(back.to_json_dict()) == text
     with pytest.raises(ConfigError):
         hypothesis_from_json({"kind": "mystery"})
+
+
+@pytest.mark.parametrize("bad", [True, 2.5, -1, "2"])
+def test_hypothesis_from_json_rejects_non_integer_n_and_var(bad):
+    # int() once read n=2.5 as 2 and var=true as 1
+    def routed(n, var):
+        return {"kind": "tree-routed", "n": n,
+                "root": {"var": var, "lo": {"hyp": {"kind": "const", "value": 0}},
+                         "hi": {"hyp": {"kind": "const", "value": 1}}}}
+
+    with pytest.raises(InvalidTreeError, match="tree n must be a nonnegative integer"):
+        hypothesis_from_json(routed(bad, 0))
+    with pytest.raises(InvalidTreeError, match="split variable must be a nonnegative integer"):
+        hypothesis_from_json(routed(2, bad))
+    for obj in ({"kind": "table", "n": bad, "table": [0, 1]},
+                {"kind": "lowdeg", "n": bad, "terms": []}):
+        with pytest.raises(ConfigError, match="hypothesis n must be a nonnegative integer"):
+            hypothesis_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
