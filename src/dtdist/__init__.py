@@ -33,7 +33,6 @@ from .core import (
     index_to_point,
     json_dumps,
     load_json,
-    point_index,
     points_to_indices,
     restrict_dist,
     save_json,
@@ -59,7 +58,6 @@ from .influence import (
     infest,
     infest_repetitions,
     infest_sample_count,
-    scale_to_restriction,
 )
 from .builddt import (
     BuildParams,
@@ -69,7 +67,6 @@ from .builddt import (
     call_count_bound,
     default_leaf_sample_count,
     default_tau,
-    learn_distribution,
     learn_distribution_result,
 )
 from .lift import (
@@ -89,7 +86,6 @@ from .lift import (
     end_to_end,
     exhaustive_tree_learn,
     hypothesis_from_json,
-    lift_learn,
     lift_learn_result,
     low_degree_learn,
     make_exhaustive_tree_learner,
@@ -97,7 +93,6 @@ from .lift import (
     make_low_degree_learner,
     required_sample_size,
     split_and_rerandomize,
-    uniform_error,
 )
 from .testbed import (
     BruteStats,

@@ -294,17 +294,3 @@ def learn_distribution_result(
         influence_accuracy=accuracy,
         influence_confidence=confidence,
     )
-
-
-def learn_distribution(
-    d_oracle: DistOracle,
-    depth_budget: int,
-    eps: float,
-    delta: float,
-    estimator_kind: str = KIND_EXACT,
-    **kwargs,
-) -> DistTree:
-    """As learn_distribution_result, returning just the tree."""
-    return learn_distribution_result(
-        d_oracle, depth_budget, eps, delta, estimator_kind, **kwargs
-    ).tree

@@ -111,6 +111,13 @@ def _load_dist(path: str):
 
 def _parse_restriction(text: str, n: int) -> Restriction:
     try:
+        # check each coordinate against n first: building the restriction
+        # sets bit i of its mask, which takes memory in proportion to i
+        for part in text.split(","):
+            i = part.partition("=")[0]
+            if i.strip() not in ("", "(empty)") and int(i) >= n:
+                raise DimensionMismatchError(
+                    f"restriction coordinate {int(i)} out of range for n={n}")
         s = Restriction.parse(text)
         s.check(n)
     except (ValueError, DimensionMismatchError) as exc:

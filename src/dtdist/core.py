@@ -44,18 +44,6 @@ ATOL_ROUNDTRIP = 1e-12
 # points
 
 
-def as_point(x, n: Optional[int] = None) -> np.ndarray:
-    """Validate and convert one point to an int8 sign vector."""
-    arr = np.asarray(x, dtype=np.int8)
-    if arr.ndim != 1:
-        raise DimensionMismatchError(f"point must be 1-d, got shape {arr.shape}")
-    if n is not None and arr.shape[0] != n:
-        raise DimensionMismatchError(f"point has {arr.shape[0]} coords, expected {n}")
-    if not np.all(np.abs(arr) == 1):
-        raise ValueError("point coordinates must be -1 or +1")
-    return arr
-
-
 _POINTS_CACHE: dict = {}
 
 
@@ -77,10 +65,6 @@ def points_to_indices(X: np.ndarray) -> np.ndarray:
     """Dense-table indices for a (k, n) batch of points."""
     bits = (X > 0).astype(np.int64)
     return bits @ (np.int64(1) << np.arange(X.shape[1], dtype=np.int64))
-
-
-def point_index(x) -> int:
-    return int(points_to_indices(np.asarray(x, dtype=np.int8)[None, :])[0])
 
 
 def index_to_point(idx, n: int) -> np.ndarray:
@@ -351,9 +335,6 @@ class DistTree:
         """pmf at each row of X."""
         return self._flatten()["density"][self._route(X)]
 
-    def eval(self, x) -> float:
-        return float(self.eval_batch(as_point(x, self.n)[None, :])[0])
-
     def leaf_index_batch(self, X: np.ndarray) -> np.ndarray:
         """Preorder leaf ordinal each row of X routes to."""
         leaf_ord = np.cumsum(self._flatten()["var"] < 0) - 1  # ordinal among leaves
@@ -424,9 +405,6 @@ class DensePmf:
         if X.shape[1] != self.n:
             raise DimensionMismatchError(f"points have {X.shape[1]} coords, pmf has {self.n}")
         return self.table[points_to_indices(X)]
-
-    def eval(self, x) -> float:
-        return float(self.table[point_index(as_point(x, self.n))])
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "table": [float(v) for v in self.table]}
@@ -624,10 +602,19 @@ class DistOracle:
             if self.mode > OracleMode.SAMPLE:
                 raise OracleModeError(f"a stream backing grants SAMPLE only, not {self.mode.name}")
             self.n = int(n)
-        self.rng = stream(self.seed, "oracle")
+        self._rng = None
         self.query_count = {m: 0 for m in OracleMode}
         self._dense_cache = None
         self._clamped_table = None
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """stream(seed, "oracle"), built on first use: an exact oracle
+        never draws, and seeding PCG64 costs more than the rest of the
+        constructor."""
+        if self._rng is None:
+            self._rng = stream(self.seed, "oracle")
+        return self._rng
 
     # -- constructors --------------------------------------------------------
 
@@ -653,9 +640,6 @@ class DistOracle:
         self._require(OracleMode.SAMPLE)
         self.query_count[OracleMode.SAMPLE] += k
         return self._draw(EMPTY, k)
-
-    def sample(self) -> np.ndarray:
-        return self.sample_batch(1)[0]
 
     # -- subcube-conditioned samples -------------------------------------------
 
@@ -703,9 +687,6 @@ class DistOracle:
         self._require(OracleMode.EXACT_PMF)
         self.query_count[OracleMode.EXACT_PMF] += X.shape[0]
         return self.backing.eval_batch(X)
-
-    def pmf(self, x) -> float:
-        return float(self.pmf_batch(as_point(x, self.n)[None, :])[0])
 
     def dense(self) -> DensePmf:
         """Full table (EXACT_PMF mode only); conversion cached."""

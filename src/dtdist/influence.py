@@ -161,12 +161,6 @@ def exact_conditional_influence(d: DensePmf, i: int, s: Restriction = EMPTY) -> 
     return exact_influence(cond, s.free_coords(d.n).index(i))
 
 
-def scale_to_restriction(cond_value: float, s: Restriction, weight: float) -> float:
-    """Convert a conditional-scale influence to the restricted scale:
-    Inf_i((f_D)_s) = 2^|s| * weight * Inf_i(f_{D_s})."""
-    return (2.0 ** len(s)) * weight * cond_value
-
-
 # ---------------------------------------------------------------------------
 # estimator sizing
 
@@ -199,8 +193,6 @@ class InfluenceEstimate:
     accuracy_target: float
     confidence: float
     samples_used: int
-    restriction: Restriction = EMPTY
-    kind: str = KIND_EXACT
 
     def to_json_dict(self) -> dict:
         return {
@@ -469,8 +461,6 @@ class InfluenceOracle:
             accuracy_target=self.accuracy,
             confidence=self.confidence,
             samples_used=int(used),
-            restriction=s,
-            kind=self.kind,
         )
 
     def estimate_conditional(self, i: int, s: Restriction = EMPTY) -> InfluenceEstimate:
@@ -504,6 +494,4 @@ class InfluenceOracle:
             accuracy_target=self.accuracy,
             confidence=self.confidence,
             samples_used=used,
-            restriction=s,
-            kind=self.kind,
         )

@@ -72,9 +72,6 @@ class Hypothesis:
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def predict(self, x) -> int:
-        return int(self.predict_batch(np.asarray(x, dtype=np.int8)[None, :])[0])
-
     def to_json_dict(self) -> dict:
         raise NotImplementedError
 
@@ -211,11 +208,7 @@ class UniformLearner:
     """A PAC learner for the uniform distribution with declared budgets.
 
     learn maps a LabeledSample (>= m points) to a Hypothesis with error
-    at most eps against uniform w.p. >= 1 - delta.  c is the robustness
-    constant: trained on a distribution eta-close to uniform in total
-    variation, the error guarantee degrades to eps + c * eta.  Any
-    (eps, delta) learner is automatically (eps, 3m)-robust, hence the
-    default c = 3m.
+    at most eps against uniform w.p. >= 1 - delta.
     """
 
     name: str
@@ -223,11 +216,6 @@ class UniformLearner:
     eps: float
     delta: float
     learn: Callable[[LabeledSample], Hypothesis]
-    c: Optional[float] = None
-
-    def __post_init__(self):
-        if self.c is None:
-            self.c = 3.0 * self.m
 
 
 def required_sample_size(m: int, d: int, eps: float, delta: float) -> int:
@@ -322,15 +310,6 @@ def lift_learn_result(
         hyps.append(hyp)
         records.append(LeafRecord(j, str(restriction), len(part), status, detail))
     return LiftReport(TreeRoutedHypothesis(t, hyps), records)
-
-
-def lift_learn(
-    t: DistTree,
-    learner: UniformLearner,
-    sample: LabeledSample,
-    rng: Optional[np.random.Generator] = None,
-) -> Hypothesis:
-    return lift_learn_result(t, learner, sample, rng).hypothesis
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +519,6 @@ def make_exhaustive_tree_learner(n: int, k: int, eps: float, delta: float) -> Un
 # evaluation helpers
 
 
-def uniform_error(hyp: Hypothesis, target_table: np.ndarray) -> float:
-    n = int(round(math.log2(target_table.size)))
-    pred = hyp.predict_batch(all_points(n))
-    return float(np.mean(pred != target_table))
-
-
 def dist_error(hyp: Hypothesis, target_table: np.ndarray, dense: DensePmf) -> float:
     """Pr_{x ~ D}[hyp(x) != f*(x)] by enumeration."""
     pred = hyp.predict_batch(all_points(dense.n))
@@ -591,13 +564,16 @@ def end_to_end(
 ) -> LiftResult:
     """Learn the distribution, then lift the learner over the learned tree.
 
-    Stages: (1) learn a depth-d tree for D to total variation dist_eps,
-    defaulting to the robustness budget eps / (3 * learner.m); (2) boost
-    the learner to per-leaf failure delta / 2^(d+1) unless its declared
-    delta already meets that; (3) draw required_sample_size labeled
-    points and lift.  The default dist_eps makes stage (1) extremely
-    demanding for sample-based estimators; pass dist_eps/dist_kwargs to
-    trade guarantee for feasibility.
+    Any (eps, delta) learner is (eps, 3m)-robust: trained on a
+    distribution eta-close to uniform in total variation, its error
+    guarantee degrades to eps + 3m * eta.  Stages: (1) learn a depth-d
+    tree for D to total variation dist_eps, defaulting to the robustness
+    budget eps / (3 * learner.m); (2) boost the learner to per-leaf
+    failure delta / 2^(d+1) unless its declared delta already meets
+    that; (3) draw required_sample_size labeled points and lift.  The
+    default dist_eps makes stage (1) extremely demanding for
+    sample-based estimators; pass dist_eps/dist_kwargs to trade
+    guarantee for feasibility.
     """
     if dist_eps is None:
         dist_eps = eps / (3.0 * learner.m)

@@ -36,10 +36,9 @@ from dtdist import (
     gen_target,
     infest,
     learn_distribution_result,
-    lift_learn,
+    lift_learn_result,
     make_exhaustive_tree_learner,
     make_labeled_source,
-    scale_to_restriction,
     subcube_weight,
     tree_to_dense,
     tv_distance,
@@ -168,7 +167,7 @@ def test_criterion_7_scaling_identity():
         )
         w = subcube_weight(dense, s)
         lhs = exact_influence(dense, i, s)
-        rhs = scale_to_restriction(exact_conditional_influence(dense, i, s), s, w)
+        rhs = 2.0 ** len(s) * w * exact_conditional_influence(dense, i, s)
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-9
     record(7, ok, f"restricted influence equals scaled conditional influence on "
@@ -236,7 +235,7 @@ def test_criterion_10_budget_conformance():
     over = [s for s in stats if s[1] > call_count_bound(s[3], s[2])]
     calls_ok = not over
 
-    # lift_learn wall time should grow at most linearly in the sample size
+    # lift_learn_result wall time should grow at most linearly in the sample size
     quarter = 0.25 / 2 ** 8
     tree = DistTree(
         10,
@@ -254,12 +253,12 @@ def test_criterion_10_budget_conformance():
     times = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        lift_learn(tree, learner, samples[sizes[0]])  # warmup
+        lift_learn_result(tree, learner, samples[sizes[0]])  # warmup
         for size in sizes:
             runs = []
             for _ in range(3):
                 t0 = time.perf_counter()
-                lift_learn(tree, learner, samples[size])
+                lift_learn_result(tree, learner, samples[size])
                 runs.append(time.perf_counter() - t0)
             times[size] = sorted(runs)[1]
     timing_ok = True

@@ -1,11 +1,15 @@
 """The package's public surface, pinned.
 
 A new export, budget field, search knob or learn parameter fails here,
-so that it shows up in review as a deliberate edit of these lists.
+so that it shows up in review as a deliberate edit of these lists.  The
+README's python blocks run here too, so its quick start cannot call a
+name the package no longer has.
 """
 
 import dataclasses
 import inspect
+import pathlib
+import re
 
 import dtdist
 
@@ -28,14 +32,12 @@ EXPORTS = [
     "exhaustive_tree_learn", "gen_dt_dist", "gen_monotone_dist", "gen_target",
     "hypothesis_from_json", "index_to_point", "infest", "infest_repetitions",
     "infest_sample_count", "influence", "is_monotone_dense", "json_dumps",
-    "learn_distribution", "learn_distribution_result", "lift", "lift_learn",
-    "lift_learn_result", "load_json", "low_degree_learn",
-    "make_exhaustive_tree_learner", "make_labeled_source",
-    "make_low_degree_learner", "naive_total_influence", "point_index",
-    "points_to_indices", "required_sample_size", "restrict_dist", "save_json",
-    "scale_to_restriction", "split_and_rerandomize", "stream", "subcube_weight",
-    "testbed", "tree_to_dense", "tv_distance", "uniform_dense", "uniform_error",
-    "uniform_tree", "weighting_table",
+    "learn_distribution_result", "lift", "lift_learn_result", "load_json",
+    "low_degree_learn", "make_exhaustive_tree_learner", "make_labeled_source",
+    "make_low_degree_learner", "naive_total_influence", "points_to_indices",
+    "required_sample_size", "restrict_dist", "save_json", "split_and_rerandomize",
+    "stream", "subcube_weight", "testbed", "tree_to_dense", "tv_distance",
+    "uniform_dense", "uniform_tree", "weighting_table",
 ]
 
 
@@ -82,6 +84,17 @@ def test_restriction_attributes():
 
 def test_dist_tree_attributes():
     assert _public(dtdist.uniform_tree(2)) == [
-        "conditional_masses", "depth", "eval", "eval_batch", "from_json_dict",
+        "conditional_masses", "depth", "eval_batch", "from_json_dict",
         "leaf_index_batch", "leaves", "n", "root", "to_json_dict",
     ]
+
+
+def test_readme_python_blocks_run():
+    # the quick start calls only public names; its blocks share one
+    # namespace, as a reader pasting them in order would
+    text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

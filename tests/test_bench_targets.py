@@ -8,6 +8,7 @@ only show when the benchmark runs.  bench/ is imported and run, not
 changed.
 """
 
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -18,6 +19,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
+import harness  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -45,3 +47,15 @@ def test_traced_smoke_run_fires_expected_spans(name):
     )
     assert proc.returncode == 0, proc.stderr[-600:]
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"]
+
+
+def test_item_time_outside_entry_points_stays_small():
+    # a full traced run fails when more than UNATTRIBUTED_MAX of the item
+    # time is in no wrapped entry point, a check --smoke runs skip; 40
+    # full-size learn-exact items (under a second) keep half that limit
+    w = workloads.WORKLOADS["learn-exact"]
+    size = dataclasses.replace(w.size, items=40)
+    tracer = spans.Tracer("dtdist")
+    harness.run_round(w, size, workloads.make_items(w, size, 1), 1, 0, tracer)
+    item = tracer.table(lambda tid: tid is not None)["bench.item"]
+    assert item["self_s"] <= harness.UNATTRIBUTED_MAX / 2 * item["s"], item

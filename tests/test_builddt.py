@@ -26,8 +26,8 @@ from dtdist import (
     default_leaf_sample_count,
     default_tau,
     derive_seed,
-    learn_distribution,
     learn_distribution_result,
+    stream,
     tree_to_dense,
     tv_distance,
     uniform_dense,
@@ -218,10 +218,14 @@ def test_stats_and_query_accounting():
     assert set(res.oracle_queries) == {"SAMPLE", "SUBCUBE_SAMPLE", "EXACT_PMF"}
 
 
-def test_learn_distribution_returns_tree(e2_dense):
-    o = DistOracle.exact(e2_dense, seed=1)
-    t = learn_distribution(o, 2, 0.2, 0.1, "exact")
-    assert tv_distance(tree_to_dense(t), e2_dense) <= ATOL
+def test_exact_search_leaves_the_generator_unbuilt(e2_dense):
+    # an exact search never draws, so it does not pay for seeding the
+    # oracle's generator; the stream is unchanged when it is built later
+    o = DistOracle.exact(e2_dense, seed=3)
+    learn_distribution_result(o, 2, 0.2, 0.1, "exact")
+    assert o._rng is None
+    assert o.rng is o.rng
+    assert o.rng.random() == stream(3, "oracle").random()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import hashlib
 import io
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -657,7 +658,7 @@ def malformed_dist_texts(draw):
 def malformed_restrictions(draw):
     """A --restrict string with out-of-range or repeated coordinates or
     bad signs (n=2)."""
-    coord = st.integers(-3, 5) | st.sampled_from([64, 10**6])
+    coord = st.integers(-3, 5) | st.sampled_from([64, 10**6, 10**12])
     sign = st.sampled_from(["+1", "-1", "1", "+2", "0", "x", "", "1.0", "++1", "+1=1"])
     parts = draw(st.lists(st.tuples(coord, sign), min_size=1, max_size=3))
     if draw(st.booleans()):
@@ -719,4 +720,59 @@ def test_generated_bad_restrictions_exit_two(tmp_path_factory, text, coord):
     code, err = run_door(["estimate-influence", "--dist", good, "--coord", str(coord),
                           f"--restrict={text}", "--eps", "0.3"])
     assert code in (0, 2), (text, code, err)
+    assert "Traceback" not in err
+
+
+def test_huge_restriction_coordinate_is_refused_in_small_memory(tmp_path_factory):
+    # a restriction's mask sets bit i, so coordinate 10^12 would ask for
+    # 125 GB were it built before the range check
+    _, good, _ = _door_files(tmp_path_factory)
+    tracemalloc.start()
+    try:
+        code, err = run_door(["estimate-influence", "--dist", good, "--coord", "0",
+                              "--restrict", f"{10**12}=+1", "--eps", "0.3"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "out of range" in err
+    assert peak < 1 << 20
+
+
+# values a JSON target table can hold where a 0/1 label belongs
+_NOT_LABELS = [True, False, 1.0, 0.0, 2, -1, 10**400, float("nan"), "1", "x", None,
+               [1], [[0]], {}]
+
+
+@st.composite
+def malformed_target_texts(draw):
+    """The text of a --target file that holds no 0/1 label table of the
+    dist's 2^n entries (n=2)."""
+    kind = draw(st.sampled_from(["json", "length", "label"]))
+    if kind == "json":
+        return draw(st.sampled_from(["", "{not json", "[0, 1", "null", "[]", "3", '"table"',
+                                     "[0, 1, 1, 0]", '{"n": 2}', '{"labels": [0, 1, 1, 0]}',
+                                     '{"table": {"n": 2}}', '{"table": "0110"}',
+                                     '{"table": null}']) | st.text(max_size=12))
+    labels = [0, 1, 1, 0]
+    if kind == "length":
+        labels = draw(st.lists(st.sampled_from([0, 1]), max_size=9).filter(lambda v: len(v) != 4))
+    else:
+        labels[draw(st.integers(0, 3))] = draw(st.sampled_from(_NOT_LABELS))
+    return json.dumps({"n": 2, "table": labels})
+
+
+@settings(max_examples=25, deadline=None)
+@given(text=malformed_target_texts())
+@example(text=json.dumps({"n": 2, "table": [0, 1, True, 0]}))
+@example(text=json.dumps({"n": 2, "table": [0, 1, 1.0, 0]}))
+@example(text=json.dumps({"n": 2, "table": [0, 10**400, 1, 0]}))
+@example(text=json.dumps({"n": 2, "table": [[0], 1, 1, 0]}))
+def test_generated_bad_target_files_exit_two(tmp_path_factory, text):
+    root, good, _ = _door_files(tmp_path_factory)
+    path = root / "bad_target.json"
+    path.write_text(text)
+    code, err = run_door(["lift", "--dist", good, "--target", str(path), "--learner", "tree:1",
+                          "--depth", "1", "--eps", "0.3"])
+    # every text is malformed by construction, so none may run
+    assert code == 2, (text, code, err)
     assert "Traceback" not in err

@@ -35,7 +35,6 @@ from dtdist import (
     index_to_point,
     json_dumps,
     load_json,
-    point_index,
     points_to_indices,
     restrict_dist,
     save_json,
@@ -59,7 +58,7 @@ def test_point_index_roundtrip():
     n = 6
     for idx in range(1 << n):
         x = index_to_point(idx, n)
-        assert point_index(x) == idx
+        assert points_to_indices(x[None, :]).tolist() == [idx]
         assert tuple(x) == O.index_point(idx, n)
 
 
@@ -202,14 +201,13 @@ def test_restriction_entry_points_reject_coordinate_past_n(entry):
 def test_uniform_tree_eval():
     t = uniform_tree(5)
     assert t.depth() == 0
-    for x in all_points(5)[:3]:
-        assert t.eval(x) == pytest.approx(2.0 ** -5, abs=ATOL)
+    assert t.eval_batch(all_points(5)[:3]) == pytest.approx([2.0 ** -5] * 3, abs=ATOL)
 
 
 def test_e2_tree_eval(e2_tree):
-    assert e2_tree.eval((1, 1)) == pytest.approx(0.5, abs=ATOL)
-    assert e2_tree.eval((-1, -1)) == pytest.approx(0.125, abs=ATOL)
-    got = [e2_tree.eval(O.index_point(i, 2)) for i in range(4)]
+    X = np.array([(1, 1), (-1, -1)], dtype=np.int8)
+    assert e2_tree.eval_batch(X) == pytest.approx([0.5, 0.125], abs=ATOL)
+    got = e2_tree.eval_batch(np.array([O.index_point(i, 2) for i in range(4)], dtype=np.int8))
     assert got == pytest.approx(E2_TABLE, abs=ATOL)
 
 
@@ -363,11 +361,11 @@ def test_dense_validation():
 
 def test_weighting_values(e2_dense):
     table = weighting_table(e2_dense)
-    assert table[point_index((1, 1))] == pytest.approx(2.0, abs=ATOL)
-    assert table[point_index((-1, 1))] == pytest.approx(0.5, abs=ATOL)
+    idx = points_to_indices(np.array([(1, 1), (-1, 1)], dtype=np.int8))
+    assert table[idx] == pytest.approx([2.0, 0.5], abs=ATOL)
     assert table == pytest.approx(E2_EXPECTED["weighting"], abs=ATOL)
     u = uniform_dense(5)
-    assert weighting_table(u)[point_index(all_points(5)[17])] == pytest.approx(1.0, abs=ATOL)
+    assert weighting_table(u)[17] == pytest.approx(1.0, abs=ATOL)
     # uniform average of the weighting is exactly 1 for any distribution
     assert weighting_table(e2_dense).mean() == pytest.approx(1.0, abs=ATOL)
 
@@ -416,7 +414,7 @@ def test_restrict_zero_weight_raises():
 def test_tree_dense_conversions(e2_tree, e2_dense):
     assert tv_distance(tree_to_dense(e2_tree), e2_dense) == pytest.approx(0.0, abs=ATOL)
     t = dense_to_tree(e2_dense)
-    got = [t.eval(O.index_point(i, 2)) for i in range(4)]
+    got = t.eval_batch(np.array([O.index_point(i, 2) for i in range(4)], dtype=np.int8))
     assert got == pytest.approx(E2_TABLE, abs=ATOL)
     assert tv_distance(tree_to_dense(t), e2_dense) <= 1e-12
     assert dense_to_tree(uniform_dense(4)).depth() == 0
@@ -569,13 +567,14 @@ def test_mode_gating(e2_dense):
     plain = DistOracle.sampler(e2_dense, seed=1)
     with pytest.raises(OracleModeError):
         plain.subcube_sample_batch(Restriction.of((0, 1)), 2)
+    x = np.array([(1, 1)], dtype=np.int8)
     with pytest.raises(OracleModeError):
-        plain.pmf((1, 1))
+        plain.pmf_batch(x)
     sub = DistOracle.subcube(e2_dense, seed=1)
     with pytest.raises(OracleModeError):
-        sub.pmf((1, 1))
+        sub.pmf_batch(x)
     exact = DistOracle.exact(e2_dense, seed=1)
-    assert exact.pmf((1, 1)) == pytest.approx(0.5, abs=ATOL)
+    assert exact.pmf_batch(x) == pytest.approx([0.5], abs=ATOL)
     # exact grants the lower modes too
     exact.sample_batch(3)
     exact.subcube_sample_batch(Restriction.of((0, 1)), 3)
@@ -593,7 +592,7 @@ def test_stream_backing_grants_sample_only(mode):
 def test_query_accounting(e2_dense):
     o = DistOracle.subcube(e2_dense, seed=9)
     o.sample_batch(10)
-    o.sample()
+    o.sample_batch(1)
     o.subcube_sample_batch(Restriction.of((0, 1)), 5)
     assert o.query_count[OracleMode.SAMPLE] == 11
     assert o.query_count[OracleMode.SUBCUBE_SAMPLE] == 5

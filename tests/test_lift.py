@@ -39,7 +39,6 @@ from dtdist import (
     hypothesis_from_json,
     index_to_point,
     json_dumps,
-    lift_learn,
     lift_learn_result,
     low_degree_learn,
     make_exhaustive_tree_learner,
@@ -51,7 +50,6 @@ from dtdist import (
     stream,
     tree_to_dense,
     uniform_dense,
-    uniform_error,
     uniform_tree,
 )
 from dtdist.testbed import gen_dt_dist, gen_target
@@ -92,7 +90,6 @@ def test_constant_hypothesis():
     h = ConstantHypothesis(1)
     X = all_points(3)
     assert h.predict_batch(X).tolist() == [1] * 8
-    assert h.predict([-1, -1, -1]) == 1
     assert h.to_json_dict() == {"kind": "const", "value": 1}
 
 
@@ -330,8 +327,9 @@ def test_lift_constant_target_zero_error():
     target = np.ones(1 << 4, dtype=np.uint8)
     sample = make_labeled_source(oracle, target)(500)
     with pytest.warns(UserWarning):
-        hyp = lift_learn(inst.tree, majority_learner(), sample, stream(2, "lift"))
-    assert uniform_error(hyp, target) == 0.0
+        report = lift_learn_result(inst.tree, majority_learner(), sample, stream(2, "lift"))
+    hyp = report.hypothesis
+    assert dist_error(hyp, target, uniform_dense(4)) == 0.0
     assert dist_error(hyp, target, inst.dense) == 0.0
 
 
@@ -355,7 +353,7 @@ def test_lift_records_leaf_errors(e2_tree):
     report = lift_learn_result(e2_tree, bad, sample, rng, eps=0.5, delta=0.5)
     assert [r.status for r in report.leaf_records] == ["error"] * 3
     assert "RuntimeError" in report.leaf_records[0].detail
-    assert report.hypothesis.predict([1, 1]) == 0
+    assert report.hypothesis.predict_batch(all_points(2)).tolist() == [0] * 4
     # per-record bookkeeping
     assert [r.leaf for r in report.leaf_records] == [0, 1, 2]
     assert report.leaf_records[1].restriction == "0=+1,1=-1"
@@ -440,7 +438,7 @@ def test_boost_perfect_learner_stays_perfect():
     rng = stream(31, "boost")
     sample = labeled_uniform(target, 5, boosted.m, rng)
     hyp = boosted.learn(sample)
-    assert uniform_error(hyp, target) == 0.0
+    assert dist_error(hyp, target, uniform_dense(5)) == 0.0
 
 
 def test_boost_insufficient_sample_raises():
@@ -458,12 +456,13 @@ def test_boost_drives_failure_rate_down():
     base = make_exhaustive_tree_learner(8, 2, eps=0.4, delta=0.5)
     boosted = boost(base, 0.01)
     rng = stream(47, "boost-rate")
+    uniform = uniform_dense(8)
     failures = 0
     for trial in range(30):
         target = gen_target(8, "depth:2", seed=300 + trial)
         sample = labeled_uniform(target, 8, boosted.m, rng)
         hyp = boosted.learn(sample)
-        if uniform_error(hyp, target) > boosted.eps:
+        if dist_error(hyp, target, uniform) > boosted.eps:
             failures += 1
     assert failures <= 2
 
@@ -497,7 +496,6 @@ def test_learner_budget_formulas():
         (math.log(COUNT_DEPTH_TREES_10_2) + math.log(1 / 0.0125)) / 0.04
     )
     assert tl.m == want
-    assert tl.c == 3.0 * tl.m  # default robustness constant
     terms = 1 + 10 + 45
     ll = make_low_degree_learner(10, 2, eps=0.1, delta=0.1)
     assert ll.m == math.ceil(4.0 * terms * math.log(4.0 * terms / 0.1) / 0.1)
@@ -507,7 +505,7 @@ def test_exhaustive_tree_recovers_depth1():
     target = coord_table(6, 3)
     sample = labeled_uniform(target, 6, 1000, stream(12, "erm"))
     hyp = exhaustive_tree_learn(sample, 1)
-    assert uniform_error(hyp, target) == 0.0
+    assert dist_error(hyp, target, uniform_dense(6)) == 0.0
     assert hyp.tree_encoding == (1, 3, (0, 0), (0, 1))
 
 
@@ -516,7 +514,7 @@ def test_exhaustive_tree_parity_two():
     target = ((pts[:, 1] * pts[:, 4]) < 0).astype(np.uint8)
     sample = labeled_uniform(target, 8, 10_000, stream(13, "erm"))
     hyp = exhaustive_tree_learn(sample, 2)
-    assert uniform_error(hyp, target) <= 0.05
+    assert dist_error(hyp, target, uniform_dense(8)) <= 0.05
 
 
 def test_exhaustive_tree_survives_label_noise():
@@ -526,7 +524,7 @@ def test_exhaustive_tree_survives_label_noise():
     flips = rng.random(len(sample)) < 0.05
     noisy = LabeledSample(sample.X, sample.y ^ flips.astype(np.uint8))
     hyp = exhaustive_tree_learn(noisy, 2)
-    assert uniform_error(hyp, target) <= 0.07
+    assert dist_error(hyp, target, uniform_dense(8)) <= 0.07
 
 
 def test_exhaustive_tree_all_zero_labels():
@@ -623,7 +621,7 @@ def test_exhaustive_tree_memory_at_limit():
         tracemalloc.stop()
     assert peak <= 32 << 20
     target = (all_points(16)[:, [2, 11, 15]].prod(axis=1) < 0).astype(np.uint8)
-    assert uniform_error(hyp, target) == 0.0
+    assert dist_error(hyp, target, uniform_dense(16)) == 0.0
 
 
 def test_exhaustive_tree_empty_and_zero_dimensional():
@@ -648,7 +646,7 @@ def test_low_degree_dictator():
     target = coord_table(6, 2)
     sample = labeled_uniform(target, 6, 10_000, stream(17, "ld"))
     hyp = low_degree_learn(sample, 1)
-    assert uniform_error(hyp, target) == 0.0
+    assert dist_error(hyp, target, uniform_dense(6)) == 0.0
 
 
 def test_low_degree_parity_two():
@@ -656,14 +654,15 @@ def test_low_degree_parity_two():
     target = ((pts[:, 1] * pts[:, 4]) < 0).astype(np.uint8)
     sample = labeled_uniform(target, 8, 10_000, stream(18, "ld"))
     hyp = low_degree_learn(sample, 2)
-    assert uniform_error(hyp, target) <= 0.05
+    assert dist_error(hyp, target, uniform_dense(8)) <= 0.05
 
 
 def test_low_degree_constant_and_empty():
     ones = labeled_uniform(np.ones(8, dtype=np.uint8), 3, 500, stream(19, "ld"))
-    assert uniform_error(low_degree_learn(ones, 2), np.ones(8, dtype=np.uint8)) == 0.0
+    uniform = uniform_dense(3)
+    assert dist_error(low_degree_learn(ones, 2), np.ones(8, dtype=np.uint8), uniform) == 0.0
     zeros = labeled_uniform(np.zeros(8, dtype=np.uint8), 3, 500, stream(20, "ld"))
-    assert uniform_error(low_degree_learn(zeros, 2), np.zeros(8, dtype=np.uint8)) == 0.0
+    assert dist_error(low_degree_learn(zeros, 2), np.zeros(8, dtype=np.uint8), uniform) == 0.0
     empty = LabeledSample(np.zeros((0, 3), dtype=np.int8), np.zeros(0, dtype=np.uint8))
     hyp = low_degree_learn(empty, 1)
     assert isinstance(hyp, ConstantHypothesis) and hyp.value == 0
@@ -683,17 +682,15 @@ def test_low_degree_noise_floor_kills_spurious_terms():
 # evaluation helpers
 
 
-def test_uniform_error_counts_mismatches():
-    target = np.zeros(8, dtype=np.uint8)
-    target[[1, 5, 6]] = 1
-    assert uniform_error(ConstantHypothesis(0), target) == pytest.approx(3 / 8)
-    assert uniform_error(ConstantHypothesis(1), target) == pytest.approx(5 / 8)
-
-
 def test_dist_error_weighs_by_mass(e2_dense):
     target = np.array([0, 1, 0, 1], dtype=np.uint8)
     assert dist_error(ConstantHypothesis(0), target, e2_dense) == pytest.approx(0.75)
     assert dist_error(ConstantHypothesis(1), target, e2_dense) == pytest.approx(0.25)
+    # under the uniform pmf each mismatch weighs exactly 2^-n
+    target = np.zeros(8, dtype=np.uint8)
+    target[[1, 5, 6]] = 1
+    assert dist_error(ConstantHypothesis(0), target, uniform_dense(3)) == 3 / 8
+    assert dist_error(ConstantHypothesis(1), target, uniform_dense(3)) == 5 / 8
 
 
 def test_make_labeled_source(e2_dense):
