@@ -686,6 +686,9 @@ def test_dist_error_weighs_by_mass(e2_dense):
     target = np.array([0, 1, 0, 1], dtype=np.uint8)
     assert dist_error(ConstantHypothesis(0), target, e2_dense) == pytest.approx(0.75)
     assert dist_error(ConstantHypothesis(1), target, e2_dense) == pytest.approx(0.25)
+
+
+def test_uniform_error_counts_mismatches():
     # under the uniform pmf each mismatch weighs exactly 2^-n
     target = np.zeros(8, dtype=np.uint8)
     target[[1, 5, 6]] = 1
