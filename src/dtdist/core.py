@@ -61,10 +61,19 @@ def all_points(n: int) -> np.ndarray:
     return got
 
 
+# rows per block in points_to_indices: its int64 bit matrix stays one block
+# instead of 8n bytes per point (172 MB for 2M points at n=10, which the
+# blocks also index in about half the time)
+_INDEX_BLOCK = 1 << 13
+
+
 def points_to_indices(X: np.ndarray) -> np.ndarray:
     """Dense-table indices for a (k, n) batch of points."""
-    bits = (X > 0).astype(np.int64)
-    return bits @ (np.int64(1) << np.arange(X.shape[1], dtype=np.int64))
+    weights = np.int64(1) << np.arange(X.shape[1], dtype=np.int64)
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for lo in range(0, X.shape[0], _INDEX_BLOCK):
+        out[lo:lo + _INDEX_BLOCK] = (X[lo:lo + _INDEX_BLOCK] > 0).astype(np.int64) @ weights
+    return out
 
 
 def index_to_point(idx, n: int) -> np.ndarray:
@@ -203,6 +212,18 @@ def _nonneg_int(value, what: str, error) -> int:
     return int(value)
 
 
+def _children(flat, j, rows, hi_sel) -> list:
+    """(child, rows) for the children of internal node j of a flattened
+    tree that receive rows, lo first so that a stack pops hi first; rows
+    None stands for every row, hi_sel is the mask over rows taking hi."""
+    out = []
+    for child, sel in ((flat["lo"][j], ~hi_sel), (flat["hi"][j], hi_sel)):
+        pos = np.flatnonzero(sel)
+        if pos.size:
+            out.append((child, pos if rows is None else rows[pos]))
+    return out
+
+
 class DistTree:
     """Depth-d decision tree computing a pmf on {-1,+1}^n.
 
@@ -318,17 +339,24 @@ class DistTree:
     def _route(self, X: np.ndarray) -> np.ndarray:
         """Preorder node id of the leaf each row of X reaches.
 
-        Level-synchronous: every row takes one step per tree level, and a
-        leaf is its own child, so rows that reach a leaf early stay put
-        (they read column -1, which both branches ignore).
+        The rows are partitioned down the tree depth first, as the tree
+        sampler draws them: one read of the split's column per internal
+        node that some row reaches, a plain column at the root and a
+        gather of the node's rows below it.
         """
         if X.shape[1] != self.n:
             raise DimensionMismatchError(f"points have {X.shape[1]} coords, tree has {self.n}")
         f = self._flatten()
-        rows = np.arange(X.shape[0])
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        for _ in range(self.depth()):
-            node = np.where(X[rows, f["var"][node]] > 0, f["hi"][node], f["lo"][node])
+        node = np.empty(X.shape[0], dtype=np.int64)
+        todo = [(0, None)]  # None stands for every row
+        while todo:
+            j, rows = todo.pop()
+            at = slice(None) if rows is None else rows
+            v = f["var"][j]
+            if v < 0:
+                node[at] = j
+                continue
+            todo += _children(f, j, rows, X[at, v] > 0)
         return node
 
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
@@ -729,15 +757,14 @@ class DistOracle:
         if cm[0] <= 0.0:
             raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
         f = t._flatten()
-        bits = self.rng.integers(0, 2, size=(k, self.n), dtype=np.int8)
-        X = (2 * bits - 1).astype(np.int8)
+        X = self.rng.integers(0, 2, size=(k, self.n), dtype=np.int8)
+        X *= 2
+        X -= 1
         for i, b in s.pairs:
             X[:, i] = b
-        todo = [(0, np.arange(k))]
+        todo = [(0, None)]  # None stands for every row
         while todo:
             j, rows = todo.pop()
-            if rows.size == 0:
-                continue
             v = int(f["var"][j])
             if v < 0:
                 continue
@@ -747,11 +774,10 @@ class DistOracle:
                 continue
             mlo, mhi = cm[f["lo"][j]], cm[f["hi"][j]]
             p_hi = mhi / (mlo + mhi)
-            hi_sel = self.rng.random(rows.size) < p_hi
-            X[rows[hi_sel], v] = 1
-            X[rows[~hi_sel], v] = -1
-            todo.append((f["lo"][j], rows[~hi_sel]))
-            todo.append((f["hi"][j], rows[hi_sel]))
+            hi_sel = self.rng.random(k if rows is None else rows.size) < p_hi
+            # one write of the split's column: plain at the root, a scatter below
+            X[slice(None) if rows is None else rows, v] = np.where(hi_sel, np.int8(1), np.int8(-1))
+            todo += _children(f, j, rows, hi_sel)
         return X
 
     def _draw_dense(self, s: Restriction, k: int) -> np.ndarray:

@@ -28,42 +28,82 @@ from .core import (
     Leaf,
     _nonneg_int,
     all_points,
+    index_to_point,
     points_to_indices,
 )
 from .errors import BudgetExceededError, ConfigError, DimensionMismatchError, InvalidTreeError
 from .builddt import LearnResult, learn_distribution_result
+
+# widest cube whose dense-table indices are nonnegative int64s
+_MAX_INDEX_N = 63
 
 
 # ---------------------------------------------------------------------------
 # samples and hypotheses
 
 
-@dataclass
 class LabeledSample:
-    """Points with {0,1} labels."""
+    """Points with {0,1} labels.
 
-    X: np.ndarray
-    y: np.ndarray
+    X is a (rows, n) int8 matrix of -1/+1 entries and y the rows' uint8
+    labels; any other entry in either raises ValueError before the cast.
+    The lift also reads each point as its dense-table index, one int64
+    per point beside X, computed on first use and then reused: the parts
+    split_and_rerandomize builds hold only indices and labels, and
+    materialize X when a learner first reads it.
+    """
 
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.int8)
-        self.y = np.asarray(self.y, dtype=np.uint8)
-        if self.X.ndim != 2 or self.y.shape != (self.X.shape[0],):
-            raise DimensionMismatchError(
-                f"sample shapes {self.X.shape} / {self.y.shape} do not align"
-            )
-        if self.y.size and self.y.max() > 1:
+    def __init__(self, X, y):
+        X, y = np.asarray(X), np.asarray(y)
+        if X.ndim != 2 or y.shape != (X.shape[0],):
+            raise DimensionMismatchError(f"sample shapes {X.shape} / {y.shape} do not align")
+        if not ((X == 1) | (X == -1)).all():
+            raise ValueError("point entries must be -1 or +1")
+        if not ((y == 0) | (y == 1)).all():
             raise ValueError("labels must be 0 or 1")
+        self._X = np.asarray(X, dtype=np.int8)
+        self.y = np.asarray(y, dtype=np.uint8)
+        self._n = X.shape[1]
+        self._idx = None
+
+    @classmethod
+    def _of(cls, n: int, y: np.ndarray, X=None, idx=None) -> "LabeledSample":
+        """A sample from parts already valid, X or indices or both; unchecked."""
+        self = cls.__new__(cls)
+        self._X, self.y, self._n, self._idx = X, y, n, idx
+        return self
+
+    @property
+    def X(self) -> np.ndarray:
+        if self._X is None:
+            self._X = index_to_point(self._idx, self._n)
+        return self._X
+
+    def _index(self) -> np.ndarray:
+        """Dense-table index of each point (int64), computed once."""
+        if self._idx is None:
+            if self._n > _MAX_INDEX_N:
+                raise ConfigError(
+                    f"the lift holds a point as one int64 index, so n <= {_MAX_INDEX_N}; "
+                    f"got n={self._n}"
+                )
+            self._idx = points_to_indices(self._X)
+        return self._idx
 
     @property
     def n(self) -> int:
-        return self.X.shape[1]
+        return self._n
 
     def __len__(self) -> int:
-        return self.X.shape[0]
+        return self.y.shape[0]
 
     def subset(self, idx) -> "LabeledSample":
-        return LabeledSample(self.X[idx], self.y[idx])
+        return LabeledSample._of(
+            self._n,
+            self.y[idx],
+            None if self._X is None else self._X[idx],
+            None if self._idx is None else self._idx[idx],
+        )
 
 
 class Hypothesis:
@@ -239,19 +279,29 @@ def split_and_rerandomize(
     coordinates are rerandomized.  Labels ride along untouched (the
     rerandomized coordinates are exactly the ones the leaf's restriction
     had fixed, which the conditional target does not read).
+
+    The rows are routed once; each part is then built from the sample's
+    dense-table indices alone, its path bits rewritten in place as
+    (idx & ~mask) | packed bits, one int64 per point and no copy of the
+    point matrix.  The bits come from one (rows, path length) int8 draw
+    of rng per nonempty leaf with a path, in preorder, column p for the
+    leaf's p-th path coordinate and bit 1 for +1.
     """
     if sample.n != t.n:
         raise DimensionMismatchError(f"sample n={sample.n}, tree n={t.n}")
     ords = t.leaf_index_batch(sample.X)
+    idx = sample._index()
     parts = []
     for j, (restriction, _) in enumerate(t.leaves()):
         rows = np.flatnonzero(ords == j)
-        Xl = np.array(sample.X[rows], copy=True)
-        coords = list(restriction.coords())
+        part = idx[rows]
+        coords = restriction.coords()
         if coords and rows.size:
             bits = rng.integers(0, 2, size=(rows.size, len(coords)), dtype=np.int8)
-            Xl[:, coords] = 2 * bits - 1
-        parts.append(LabeledSample(Xl, sample.y[rows]))
+            part &= ~restriction.mask
+            for p, i in enumerate(coords):
+                part |= bits[:, p].astype(np.int64) << i
+        parts.append(LabeledSample._of(t.n, sample.y[rows], idx=part))
     return parts
 
 
@@ -418,9 +468,12 @@ def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
     transient memory is O(u * n) floats.  C_{j-1} is C_j summed over the
     two literals of coordinate 0.  A tuple's leaf error is min(zeros,
     ones); its split error on v is E_{j+1}[.., 2v] + E_{j+1}[.., 2v + 1],
-    barred when v is on the path.  Time is one O(N * n) pass, then
+    barred when v is on the path.  The draws are counted by the sample's
+    dense-table indices, cell = idx * 2 + label: a part that
+    split_and_rerandomize built already holds them, and any other sample
+    computes them once, in O(N * n).  Then time is O(N) for the bincount,
     O(u * (2n)^depth) for the counts and O(n * (2n)^depth) for the
-    program; nothing grows with 2^n apart from one bincount and the
+    program; nothing grows with 2^n apart from the bincount and the
     returned truth table.
 
     Among minimizers the lexicographically least encoding wins, where a
@@ -434,7 +487,7 @@ def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
         raise ConfigError(f"tree depth must be >= 0, got {k}")
     if k > 3 or n > 16:
         raise BudgetExceededError(f"exhaustive search capped at k<=3, n<=16; got k={k}, n={n}")
-    cell = points_to_indices(sample.X) * 2 + sample.y
+    cell = sample._index() * 2 + sample.y
     cnt = np.bincount(cell, minlength=2 << n).reshape(-1, 2)
     pts = np.flatnonzero(cnt.any(axis=1))
     w = cnt[pts].astype(np.float64)  # (u, 2) label counts per distinct point
@@ -530,7 +583,10 @@ def make_labeled_source(d_oracle: DistOracle, target_table: np.ndarray) -> Calla
 
     def source(k: int) -> LabeledSample:
         X = d_oracle.sample_batch(k)
-        return LabeledSample(X, target_table[points_to_indices(X)])
+        idx = points_to_indices(X)
+        sample = LabeledSample(X, target_table[idx])
+        sample._idx = idx  # the lift reuses it to split and to learn
+        return sample
 
     return source
 

@@ -5,11 +5,13 @@ and bit arithmetic, deliberately avoiding the library's vectorized code
 paths, so agreement between the two is meaningful.  The exceptions are
 tree_erm, the row-mask search exhaustive_tree_learn used before it
 moved to a count cube, two_point_fractions, the flipped-copy two-point
-kernel used before it moved to point indices, and the tree walks
+kernel used before it moved to point indices, the tree walks
 tree_leaves, tree_depth and conditional_masses, which DistTree ran
 before its validation walk recorded the depth and one flattening walk
-the leaves; each is kept as the reference for its rewrite.  Index convention: bit i of a dense index
-is 1 exactly when coordinate i equals +1.
+the leaves, and draw_tree and split_rows, the tree sampler and the lift's
+split as they ran on point rows; each is kept as the reference for its
+rewrite.  Index convention: bit i of a dense index is 1 exactly when
+coordinate i equals +1.
 """
 
 import math
@@ -290,3 +292,61 @@ def conditional_masses(node, n, fixed):
 
     rec(node, 0, 0, True)
     return out
+
+
+def draw_tree(oracle, s, k):
+    """DistOracle._draw_tree as it ran before it wrote each split's column
+    once: k uniform rows from the oracle's generator as 2 * bits - 1 through
+    an int8 copy, s pinned, then a depth-first walk (hi subtree popped
+    first) drawing one uniform per row at each free split and writing the
+    +1 rows and the -1 rows in two fancy writes.  Returns the (k, n) int8
+    points, or raises ZeroWeightSubcubeError for a massless s."""
+    from dtdist import ZeroWeightSubcubeError
+
+    t = oracle.backing
+    cm = t.conditional_masses(s)
+    if cm[0] <= 0.0:
+        raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
+    f = t._flatten()
+    bits = oracle.rng.integers(0, 2, size=(k, oracle.n), dtype=np.int8)
+    X = (2 * bits - 1).astype(np.int8)
+    for i, b in s.pairs:
+        X[:, i] = b
+    todo = [(0, np.arange(k))]
+    while todo:
+        j, rows = todo.pop()
+        if rows.size == 0:
+            continue
+        v = int(f["var"][j])
+        if v < 0:
+            continue
+        if s.mask >> v & 1:
+            child = f["hi"][j] if s.bits >> v & 1 else f["lo"][j]
+            todo.append((child, rows))
+            continue
+        mlo, mhi = cm[f["lo"][j]], cm[f["hi"][j]]
+        hi_sel = oracle.rng.random(rows.size) < mhi / (mlo + mhi)
+        X[rows[hi_sel], v] = 1
+        X[rows[~hi_sel], v] = -1
+        todo.append((f["lo"][j], rows[~hi_sel]))
+        todo.append((f["hi"][j], rows[hi_sel]))
+    return X
+
+
+def split_rows(t, X, y, rng):
+    """split_and_rerandomize as it ran on point rows before it moved to
+    dense-table indices: route X, copy each leaf's rows and overwrite the
+    path columns with 2 * bits - 1 from one rng.integers(0, 2, (rows, path
+    length), int8) draw per nonempty leaf with a path.  Returns one
+    (points, labels) pair per leaf, in preorder."""
+    ords = t.leaf_index_batch(X)
+    parts = []
+    for j, (restriction, _) in enumerate(t.leaves()):
+        rows = np.flatnonzero(ords == j)
+        Xl = np.array(X[rows], copy=True)
+        coords = list(restriction.coords())
+        if coords and rows.size:
+            bits = rng.integers(0, 2, size=(rows.size, len(coords)), dtype=np.int8)
+            Xl[:, coords] = 2 * bits - 1
+        parts.append((Xl, y[rows]))
+    return parts

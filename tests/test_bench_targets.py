@@ -49,12 +49,17 @@ def test_traced_smoke_run_fires_expected_spans(name):
     assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"]
 
 
-def test_item_time_outside_entry_points_stays_small():
+# full-size items per traced round: under a second of items each
+TRACED_ITEMS = {"learn-exact": 40, "lift": 5}
+
+
+@pytest.mark.parametrize("name", sorted(TRACED_ITEMS))
+def test_item_time_outside_entry_points_stays_small(name):
     # a full traced run fails when more than UNATTRIBUTED_MAX of the item
-    # time is in no wrapped entry point, a check --smoke runs skip; 40
-    # full-size learn-exact items (under a second) keep half that limit
-    w = workloads.WORKLOADS["learn-exact"]
-    size = dataclasses.replace(w.size, items=40)
+    # time is in no wrapped entry point, a check --smoke runs skip; a
+    # round of full-size items keeps half that limit
+    w = workloads.WORKLOADS[name]
+    size = dataclasses.replace(w.size, items=TRACED_ITEMS[name])
     tracer = spans.Tracer("dtdist")
     harness.run_round(w, size, workloads.make_items(w, size, 1), 1, 0, tracer)
     item = tracer.table(lambda tid: tid is not None)["bench.item"]

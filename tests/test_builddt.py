@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as O
-from conftest import E2_EXPECTED, E2_TABLE
+from conftest import E2_EXPECTED
 from dtdist import (
     BuildParams,
     ConfigError,
@@ -19,9 +19,7 @@ from dtdist import (
     KIND_EXACT,
     KIND_MONOTONE,
     KIND_SUBCUBE,
-    Leaf,
     Restriction,
-    build_dt,
     call_count_bound,
     default_leaf_sample_count,
     default_tau,

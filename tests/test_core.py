@@ -306,6 +306,39 @@ def test_route_dimension_mismatch(e2_tree):
         e2_tree.leaf_index_batch(np.ones((2, 3), dtype=np.int8))
 
 
+def _split_vars(shape):
+    if shape[0] == "leaf":
+        return set()
+    return {shape[1]} | _split_vars(shape[2]) | _split_vars(shape[3])
+
+
+@st.composite
+def tree_draw_cases(draw):
+    # a routing_cases tree; a restriction that is empty, fixes split
+    # variables or fixes variables no split reads; 0 to 3 blocks of 64 rows
+    n, shape, _ = draw(routing_cases())
+    on = sorted(_split_vars(shape))
+    pool = draw(st.sampled_from([[], on, [i for i in range(n) if i not in on]]))
+    fixed = draw(st.lists(st.sampled_from(pool), unique=True, max_size=2)) if pool else []
+    s = Restriction.of({i: draw(st.sampled_from([-1, 1])) for i in fixed})
+    k = 64 * draw(st.integers(0, 3)) + draw(st.integers(0, 63))
+    return n, shape, s, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_draw_cases())
+def test_tree_sampler_matches_row_reference(case):
+    # writing each split's column once leaves the points and the
+    # generator's stream where the two-write sampler in oracles.py did
+    n, shape, s, k, seed = case
+    t, _ = _shape_tree(n, shape)
+    new, ref = DistOracle.subcube(t, seed=seed), DistOracle.subcube(t, seed=seed)
+    X = new.subcube_sample_batch(s, k)
+    assert X.dtype == np.int8 and X.shape == (k, n)
+    assert np.array_equal(X, O.draw_tree(ref, s, k))
+    assert new.rng.random() == ref.rng.random()
+
+
 def test_tree_validation_errors():
     with pytest.raises(InvalidTreeError):
         DistTree(2, Internal(0, Leaf(0.25), Internal(0, Leaf(0.25), Leaf(0.25))))

@@ -38,7 +38,6 @@ from dtdist import (
     restrict_dist,
     subcube_weight,
     uniform_dense,
-    weighting_table,
 )
 from dtdist.core import slice_cube
 from dtdist.testbed import gen_dt_dist

@@ -4,6 +4,7 @@ Sample-size formulas and tree counts are checked against the independent
 reimplementations in oracles.py; Monte Carlo claims run at fixed seeds.
 """
 
+import hashlib
 import json
 import math
 import tracemalloc
@@ -24,6 +25,7 @@ from dtdist import (
     DistTree,
     Internal,
     InvalidTreeError,
+    KIND_EXACT,
     LabeledSample,
     Leaf,
     LowDegreeHypothesis,
@@ -33,6 +35,7 @@ from dtdist import (
     all_points,
     boost,
     count_depth_trees,
+    derive_seed,
     dist_error,
     end_to_end,
     exhaustive_tree_learn,
@@ -84,6 +87,19 @@ def test_labeled_sample_validation():
         LabeledSample([[1, -1]], [0, 1])
     with pytest.raises(ValueError):
         LabeledSample([[1, -1]], [2])
+
+
+@pytest.mark.parametrize("X, y", [
+    pytest.param([[0, 1], [3, -1]], [0, 1], id="zero-and-three"),
+    pytest.param(np.array([[200, 1]]), [0], id="wraps-to-minus-56"),
+    pytest.param([[1.5, -1]], [1], id="fraction"),
+    pytest.param([[np.nan, 1]], [1], id="nan"),
+    pytest.param([[1, -1]], [-1], id="label-minus-1"),
+    pytest.param([[1, -1]], np.array([256]), id="label-wraps-to-0"),
+])
+def test_labeled_sample_rejects_entries_off_the_cube(X, y):
+    with pytest.raises(ValueError):
+        LabeledSample(X, y)
 
 
 def test_constant_hypothesis():
@@ -301,6 +317,74 @@ def test_split_parts_near_uniform_for_random_trees():
         for part in parts:
             if len(part) >= 500:
                 assert np.all(np.abs(part.X.mean(axis=0)) < 0.1)
+
+
+@st.composite
+def split_cases(draw):
+    # a generated tree (a single leaf at depth 0), arbitrary +-1 rows in 0
+    # to 3 blocks of 64, and arbitrary labels
+    n = draw(st.integers(1, 7))
+    t = gen_dt_dist(n, draw(st.integers(0, min(3, n))), draw(st.integers(0, 2**16))).tree
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = 64 * draw(st.integers(0, 3)) + draw(st.integers(0, 63))
+    X = uniform_points(n, k, rng)
+    y = rng.integers(0, 2, size=k).astype(np.uint8)
+    return t, X, y, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_cases())
+def test_split_matches_row_reference(case):
+    t, X, y, seed = case
+    rng, ref_rng = stream(seed, "rerand"), stream(seed, "rerand")
+    parts = split_and_rerandomize(t, LabeledSample(X, y), rng)
+    want = oracles.split_rows(t, X, y, ref_rng)
+    ords = t.leaf_index_batch(X)
+    assert len(parts) == len(want) == len(t.leaves())
+    for j, ((r, _), part, (wX, wy)) in enumerate(zip(t.leaves(), parts, want)):
+        rows = np.flatnonzero(ords == j)
+        # the same points and labels as the row-matrix split
+        assert part.n == t.n and len(part) == rows.size
+        assert np.array_equal(part.X, wX) and np.array_equal(part.y, wy)
+        # rows of leaf j in order, labels untouched, off-path coordinates kept
+        assert np.array_equal(part.y, y[rows])
+        off = [i for i in range(t.n) if not r.mask >> i & 1]
+        assert np.array_equal(part.X[:, off], X[rows][:, off])
+    assert rng.random() == ref_rng.random()
+
+
+def test_split_parts_hold_indices_until_read():
+    # a part is one int64 index per point; the point matrix is built only
+    # when a learner reads X, which the tree learner never does
+    inst = gen_dt_dist(6, 2, seed=4)
+    sample = make_labeled_source(DistOracle.exact(inst.dense, seed=4),
+                                 gen_target(6, "depth:2", seed=5))(5000)
+    parts = split_and_rerandomize(inst.tree, sample, stream(4, "rerand"))
+    assert all(p._X is None for p in parts)
+    for part in parts:
+        exhaustive_tree_learn(part, 2)
+        assert part._X is None
+        low_degree_learn(part, 1)
+        assert part._X is not None
+        assert np.array_equal(points_to_indices(part.X), part._idx)
+
+
+def test_split_index_width_limit():
+    # n=63 is the widest cube whose indices are nonnegative int64s: the top
+    # coordinate splits and is rerandomized like any other
+    def tree(n):
+        return DistTree(n, Internal(n - 1, Leaf(2.0 ** -n), Leaf(2.0 ** -n)))
+
+    rng = stream(9, "wide")
+    X = uniform_points(63, 300, rng)
+    y = (X[:, 0] > 0).astype(np.uint8)
+    parts = split_and_rerandomize(tree(63), LabeledSample(X, y), stream(9, "r"))
+    want = oracles.split_rows(tree(63), X, y, stream(9, "r"))
+    for part, (wX, wy) in zip(parts, want):
+        assert np.array_equal(part.X, wX) and np.array_equal(part.y, wy)
+    wide = LabeledSample(uniform_points(64, 4, rng), np.zeros(4, dtype=np.uint8))
+    with pytest.raises(ConfigError):
+        split_and_rerandomize(tree(64), wide, stream(9, "r"))
 
 
 def test_split_dimension_mismatch():
@@ -751,6 +835,37 @@ def test_end_to_end_learns_tree_and_lifts():
     assert dist_error(result.hypothesis, target, inst.dense) <= 0.1
     # the learned tree is itself exact here, so every leaf saw points
     assert all(r.status == "ok" for r in result.leaf_records)
+
+
+# sha256 of the end_to_end hypothesis JSON (one line each) for the first 5
+# items of the benchmark's lift workload on two seeds: n=10, d=2, the
+# tree:2 learner at eps/2 and delta/(4 2^d), an exact stage-1 oracle and
+# labels from a tree-backed sampler, as bench/workloads.py runs them.
+# Recorded before the lift moved to dense-table indices; a change to the
+# tree sampler, routing, rerandomisation or the learner shows here.
+LIFT_BENCH_PINS = {
+    1: "3cba172a84662be8923edc8cde02e130a26f1884294557a6bcb3cf2ebc1c2c6c",
+    7: "920ca323a341c926408019078826cf916e6b67a07c899df9eefcb891b42e38dd",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(LIFT_BENCH_PINS))
+def test_lift_output_is_byte_stable_at_benchmark_size(seed):
+    n, d, eps, delta = 10, 2, 0.1, 0.1
+    h = hashlib.sha256()
+    for j in range(5):
+        inst_seed = derive_seed(seed, "lift", n, j)
+        inst = gen_dt_dist(n, d, inst_seed)
+        target = gen_target(n, f"depth:{d}", derive_seed(inst_seed, "target"))
+        oracle_seed = derive_seed(seed, "oracle", 0, j)
+        tree = DistTree(n, inst.tree.root)
+        labels = DistOracle.sampler(tree, derive_seed(oracle_seed, "labels"))
+        learner = make_exhaustive_tree_learner(n, d, eps / 2.0, delta / (4.0 * 2.0 ** d))
+        res = end_to_end(DistOracle.exact(tree, oracle_seed),
+                         make_labeled_source(labels, target), learner, d, eps, delta,
+                         KIND_EXACT, dist_kwargs={"tau": None}, seed=oracle_seed)
+        h.update(json_dumps(res.hypothesis.to_json_dict()).encode() + b"\n")
+    assert h.hexdigest() == LIFT_BENCH_PINS[seed]
 
 
 def test_end_to_end_boosts_when_learner_is_unreliable():

@@ -26,7 +26,6 @@ from dtdist import (
 from dtdist.lift import LabeledSample, all_points
 from dtdist.testbed import (
     CHECK_TOL,
-    BruteStats,
     Instance,
     brute_optimal_tree,
     brute_stats,
