@@ -92,6 +92,11 @@ def index_to_point(idx, n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # restrictions
 
+# coordinates a Restriction accepts lie below this, far past every n the
+# package can use (dense tables stop at 20, the sample pool at 64), so that
+# building its mask never costs memory in proportion to a huge coordinate
+_MAX_COORD = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class Restriction:
@@ -112,6 +117,8 @@ class Restriction:
         for i, b in self.pairs:
             if i < 0:
                 raise ValueError(f"negative coordinate {i}")
+            if i >= _MAX_COORD:
+                raise ValueError(f"coordinate {i} out of range: must be below 2^16")
             if b not in (-1, 1):
                 raise ValueError(f"sign must be -1 or +1, got {b}")
             if mask >> i & 1:
@@ -563,45 +570,57 @@ class OracleMode(IntEnum):
     EXACT_PMF = 3
 
 
-# uniforms per pass of _inverse_cdf
-_DRAW_CHUNK = 1 << 16
+# uniforms per pass of _inverse_cdf: one _INDEX_BLOCK, so that each chunk's
+# temporaries stay below the 128 KB at which glibc maps (and unmaps) a block
+_DRAW_CHUNK = _INDEX_BLOCK
 
 
-def _inverse_cdf(rng: np.random.Generator, p: np.ndarray, k: int) -> np.ndarray:
-    """k int64 indices drawn from the pmf p: equal to
-    rng.choice(p.size, k, p=p) index for index, leaving rng in the same
-    state.
-
-    rng.choice inverts cdf = p.cumsum() / cdf[-1] at rng.random(k), one
-    binary search per draw: searchsorted(cdf, u, "right").  This builds
-    the same cdf and adds a guide table over G = 2^g equal buckets of
-    [0, 1) (Chen-Asau indexed search): lo[b] counts the cdf entries
-    <= b/G, hi[b] those < (b+1)/G, and amb[b] = lo[b] != hi[b].  The
-    bucket of u is b = floor(u * G), exact since G is a power of two, and
-    lo[b] <= idx <= hi[b], so where the two agree the index is lo[b];
-    only draws in ambiguous buckets, which number at most p.size, are
-    searched.
-    With g = bit_length(p.size) + 3, capped at 16, at most 1/8 of [0, 1)
-    is ambiguous for p.size < 2^13; the guide is 9 bytes a bucket, 576 KB
-    at the cap.  The uniforms come in chunks of _DRAW_CHUNK, which read
-    the same doubles as one rng.random(k); so the transient memory beside
-    the 8k-byte result is O(_DRAW_CHUNK + G + p.size), not the several
-    k-length arrays a one-shot lookup would hold.
-    """
+def _cdf_guide(p: np.ndarray) -> tuple:
+    """(cdf, G, lo, amb): the cdf rng.choice(p.size, k, p=p) inverts, and a
+    guide table over G = 2^g equal buckets of [0, 1) (Chen-Asau indexed
+    search).  cdf = p.cumsum() / cdf[-1], as rng.choice builds it;
+    lo[b] counts the cdf entries <= b/G, hi[b] those < (b+1)/G, and
+    amb[b] = lo[b] != hi[b].  With g = bit_length(p.size) + 3, capped at
+    16, at most 1/8 of [0, 1) is ambiguous for p.size < 2^13; the guide
+    is 9 bytes a bucket, 576 KB at the cap."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     G = 1 << min(p.size.bit_length() + 3, 16)
     edges = np.arange(G + 1) / G
     lo = cdf.searchsorted(edges[:-1], "right")
     amb = lo != cdf.searchsorted(edges[1:], "left")
-    out = np.empty(k, dtype=np.int64)
+    return cdf, G, lo, amb
+
+
+def _inverse_cdf(rng: np.random.Generator, guide: tuple, k: int, rows: np.ndarray,
+                 cells: Optional[np.ndarray] = None) -> np.ndarray:
+    """rows[cells[j]] for k indices j drawn from the pmf p that
+    guide = _cdf_guide(p) was built from (rows[j] when cells is None),
+    stacked into one (k, ...) array.  The indices equal
+    rng.choice(p.size, k, p=p) index for index, and rng is left in the
+    same state.
+
+    rng.choice inverts the cdf at rng.random(k), one binary search per
+    draw: searchsorted(cdf, u, "right").  Here the bucket of u is
+    b = floor(u * G), exact since G is a power of two, and
+    lo[b] <= j <= hi[b], so where the two agree the index is lo[b]; only
+    draws in ambiguous buckets, which number at most p.size, are
+    searched.  The uniforms come in chunks of _DRAW_CHUNK, which read the
+    same doubles as one rng.random(k), and each chunk's rows are gathered
+    straight into the result: the transient memory beside it is
+    O(_DRAW_CHUNK + G + p.size), and no k-long index array exists.
+    """
+    cdf, G, lo, amb = guide
+    out = np.empty((k,) + rows.shape[1:], dtype=rows.dtype)
     for start in range(0, k, _DRAW_CHUNK):
         u = rng.random(min(_DRAW_CHUNK, k - start))
         b = (u * G).astype(np.intp)
-        got = out[start:start + u.size]
-        np.take(lo, b, out=got)
+        pick = lo[b]
         hard = amb[b]
-        got[hard] = cdf.searchsorted(u[hard], "right")
+        pick[hard] = cdf.searchsorted(u[hard], "right")
+        if cells is not None:
+            pick = cells[pick]
+        np.take(rows, pick, axis=0, out=out[start:start + u.size])
     return out
 
 
@@ -634,6 +653,7 @@ class DistOracle:
         self.query_count = {m: 0 for m in OracleMode}
         self._dense_cache = None
         self._clamped_table = None
+        self._plain_guide = None
 
     @property
     def rng(self) -> np.random.Generator:
@@ -668,6 +688,23 @@ class DistOracle:
         self._require(OracleMode.SAMPLE)
         self.query_count[OracleMode.SAMPLE] += k
         return self._draw(EMPTY, k)
+
+    def sample_slices(self, k: int, rows: int):
+        """k plain draws, yielded as consecutive batches of at most `rows`:
+        the same rows, query_count and generator state as one
+        sample_batch(k).  A dense backing reads one double per draw and
+        nothing else from the stream, so each slice is its own
+        sample_batch and only one is alive at a time.  Any other backing
+        draws all k at once and yields views: the tree sampler reads every
+        bit of a batch before any node's uniforms, and a stream may read
+        its generator in any pattern."""
+        if isinstance(self.backing, DensePmf):
+            for lo in range(0, k, rows):
+                yield self.sample_batch(min(rows, k - lo))
+            return
+        X = self.sample_batch(k)
+        for lo in range(0, k, rows):
+            yield X[lo:lo + rows]
 
     # -- subcube-conditioned samples -------------------------------------------
 
@@ -738,6 +775,12 @@ class DistOracle:
             self._clamped_table = np.maximum(self._as_dense().table, 0.0)
         return self._clamped_table
 
+    def _guide(self) -> tuple:
+        """_cdf_guide of the clamped table, built once: the plain draws'."""
+        if self._plain_guide is None:
+            self._plain_guide = _cdf_guide(self._clamped())
+        return self._plain_guide
+
     # -- internals -----------------------------------------------------------------
 
     def _draw(self, s: Restriction, k: int) -> np.ndarray:
@@ -746,10 +789,12 @@ class DistOracle:
             return self._draw_tree(s, k)
         if isinstance(self.backing, DensePmf):
             return self._draw_dense(s, k)
-        got = np.asarray(self.backing(k, self.rng), dtype=np.int8)
+        got = np.asarray(self.backing(k, self.rng))
         if got.shape != (k, self.n):
             raise DimensionMismatchError(f"stream returned shape {got.shape}")
-        return got
+        if not ((got == 1) | (got == -1)).all():
+            raise ValueError("stream point entries must be -1 or +1")
+        return got.astype(np.int8, copy=False)
 
     def _draw_tree(self, s: Restriction, k: int) -> np.ndarray:
         t: DistTree = self.backing
@@ -785,19 +830,20 @@ class DistOracle:
         (over the subcube's cells, in index order, weights sub / w) by
         _inverse_cdf: the same indices and stream position as
         rng.choice(size, k, p=...), from one guide-table lookup per draw
-        and a chunked read of the uniforms.  Memory is the int64 indices
-        (a second copy for a subcube, mapped back through sub_idx) and
-        the (k, n) int8 points returned."""
+        and a chunked read of the uniforms.  Each chunk's rows are
+        gathered from all_points(n) straight into the (k, n) int8 result,
+        a subcube's picks mapped through sub_idx first, so no index array
+        of length k and no sub-table of points is built.  The plain
+        draws' guide is built once per oracle, a subcube's per call."""
         table = self._clamped()
         if len(s) == 0:
-            return all_points(self.n)[_inverse_cdf(self.rng, table, k)]
+            return _inverse_cdf(self.rng, self._guide(), k, all_points(self.n))
         sub_idx = np.flatnonzero((np.arange(table.size) & s.mask) == s.bits)
         sub = table[sub_idx]
         w = float(sub.sum())
         if w <= 0.0:
             raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
-        pick = _inverse_cdf(self.rng, sub / w, k)
-        return all_points(self.n)[sub_idx[pick]]
+        return _inverse_cdf(self.rng, _cdf_guide(sub / w), k, all_points(self.n), sub_idx)
 
 
 # attempts per accepted point: ceil(REJECTION_CAP_FACTOR / w_hat)

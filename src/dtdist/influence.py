@@ -252,8 +252,11 @@ class EstimatorBudget:
 
     max_pool caps the plain draws the shared pool takes in total.  The
     pool keeps distinct points with counts, so its memory is
-    O(min(2^n, draws) * n), not O(max_pool * n).  infest_reps_cap caps
-    the two-point runs per subcube query, not the draws of each run.
+    O(min(2^n, draws) * n), not O(max_pool * n).  While it grows, a dense
+    backing's draws arrive in slices of InfluenceOracle.CHUNK_ROWS; a
+    tree or stream backing's arrive as one (draws, n) batch.
+    infest_reps_cap caps the two-point runs per subcube query, not the
+    draws of each run.
     """
 
     max_pool: int = 2_000_000
@@ -288,11 +291,16 @@ class InfluenceOracle:
     statistic: the distinct points drawn so far, sorted by dense-table
     index, with how often each was drawn.  That is at most min(2^n,
     draws) rows, and the counts give the same sums as the draws would.
-    The index is a 64-bit key, so the sample kinds take n <= 64.
+    The index is a 64-bit key, so the sample kinds take n <= 64.  The
+    pool grows through DistOracle.sample_slices: a dense backing draws
+    and tallies CHUNK_ROWS rows at a time, so growth never holds more
+    than one slice of rows; a tree or stream backing draws the whole
+    growth as one batch, which the tally then reads CHUNK_ROWS rows at a
+    time.
     """
 
-    # rows turned into indices at a time when the pool grows, which bounds
-    # the transient int64 copy of a large batch
+    # rows drawn and turned into indices at a time when the pool grows (see
+    # DistOracle.sample_slices), which bounds the transient batch
     CHUNK_ROWS = 1 << 16
 
     def __init__(
@@ -341,15 +349,13 @@ class InfluenceOracle:
         the pool cap); returns its distinct points, sorted by index."""
         want = min(int(min_rows), self.budget.max_pool)
         if self.pool_draws < want:
-            X = self.source.sample_batch(want - self.pool_draws)
-            self.pool_draws += X.shape[0]
             keys, counts = [self._keys], [self._counts]
-            for lo in range(0, X.shape[0], self.CHUNK_ROWS):
-                k, c = np.unique(points_to_indices(X[lo:lo + self.CHUNK_ROWS]),
-                                 return_counts=True)
+            for X in self.source.sample_slices(want - self.pool_draws, self.CHUNK_ROWS):
+                self.pool_draws += X.shape[0]
+                k, c = np.unique(points_to_indices(X), return_counts=True)
                 keys.append(k)
                 counts.append(c)
-            del X  # summarised; at large n it is as big as the store itself
+            del X  # a view of a tree or stream's whole batch, which it keeps alive
             self._keys, where = np.unique(np.concatenate(keys), return_inverse=True)
             self._counts = np.zeros(self._keys.size, dtype=np.int64)
             np.add.at(self._counts, where, np.concatenate(counts))

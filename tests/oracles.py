@@ -9,7 +9,8 @@ kernel used before it moved to point indices, the tree walks
 tree_leaves, tree_depth and conditional_masses, which DistTree ran
 before its validation walk recorded the depth and one flattening walk
 the leaves, and draw_tree and split_rows, the tree sampler and the lift's
-split as they ran on point rows; each is kept as the reference for its
+split as they ran on point rows, and pool_one_batch, the pool's growth
+before dense draws came in slices; each is kept as the reference for its
 rewrite.  Index convention: bit i of a dense index is 1 exactly when
 coordinate i equals +1.
 """
@@ -350,3 +351,28 @@ def split_rows(t, X, y, rng):
             Xl[:, coords] = 2 * bits - 1
         parts.append((Xl, y[rows]))
     return parts
+
+
+def pool_one_batch(oracle, sizes, chunk_rows):
+    """InfluenceOracle.plain_pool's count store as it grew before dense
+    draws came in slices: for each pool size in turn, one sample_batch of
+    the missing draws, tallied chunk_rows rows at a time and merged into
+    the sorted keys by np.unique and np.add.at.  Returns (keys, counts,
+    draws) after the last size."""
+    from dtdist import points_to_indices
+
+    keys, counts, draws = np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0
+    for want in sizes:
+        if draws >= want:
+            continue
+        X = oracle.sample_batch(want - draws)
+        draws += X.shape[0]
+        ks, cs = [keys], [counts]
+        for lo in range(0, X.shape[0], chunk_rows):
+            k, c = np.unique(points_to_indices(X[lo:lo + chunk_rows]), return_counts=True)
+            ks.append(k)
+            cs.append(c)
+        keys, where = np.unique(np.concatenate(ks), return_inverse=True)
+        counts = np.zeros(keys.size, dtype=np.int64)
+        np.add.at(counts, where, np.concatenate(cs))
+    return keys, counts, draws

@@ -12,6 +12,7 @@ import io
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,15 +61,15 @@ def test_gen_outputs_and_determinism(tmp_path, capsys):
     assert summary["command"] == "gen"
     assert summary["n"] == 6 and summary["depth"] == 2
     assert summary["kind"] == "dt" and summary["seed"] == 9
-    tree_bytes = open(out + ".tree.json", "rb").read()
-    dense_bytes = open(out + ".dense.json", "rb").read()
+    tree_bytes = Path(out + ".tree.json").read_bytes()
+    dense_bytes = Path(out + ".dense.json").read_bytes()
     dense = DensePmf.from_json_dict(load_json(out + ".dense.json"))
     assert dense.table.sum() == pytest.approx(1.0)
     # same seed, same files, same summary line modulo timing
     code2, line2 = run(capsys, argv)
     assert code2 == 0
-    assert open(out + ".tree.json", "rb").read() == tree_bytes
-    assert open(out + ".dense.json", "rb").read() == dense_bytes
+    assert Path(out + ".tree.json").read_bytes() == tree_bytes
+    assert Path(out + ".dense.json").read_bytes() == dense_bytes
     code1, line1 = run(capsys, argv)
     assert strip_elapsed(line1) == strip_elapsed(line2)
 
@@ -177,7 +178,7 @@ def test_learn_dist_output_is_byte_stable(tmp_path, capsys, oracle):
     assert code == 0
     line_digest, tree_digest = LEARN_PINS[oracle]
     assert hashlib.sha256(strip_elapsed(line).encode()).hexdigest() == line_digest
-    assert hashlib.sha256(open(tree_out, "rb").read()).hexdigest() == tree_digest
+    assert hashlib.sha256(Path(tree_out).read_bytes()).hexdigest() == tree_digest
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +295,7 @@ def test_lift_output_is_byte_stable(tmp_path, capsys):
     assert hashlib.sha256(strip_elapsed(line).encode()).hexdigest() == (
         "5cbbe5b85a71061eb428c4358b49d21f3c38066fc1d3798e907003eea626fd9e"
     )
-    assert hashlib.sha256(open(hyp_out, "rb").read()).hexdigest() == (
+    assert hashlib.sha256(Path(hyp_out).read_bytes()).hexdigest() == (
         "de46ac94a2d358e3f2752782515580edf3c02f8c6922f7f50272ab36dd28c12f"
     )
 
@@ -328,10 +329,10 @@ def test_verify_inequalities_outputs(tmp_path, capsys):
     assert code == 0 and summary["passed"]
     suite = summary["suites"]["inequalities"]
     assert suite["records"] == 3 * 11 and suite["failures"] == 0
-    rows = [json.loads(line) for line in open(rows_path)]
+    rows = [json.loads(line) for line in Path(rows_path).read_text().splitlines()]
     assert len(rows) == 33
     assert all(r["suite"] == "inequalities" and r["passed"] for r in rows)
-    lines = open(csv_path).read().splitlines()
+    lines = Path(csv_path).read_text().splitlines()
     assert lines[0] == "suite,records,failures,pass_rate,passed"
     assert lines[1].startswith("inequalities,33,0,1.000000,")
 
@@ -343,7 +344,7 @@ def test_verify_workers_agree(tmp_path, capsys):
     code1, _ = run_json(capsys, base + ["--workers", "1", "--out", rows1])
     code2, _ = run_json(capsys, base + ["--workers", "2", "--out", rows2])
     assert code1 == code2 == 0
-    assert open(rows1).read() == open(rows2).read()
+    assert Path(rows1).read_text() == Path(rows2).read_text()
 
 
 def test_verify_estimators_rows_are_byte_stable(tmp_path, capsys):
@@ -352,7 +353,7 @@ def test_verify_estimators_rows_are_byte_stable(tmp_path, capsys):
     code, _ = run_json(capsys, ["verify", "--suite", "estimators", "--trials", "4",
                                 "--workers", "1", "--seed", "33", "--out", rows])
     assert code == 0
-    assert hashlib.sha256(open(rows, "rb").read()).hexdigest() == (
+    assert hashlib.sha256(Path(rows).read_bytes()).hexdigest() == (
         "1fd54d3ad6072f56381a92ccf8e8e3919dba4411cf8a531ddc96d55f346965b7"
     )
 

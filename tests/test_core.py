@@ -90,6 +90,25 @@ def test_restriction_rejects_bad_input():
         Restriction.of((-2, 1))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Restriction.parse("100000000=+1"),
+    lambda: Restriction.of((10**12, 1)),
+    lambda: Restriction.of((3, 1), (1 << 16, -1)),
+])
+def test_restriction_caps_coordinate_before_shifting(build):
+    # the mask's bit for coordinate i takes i/8 bytes: 12.5 MB at 10^8, and
+    # about 125 GB at 10^12, had the cap come after the shift
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="must be below 2"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert Restriction.of(((1 << 16) - 1, 1)).mask == 1 << ((1 << 16) - 1)
+
+
 def test_restriction_pickle_keeps_key():
     # mask and bits are attributes, not fields: repr sees pairs alone, and
     # a restored restriction carries the same ones
@@ -596,6 +615,36 @@ def test_stream_backing_sampling():
     assert np.abs(X.mean(axis=0)).max() <= 0.05
 
 
+def _pm1_stream(seed, n):
+    """A valid stream: n uniform +-1 int64 columns from its own generator."""
+    rows = np.random.default_rng(seed)
+
+    def gen(k, rng):
+        return 2 * rows.integers(0, 2, size=(k, n)) - 1
+
+    return gen
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 50), st.integers(0, 2**32 - 1),
+       st.sampled_from([0, 3, 200, -128, 1.5, np.nan]), st.data())
+def test_stream_backing_rejects_entries_off_pm1(n, k, seed, bad, data):
+    # 200 once came back as -56 and 0 reached the pools unchecked
+    r, c = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1))
+    gen = _pm1_stream(seed, n)
+
+    def broken(k, rng):
+        X = gen(k, rng).astype(np.float64)
+        X[r, c] = bad
+        return X
+
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        DistOracle.sampler(broken, seed=1, n=n).sample_batch(k)
+    # a valid stream's rows come back as they were, as int8
+    X = DistOracle.sampler(_pm1_stream(seed, n), seed=1, n=n).sample_batch(k)
+    assert X.dtype == np.int8 and np.array_equal(X, _pm1_stream(seed, n)(k, None))
+
+
 def test_mode_gating(e2_dense):
     plain = DistOracle.sampler(e2_dense, seed=1)
     with pytest.raises(OracleModeError):
@@ -834,7 +883,7 @@ def inversion_pmfs(draw):
 def test_inverse_cdf_matches_rng_choice(p, seed, k):
     ref, mine = np.random.default_rng(seed), np.random.default_rng(seed)
     want = ref.choice(p.size, k, p=p)
-    got = core._inverse_cdf(mine, p, k)
+    got = core._inverse_cdf(mine, core._cdf_guide(p), k, np.arange(p.size)[:, None])[:, 0]
     assert got.dtype == np.int64 and np.array_equal(got, want)
     # both generators stand at the same position of the stream
     assert mine.random() == ref.random()
@@ -863,7 +912,8 @@ def test_inverse_cdf_lookup_on_adversarial_uniforms(p):
     u = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0),
                         edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
     u = u[(u >= 0.0) & (u < 1.0)]
-    got = core._inverse_cdf(_FixedUniforms(u), p, u.size)
+    got = core._inverse_cdf(_FixedUniforms(u), core._cdf_guide(p), u.size,
+                            np.arange(p.size)[:, None])[:, 0]
     assert np.array_equal(got, cdf.searchsorted(u, "right"))
 
 
@@ -875,11 +925,64 @@ def test_inverse_cdf_memory_bound():
     rng = np.random.default_rng(4)
     tracemalloc.start()
     try:
-        core._inverse_cdf(rng, p, 2_000_000)
+        core._inverse_cdf(rng, core._cdf_guide(p), 2_000_000, np.arange(p.size)[:, None])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 24 << 20
+
+
+_SIZES = st.one_of(st.sampled_from([0, 1, CHUNK - 1, CHUNK, CHUNK + 1]),
+                   st.integers(0, 2 * CHUNK + 1))
+
+
+@st.composite
+def split_cases(draw):
+    """A dense pmf over n <= 8 with empty cells, a restriction of weight
+    > 0 (empty half the time), and two draw sizes about the chunk edges."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(1 << n)
+    w[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    signs = {i: draw(st.sampled_from([-1, 1]))
+             for i in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))}
+    s = Restriction.of(signs) if draw(st.booleans()) else Restriction.empty()
+    w[np.flatnonzero((np.arange(1 << n) & s.mask) == s.bits)[0]] += 1.0
+    return DensePmf(n, w / w.sum()), s, draw(_SIZES), draw(_SIZES), draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=60, deadline=None)
+@given(split_cases())
+def test_dense_draws_are_split_invariant(case):
+    # one double per draw: a batch of a + b is a batch of a then one of b
+    d, s, a, b, seed = case
+    whole, parts = DistOracle.subcube(d, seed=seed), DistOracle.subcube(d, seed=seed)
+    if len(s):
+        got = [parts.subcube_sample_batch(s, a), parts.subcube_sample_batch(s, b)]
+        want = whole.subcube_sample_batch(s, a + b)
+    else:
+        got = [parts.sample_batch(a), parts.sample_batch(b)]
+        want = whole.sample_batch(a + b)
+    assert np.array_equal(np.concatenate(got), want) and want.shape == (a + b, d.n)
+    assert parts.query_count == whole.query_count
+    assert parts.rng.random() == whole.rng.random()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["dense", "tree", "stream"]), st.integers(0, 3 * CHUNK),
+       st.integers(1, 2 * CHUNK), st.integers(0, 2**31))
+def test_sample_slices_equal_one_batch(kind, k, rows, seed):
+    d = DensePmf(5, np.random.default_rng(seed).dirichlet(np.ones(32)))
+    backing = {"dense": d, "tree": dense_to_tree(d), "stream": _pm1_stream(seed, 5)}[kind]
+    sliced, whole = (DistOracle.sampler(backing, seed=seed, n=5) for _ in range(2))
+    if kind == "stream":  # each oracle gets a stream of its own
+        whole.backing = _pm1_stream(seed, 5)
+    got = list(sliced.sample_slices(k, rows))
+    assert all(0 < X.shape[0] <= rows for X in got)
+    want = whole.sample_batch(k)
+    assert np.array_equal(np.concatenate(got) if got else want[:0], want)
+    assert sliced.query_count == whole.query_count
+    assert sliced.rng.random() == whole.rng.random()
 
 
 # ---------------------------------------------------------------------------

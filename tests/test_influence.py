@@ -27,6 +27,7 @@ from dtdist import (
     Restriction,
     ZeroWeightSubcubeError,
     bias_sample_count,
+    dense_to_tree,
     exact_conditional_influence,
     exact_influence,
     exact_influence_all,
@@ -637,6 +638,56 @@ def test_pool_counts_equal_row_scan(case):
     assert np.array_equal(points_to_indices(io.plain_pool(0)),
                           np.unique(points_to_indices(X)))
     assert io.source.query_count[io.source.mode.SAMPLE] == X.shape[0]
+
+
+@st.composite
+def sliced_pool_cases(draw):
+    """A dense pmf over n <= 6 with empty cells, as a table or a tree, a
+    small slice size, pool sizes past several slices and a pool cap."""
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.random(1 << n)
+    w[rng.random(1 << n) < draw(st.sampled_from([0.0, 0.5]))] = 0.0
+    w[int(rng.integers(1 << n))] += 1.0
+    d = DensePmf(n, w / w.sum())
+    backing = d if draw(st.booleans()) else dense_to_tree(d)
+    sizes = draw(st.lists(st.integers(0, 700), min_size=1, max_size=5))
+    return (backing, draw(st.integers(1, 64)), sizes, draw(st.integers(1, 800)),
+            draw(st.integers(0, 2**31)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sliced_pool_cases())
+def test_sliced_pool_equals_one_batch_growth(case):
+    backing, chunk, sizes, cap, seed = case
+    io = InfluenceOracle(KIND_MONOTONE, DistOracle.sampler(backing, seed=seed), 0.1, 0.1,
+                         budget=EstimatorBudget(max_pool=cap))
+    with mock.patch.object(InfluenceOracle, "CHUNK_ROWS", chunk):
+        for rows in sizes:
+            io.plain_pool(rows)
+    ref = DistOracle.sampler(backing, seed=seed)
+    keys, counts, draws = O.pool_one_batch(ref, [min(rows, cap) for rows in sizes], chunk)
+    assert np.array_equal(io._keys, keys) and np.array_equal(io._counts, counts)
+    assert np.array_equal(points_to_indices(io.plain_pool(0)), keys)
+    assert io.pool_draws == draws
+    assert io.source.query_count == ref.query_count
+    assert io.source.rng.random() == ref.rng.random()
+
+
+def test_pool_growth_memory_bound():
+    # 2M draws in 2^16-row slices: one slice's rows, indices and np.unique
+    # temporaries (about 3 MB); one batch held 16 MB of int64 indices and
+    # 20 MB of rows at once (34.4 MiB)
+    d = DensePmf(10, np.random.default_rng(3).dirichlet(np.ones(1 << 10)))
+    io = InfluenceOracle(KIND_MONOTONE, DistOracle.sampler(d, seed=4), 0.1, 0.1)
+    tracemalloc.start()
+    try:
+        io.plain_pool(2_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert io.pool_draws == 2_000_000
+    assert peak <= 6 << 20
 
 
 def test_pool_rejects_unkeyable_settings(e2_dense):
