@@ -120,7 +120,8 @@ class _Search:
         self.i_oracle = i_oracle
         self.params = params
         self.stats = SearchStats()
-        self.guard = call_count_bound(params.eps, params.depth_budget) * self.n
+        # n = 0 still makes its one call
+        self.guard = call_count_bound(params.eps, params.depth_budget) * max(self.n, 1)
         self.memo: dict = {}
         self.inf_cache: dict = {}
 

@@ -9,7 +9,8 @@ line; --out writes artifacts.  Exit codes: 0 success, 1 check failure,
 All randomness derives from --seed (a fixed default keeps reruns
 byte-identical apart from the elapsed_s field; pass "random" to draw
 entropy).  verify parallelizes trials over a process pool sized by
---workers, the DTDIST_WORKERS environment variable, or the machine.
+--workers, the DTDIST_WORKERS environment variable, or the machine, and
+never larger than the machine's cores or the trials per suite.
 """
 
 import argparse
@@ -461,10 +462,13 @@ def cmd_verify(args) -> int:
     workers = _default_workers() if args.workers is None else args.workers
     if workers < 1:
         raise ConfigError(f"--workers (or DTDIST_WORKERS) must be at least 1, got {workers}")
+    # a fork pool starts every worker at once: never more than the cores
+    # or the trials of one suite
+    workers = min(workers, os.cpu_count() or 1, args.trials)
     rows = []
     for suite in suites:
         jobs = [(suite, t, seed) for t in range(args.trials)]
-        if workers > 1 and len(jobs) > 1:
+        if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for batch in pool.map(_run_trial, jobs, chunksize=8):
                     rows.extend(batch)
@@ -576,7 +580,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="randomized check suites")
     p.add_argument("--suite", choices=sorted(_SUITES) + ["all"], default="all")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes, at most the cores and the trials per suite")
     p.add_argument("--csv", default=None)
     _common(p)
     p.set_defaults(func=cmd_verify)

@@ -94,7 +94,25 @@ def _partners(m: int) -> np.ndarray:
     return got
 
 
-def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
+def _derived_rows(d: DensePmf, s: Restriction, level: int, rows: list):
+    """(free, buffer, live) of s, at length `level`, read from its parent's
+    kept rows (see exact_influence_all), or None when rows holds no parent
+    of s one level up."""
+    got = rows[level - 1] if 0 < level <= len(rows) else None
+    if got is None:
+        return None
+    mask, bits, free, buf, live = got
+    i = (s.mask & ~mask).bit_length() - 1
+    if mask & ~s.mask or s.bits & mask != bits or i >= d.n:
+        return None
+    # the child's y is the parent's with bit t, the position of i among the
+    # parent's free coordinates, taken out: every row's half where bit t is b
+    t = free.index(i)
+    half = buf.reshape(len(buf), -1, 2, 1 << t)[:, :, s.bits >> i & 1]
+    return free[:t] + free[t + 1:], half.reshape(len(buf), -1), live[:t] + live[t + 1:]
+
+
+def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[list] = None):
     """(free coords, their influences) of the restricted weighting (f_D)_s.
 
     Over the 2^m-point subcube, (f_D)_s takes value 2^n * D(y) on the
@@ -104,38 +122,70 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY):
 
     The subcube is read once as a flat vector q, its points by increasing
     index, so flipping free position p pairs q[y] with q[y ^ 2^p].  Row p
-    of a difference buffer holds q[y] - q[y ^ 2^p] in y order; each chunk
-    of rows takes one in-place abs and one row sum.  When all m rows fit
-    one chunk (m * 2^m <= _CHUNK_CELLS) the buffer is one gather through
-    the cached partner table P[p, y] = y ^ 2^p; otherwise each row is
-    written from two strided views of q.  Transient memory is at most
+    of a difference buffer holds |q[y] - q[y ^ 2^p]| in y order; each
+    chunk of rows takes one in-place abs and one row sum.  When all m rows
+    fit one chunk (m * 2^m <= _CHUNK_CELLS) the buffer is one gather
+    through the cached partner table P[p, y] = y ^ 2^p; otherwise each row
+    is written from two strided views of q.  Transient memory is at most
     2^m + _CHUNK_CELLS floats (one row when 2^m is larger), plus the
     cached tables, which hold _CHUNK_CELLS indices at most per m.  Each
     row is summed pairwise as one contiguous run, the order a sum over
     the flipped copy of the cube uses, so the values are bit-identical to
     it whichever way the rows were filled.
+
+    `rows` is an optional cache owned by one caller over one d, a list
+    indexed by restriction length: rows[len(s)] = (s.mask, s.bits, free,
+    buffer, live) for the last single-chunk subcube computed at that
+    length (None after a larger one), with live[p] the buffer row of free
+    position p.  When rows[len(s) - 1] belongs to a parent of s, that is
+    s less one fixed coordinate i, no subcube is gathered: with t the
+    position of i among the parent's free coordinates and b its bit in s,
+    every buffer row is cut to its half where bit t of y is b, and row
+    live[t] is dropped from live.  The half is a view when t is the
+    parent's first or last position and a copy otherwise.  Its rows hold
+    the same floats in the same y order as the child's own gather, each
+    summed pairwise as one run, so the values are bit-identical to the
+    kernel's.  A call keeps its buffer at its own length and drops every
+    deeper one, so rows holds at most one buffer per length, each with at
+    most half the floats of the one above: under 1 MiB in all at m <= 12.
+    A miss, or a subcube that spans several chunks, runs the kernel.
     """
+    level = len(s)
+    got = None if rows is None else _derived_rows(d, s, level, rows)
+    if got is None:
+        free, buf, vals = _kernel(d, s)
+        live = list(range(len(free)))
+    else:
+        free, buf, live = got
+        vals = np.add.reduce(buf, axis=1)[live]
+    vals *= 2.0 ** (d.n - len(free) - 1)
+    if rows is not None:
+        del rows[level:]
+        rows += [None] * (level - len(rows))
+        rows.append(None if buf is None else (s.mask, s.bits, free, buf, live))
+    return free, vals
+
+
+def _kernel(d: DensePmf, s: Restriction):
+    """(free, the single-chunk |difference| rows or None, row sums)."""
     q, free = slice_cube(d, s).reshape(-1), s.free_coords(d.n)
     m = len(free)
-    scale = 2.0 ** (d.n - m - 1)
     if m * q.size <= _CHUNK_CELLS:
         buf = np.take(q, _partners(m))
         np.subtract(q, buf, out=buf)
         np.abs(buf, out=buf)
-        vals = buf.sum(axis=1)
-    else:
-        vals = np.empty(m, dtype=np.float64)
-        rows = max(1, min(m, _CHUNK_CELLS >> m))
-        buf = np.empty((rows, q.size), dtype=np.float64)
-        for lo in range(0, m, rows):
-            block = buf[: min(rows, m - lo)]
-            for row, p in zip(block, range(lo, m)):
-                a = q.reshape(-1, 2, 1 << p)
-                np.subtract(a, a[:, ::-1], out=row.reshape(a.shape))
-            np.abs(block, out=block)
-            vals[lo : lo + len(block)] = block.sum(axis=1)
-    vals *= scale
-    return free, vals
+        return free, buf, buf.sum(axis=1)
+    vals = np.empty(m, dtype=np.float64)
+    rows = max(1, min(m, _CHUNK_CELLS >> m))
+    buf = np.empty((rows, q.size), dtype=np.float64)
+    for lo in range(0, m, rows):
+        block = buf[: min(rows, m - lo)]
+        for row, p in zip(block, range(lo, m)):
+            a = q.reshape(-1, 2, 1 << p)
+            np.subtract(a, a[:, ::-1], out=row.reshape(a.shape))
+        np.abs(block, out=block)
+        vals[lo : lo + len(block)] = block.sum(axis=1)
+    return free, None, vals
 
 
 def exact_influence(d: DensePmf, i: int, s: Restriction = EMPTY) -> float:
@@ -297,6 +347,10 @@ class InfluenceOracle:
     than one slice of rows; a tree or stream backing draws the whole
     growth as one batch, which the tally then reads CHUNK_ROWS rows at a
     time.
+
+    The exact kind keeps the kernel's difference rows, one buffer per
+    restriction length, so a depth-first search reads each child's
+    influences from its parent's rows (exact_influence_all, `rows`).
     """
 
     # rows drawn and turned into indices at a time when the pool grows (see
@@ -341,6 +395,9 @@ class InfluenceOracle:
         self._counts = np.empty(0, dtype=np.int64)
         self._points = np.empty((0, source.n), dtype=np.int8)
         self._dense = source.dense() if kind == KIND_EXACT else None
+        # the exact kernel's kept difference rows, one buffer per restriction
+        # length (see exact_influence_all)
+        self._rows: Optional[list] = [] if kind == KIND_EXACT else None
 
     # -- pooled plain samples ------------------------------------------------
 
@@ -401,7 +458,7 @@ class InfluenceOracle:
         if coords is not None:
             coords = _checked(self.source.n, s, coords)
         if self.kind == KIND_EXACT:
-            free, vals = exact_influence_all(self._dense, s)
+            free, vals = exact_influence_all(self._dense, s, rows=self._rows)
             if coords is None:
                 coords = free
             elif coords != free:

@@ -354,7 +354,7 @@ def check_inequalities(inst: Instance, other: Optional[Instance] = None) -> list
     n = inst.n
     d = inst.depth()
     if other is None:
-        other = gen_dt_dist(n, max(1, min(d, n)), derive_seed(inst.seed, "partner"))
+        other = gen_dt_dist(n, min(max(1, d), n), derive_seed(inst.seed, "partner"))
     f = weighting_table(inst.dense)
     stats = brute_stats(f)
     records = [

@@ -9,8 +9,12 @@ library existed; tests compare the library against these numbers, not
 against itself.
 """
 
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from dtdist import DensePmf, DistTree, Internal, Leaf
 
@@ -61,6 +65,42 @@ def e2_tree() -> DistTree:
     # split x0; the lo side is one leaf, the hi side splits x1
     root = Internal(0, Leaf(1 / 8), Internal(1, Leaf(1 / 4), Leaf(1 / 2)))
     return DistTree(2, root)
+
+
+@st.composite
+def small_pmfs(draw, max_n=5):
+    """Arbitrary DensePmf with n in 0..max_n: uniform random masses, 60%
+    zero cells, a point mass, or Dirichlet(0.1)."""
+    n = draw(st.integers(0, max_n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "zeros", "point", "dirichlet"]))
+    if kind == "point":
+        table = np.zeros(1 << n)
+        table[rng.integers(1 << n)] = 1.0
+    elif kind == "dirichlet":
+        table = rng.dirichlet(np.full(1 << n, 0.1))
+    else:
+        table = rng.random(1 << n)
+        if kind == "zeros":
+            table[rng.random(1 << n) < 0.6] = 0.0
+    if table.sum() == 0.0:
+        table[rng.integers(1 << n)] = 1.0
+    return DensePmf(n, table / table.sum())
+
+
+def map_trials(trial, count: int) -> list:
+    """[trial(0), ..., trial(count - 1)], in order.
+
+    Each trial seeds itself, so the trials run on min(2, cores) worker
+    processes, and in this process when there is one core.  `trial` must
+    be a module-level function so a worker can find it; the pool is shut
+    down before this returns.
+    """
+    workers = min(2, os.cpu_count() or 1)
+    if workers == 1:
+        return [trial(t) for t in range(count)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(trial, range(count)))
 
 
 ACCEPTANCE_LINES = []

@@ -92,31 +92,39 @@ def test_criterion_2_builddt_optimality():
                   f"instances (n<=5, d<=2)")
 
 
+def _trial_3(t: int):
+    inst = gen_monotone_dist(10, 3, derive_seed(SEED, "acc3", t))
+    oracle = DistOracle.sampler(inst.dense, derive_seed(SEED, "acc3-oracle", t))
+    res = learn_distribution_result(oracle, 3, 0.15, 0.1, KIND_MONOTONE)
+    tv = tv_distance(inst.dense, tree_to_dense(res.tree))
+    return tv <= 0.15, res.stats.recursive_calls
+
+
 @pytest.mark.slow
 def test_criterion_3_monotone_pipeline():
     wins = 0
-    for t in range(20):
-        inst = gen_monotone_dist(10, 3, derive_seed(SEED, "acc3", t))
-        oracle = DistOracle.sampler(inst.dense, derive_seed(SEED, "acc3-oracle", t))
-        res = learn_distribution_result(oracle, 3, 0.15, 0.1, KIND_MONOTONE)
-        tv = tv_distance(inst.dense, tree_to_dense(res.tree))
-        RUN_STATS.append((3, res.stats.recursive_calls, 3, 0.15))
-        wins += tv <= 0.15
+    for won, calls in conftest.map_trials(_trial_3, 20):
+        RUN_STATS.append((3, calls, 3, 0.15))
+        wins += won
     ok = wins >= 18
     record(3, ok, f"monotone pipeline, n=10 d=3 eps=0.15: TV<=0.15 in {wins}/20 "
                   f"trials (need >=18)")
 
 
+def _trial_4(t: int):
+    inst = gen_dt_dist(10, 3, derive_seed(SEED, "acc4", t))
+    oracle = DistOracle.subcube(inst.dense, derive_seed(SEED, "acc4-oracle", t))
+    res = learn_distribution_result(oracle, 3, 0.15, 0.1, KIND_SUBCUBE)
+    tv = tv_distance(inst.dense, tree_to_dense(res.tree))
+    return tv <= 0.15, res.stats.recursive_calls
+
+
 @pytest.mark.slow
 def test_criterion_4_subcube_pipeline():
     wins = 0
-    for t in range(20):
-        inst = gen_dt_dist(10, 3, derive_seed(SEED, "acc4", t))
-        oracle = DistOracle.subcube(inst.dense, derive_seed(SEED, "acc4-oracle", t))
-        res = learn_distribution_result(oracle, 3, 0.15, 0.1, KIND_SUBCUBE)
-        tv = tv_distance(inst.dense, tree_to_dense(res.tree))
-        RUN_STATS.append((4, res.stats.recursive_calls, 3, 0.15))
-        wins += tv <= 0.15
+    for won, calls in conftest.map_trials(_trial_4, 20):
+        RUN_STATS.append((4, calls, 3, 0.15))
+        wins += won
     ok = wins >= 18
     record(4, ok, f"subcube pipeline, n=10 d=3 eps=0.15: TV<=0.15 in {wins}/20 "
                   f"trials (need >=18)")
@@ -189,34 +197,40 @@ def test_criterion_8_inequality_suite():
                   f"beyond 1e-9 across {checked} relations on 10^3 instances")
 
 
+_PATHS_9 = (("monotone", KIND_MONOTONE), ("subcube", KIND_SUBCUBE))
+
+
+def _trial_9(index: int) -> bool:
+    # trials 0-19 of the monotone path, then trials 0-19 of the subcube path
+    (path, kind), t = _PATHS_9[index // 20], index % 20
+    learner = make_exhaustive_tree_learner(10, 2, eps=0.04, delta=0.0125)
+    if path == "monotone":
+        inst = gen_monotone_dist(10, 2, derive_seed(SEED, "acc9m", t))
+        oracle = DistOracle.sampler(
+            inst.dense, derive_seed(SEED, "acc9m-oracle", t)
+        )
+    else:
+        inst = gen_dt_dist(10, 2, derive_seed(SEED, "acc9s", t))
+        oracle = DistOracle.subcube(
+            inst.dense, derive_seed(SEED, "acc9s-oracle", t)
+        )
+    target = gen_target(10, "depth:2", derive_seed(SEED, "acc9-f", path, t))
+    labeled = make_labeled_source(
+        DistOracle.sampler(inst.dense, derive_seed(SEED, "acc9-lab", path, t)),
+        target,
+    )
+    result = end_to_end(
+        oracle, labeled, learner, 2, 0.1, 0.1, kind,
+        dist_eps=0.05, seed=derive_seed(SEED, "acc9-lift", path, t),
+    )
+    err = dist_error(result.hypothesis, target, inst.dense)
+    return err <= 0.1
+
+
 @pytest.mark.slow
 def test_criterion_9_lifting_end_to_end():
-    learner = make_exhaustive_tree_learner(10, 2, eps=0.04, delta=0.0125)
-    wins = {}
-    for path, kind in (("monotone", KIND_MONOTONE), ("subcube", KIND_SUBCUBE)):
-        wins[path] = 0
-        for t in range(20):
-            if path == "monotone":
-                inst = gen_monotone_dist(10, 2, derive_seed(SEED, "acc9m", t))
-                oracle = DistOracle.sampler(
-                    inst.dense, derive_seed(SEED, "acc9m-oracle", t)
-                )
-            else:
-                inst = gen_dt_dist(10, 2, derive_seed(SEED, "acc9s", t))
-                oracle = DistOracle.subcube(
-                    inst.dense, derive_seed(SEED, "acc9s-oracle", t)
-                )
-            target = gen_target(10, "depth:2", derive_seed(SEED, "acc9-f", path, t))
-            labeled = make_labeled_source(
-                DistOracle.sampler(inst.dense, derive_seed(SEED, "acc9-lab", path, t)),
-                target,
-            )
-            result = end_to_end(
-                oracle, labeled, learner, 2, 0.1, 0.1, kind,
-                dist_eps=0.05, seed=derive_seed(SEED, "acc9-lift", path, t),
-            )
-            err = dist_error(result.hypothesis, target, inst.dense)
-            wins[path] += err <= 0.1
+    won = conftest.map_trials(_trial_9, 2 * 20)
+    wins = {path: sum(won[20 * k : 20 * (k + 1)]) for k, (path, _) in enumerate(_PATHS_9)}
     ok = wins["monotone"] >= 18 and wins["subcube"] >= 18
     record(9, ok, f"lifted exhaustive-tree learner, n=10 d=2: error<=0.1 in "
                   f"{wins['monotone']}/20 monotone-path and {wins['subcube']}/20 "

@@ -6,13 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles as O
-from conftest import E2_EXPECTED
+from conftest import E2_EXPECTED, small_pmfs
 from dtdist import (
     BuildParams,
     ConfigError,
     DensePmf,
+    DtdistError,
     DistOracle,
     EstimatorBudget,
     InfluenceOracle,
@@ -301,3 +304,56 @@ def test_exact_search_output_is_byte_stable():
         h.update(repr((res.objective, res.raw_leaf_values, st.recursive_calls,
                        st.influence_queries, st.leaf_estimates)).encode())
     assert h.hexdigest() == EXACT_SEARCH_PIN
+
+
+# ---------------------------------------------------------------------------
+# generated pmfs: the paper's claims on any small D, not only on trees
+
+
+@st.composite
+def pmfs_with_ties(draw):
+    """(d, depth, tau or None): small_pmfs, or, when the threshold (tau,
+    or eps/(8 d^2) at eps = 0.25) is a power of two, often a pmf whose one
+    biased coordinate has influence exactly that at the root,
+    2^-n (1 + tau x_i); other near-ties round differently in the search
+    and the brute force."""
+    d = draw(small_pmfs())
+    depth = draw(st.integers(0, d.n))
+    tau = draw(st.sampled_from([None, 0.01, 0.05, 0.2]))
+    bias = default_tau(0.25, depth) if tau is None else tau
+    if d.n and math.frexp(bias)[0] == 0.5 and draw(st.booleans()):
+        i = draw(st.integers(0, d.n - 1))
+        sign = np.where(np.arange(1 << d.n) >> i & 1, 1.0, -1.0)
+        d = DensePmf(d.n, 2.0 ** -d.n * (1.0 + bias * sign))
+    return d, depth, tau
+
+
+@settings(max_examples=150, deadline=None)
+@given(pmfs_with_ties())
+def test_exact_objective_matches_brute_force_on_any_pmf(case):
+    # criterion 2 on arbitrary pmfs: zeros, point masses, Dirichlet(0.1),
+    # every depth 0..n and thresholds with exact ties at tau
+    d, depth, tau = case
+    res = learn_distribution_result(DistOracle.exact(d, seed=1), depth, 0.25, 0.1,
+                                    KIND_EXACT, tau=tau)
+    want, _ = brute_optimal_tree(d, depth, res.params.tau)
+    assert abs(res.objective - want) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_pmfs(), st.sampled_from([KIND_MONOTONE, KIND_SUBCUBE]),
+       st.integers(0, 2**32 - 1), st.data())
+def test_small_cap_sample_learn_is_normalized_or_raises(d, kind, seed, data):
+    # the sample kinds on any pmf (monotone or not) under tight caps: a
+    # normalized tree of the asked depth, or a package error, never a crash
+    depth = data.draw(st.integers(0, min(d.n, 2)))
+    source = DistOracle.subcube(d, seed) if kind == KIND_SUBCUBE else DistOracle.sampler(d, seed)
+    budget = EstimatorBudget(max_pool=data.draw(st.integers(1, 2_000)),
+                             infest_reps_cap=data.draw(st.integers(1, 50)))
+    try:
+        res = learn_distribution_result(source, depth, 0.3, 0.1, kind, budget=budget)
+    except DtdistError:
+        return
+    table = tree_to_dense(res.tree).table
+    assert res.tree.depth() <= depth
+    assert np.all(table >= 0.0) and abs(table.sum() - 1.0) <= 1e-9

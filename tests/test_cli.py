@@ -543,6 +543,49 @@ def test_exit_code_bad_worker_count(monkeypatch, capsys, workers, env):
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
+class _SerialPool:
+    """Stands in for ProcessPoolExecutor: records its size, starts nothing."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("workers, env, cores, trials, used", [
+    ("100000", None, 2, "3", 2),
+    (None, "100000", 2, "3", 2),
+    ("100000", None, None, "3", 1),
+    ("100000", None, 64, "3", 3),
+    ("2", None, 64, "1", 1),
+    (None, None, 8, "3", 3),
+])
+def test_verify_pool_is_capped(monkeypatch, capsys, workers, env, cores, trials, used):
+    # a fork pool starts every worker at once, so --workers 100000 once
+    # asked for 100,000 processes; the pool and the reported count are
+    # now min(workers, cores, trials), and one worker runs in process
+    _SerialPool.sizes = []
+    monkeypatch.setattr("dtdist.cli.ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cores)
+    if env is None:
+        monkeypatch.delenv("DTDIST_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("DTDIST_WORKERS", env)
+    argv = ["verify", "--suite", "inequalities", "--trials", trials, "--seed", "21"]
+    code, summary = run_json(capsys, argv + ([] if workers is None else ["--workers", workers]))
+    assert code == 0 and summary["workers"] == used
+    assert _SerialPool.sizes == ([] if used == 1 else [used])
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_rejects_nonpositive_trials(capsys, trials):
     code, out = run(capsys, ["verify", "--suite", "core", "--trials", trials,

@@ -35,6 +35,7 @@ from dtdist import (
     infest,
     infest_repetitions,
     infest_sample_count,
+    learn_distribution_result,
     points_to_indices,
     restrict_dist,
     subcube_weight,
@@ -272,6 +273,122 @@ def test_exact_kernel_partner_cache_bound():
             exact_influence_all(d, Restriction.of(*[(i, 1) for i in range(k)]))
         assert sorted(influence._PARTNERS) == list(range(13))
         assert sum(t.nbytes for t in influence._PARTNERS.values()) < 1 << 20
+
+
+@st.composite
+def exact_walks(draw):
+    """(d, steps): a table of n in 1..12 (60% zeros, a point mass, or
+    Dirichlet(0.1)) and a walk of queries on one engine.  Each step goes
+    down one coordinate, back up, to the sibling, or jumps to a random
+    restriction whose parent the engine need not hold, and queries either
+    every free coordinate or a shuffled list of them."""
+    n = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zeros", "point", "dirichlet"]))
+    if kind == "point":
+        table = np.zeros(1 << n)
+        table[rng.integers(1 << n)] = 1.0
+    else:
+        table = rng.dirichlet(np.full(1 << n, 0.1 if kind == "dirichlet" else 1.0))
+        if kind == "zeros":
+            table[rng.random(1 << n) < 0.6] = 0.0
+            if table.sum() == 0.0:
+                table[rng.integers(1 << n)] = 1.0
+    path, steps = [], []
+    for _ in range(draw(st.integers(1, 3 * n + 3))):
+        move = draw(st.sampled_from(["down", "down", "down", "up", "sibling", "jump"]))
+        free = [i for i in range(n) if i not in dict(path)]
+        if move == "down" and free:
+            # either end of the free list (t = 0 and t = m - 1) or between
+            i = draw(st.sampled_from([free[0], free[-1], draw(st.sampled_from(free))]))
+            path.append((i, draw(st.sampled_from([-1, 1]))))
+        elif move == "up" and path:
+            path.pop()
+        elif move == "sibling" and path:
+            i, b = path.pop()
+            path.append((i, -b))
+        elif move == "jump":
+            coords = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+            path = [(c, draw(st.sampled_from([-1, 1]))) for c in coords]
+        shuffled = draw(st.booleans())
+        steps.append((list(path), draw(st.randoms()) if shuffled else None))
+    return DensePmf(n, table / table.sum()), steps
+
+
+def _is_parent(key, s):
+    if key is None:
+        return False
+    mask, bits = key
+    return (s.mask & mask) == mask and s.bits & mask == bits and len(s) == bin(mask).count("1") + 1
+
+
+@settings(max_examples=120, deadline=None)
+@given(exact_walks())
+def test_exact_engine_derives_children_bit_equal(case):
+    # every query on one engine equals a cache-free kernel call and the
+    # flipped-copy loop bit for bit; the kernel runs only where the engine
+    # holds no parent one level up, and the engine keeps one buffer per
+    # restriction length, none deeper than the last query
+    d, steps = case
+    io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
+    held = []  # by restriction length: the (mask, bits) the engine should hold
+    with mock.patch.object(influence, "_kernel", wraps=influence._kernel) as kernel:
+        for pairs, shuffle in steps:
+            s = Restriction.of(*pairs)
+            free = s.free_coords(d.n)
+            coords = None
+            if shuffle is not None:
+                coords = list(free)
+                shuffle.shuffle(coords)
+            calls = kernel.call_count
+            got_coords, vals, _ = io.estimate_all(s, coords)
+            parent = held[len(s) - 1] if 0 < len(s) <= len(held) else None
+            assert kernel.call_count - calls == (parent is None or not _is_parent(parent, s))
+            del held[len(s):]
+            held += [None] * (len(s) - len(held)) + [(s.mask, s.bits)]
+            want_free, want = exact_influence_all(d, s)
+            ref_free, ref = flipped_copy_influences(d, s)
+            assert want_free == ref_free == free
+            assert np.array_equal(want, ref)
+            if coords is not None:
+                want = want[[free.index(i) for i in coords]]
+            assert got_coords == (free if coords is None else coords)
+            assert np.array_equal(vals, want)
+            rows = io._rows
+            assert [v and v[:2] for v in rows] == held
+            bufs = [v[3] for v in rows if v is not None]
+            assert len({id(b if b.base is None else b.base) for b in bufs}) <= len(bufs)
+
+
+def test_exact_engine_child_halves_at_either_end():
+    # fixing the lowest free coordinate reads a strided half (t = 0), the
+    # highest a contiguous one (t = m - 1); both come from the parent's rows
+    d = random_dense(12, 8)
+    for i in (0, 11, 5):
+        io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
+        io.estimate_all()
+        for b in (-1, 1):
+            s = Restriction.of((i, b))
+            with mock.patch.object(influence, "_kernel") as kernel:
+                coords, vals, _ = io.estimate_all(s)
+            assert not kernel.called
+            assert np.array_equal(vals, flipped_copy_influences(d, s)[1])
+            child, parent = io._rows[1][3], io._rows[0][3]
+            assert np.shares_memory(child, parent) == (i in (0, 11))
+
+
+def test_exact_search_memory_bound():
+    # the kept rows of an n=12 search: at most one buffer per restriction
+    # length, 12 x 4,096 floats at the root and half as many per level
+    inst = gen_dt_dist(12, 3, 3)
+    learn_distribution_result(DistOracle.exact(inst.dense, seed=2), 3, 0.1, 0.1, KIND_EXACT)
+    tracemalloc.start()
+    try:
+        learn_distribution_result(DistOracle.exact(inst.dense, seed=2), 3, 0.1, 0.1, KIND_EXACT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,15 @@ reimplementations in oracles.py; frozen E2 values come from conftest.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import oracles
-from conftest import E2_EXPECTED
+from conftest import E2_EXPECTED, small_pmfs
 from dtdist import (
     ConfigError,
     DensePmf,
     DistTree,
+    dense_to_tree,
     Internal,
     Leaf,
     Restriction,
@@ -328,3 +330,13 @@ def test_check_inequalities_monotone_instances():
         records = check_inequalities(inst, other=partner)
         assert all(r.passed for r in records)
         assert all(r.margin >= -CHECK_TOL for r in records)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_pmfs())
+def test_inequalities_hold_on_any_pmf(d):
+    # criterion 8 on arbitrary pmfs through their exact tree, not only on
+    # generated trees
+    inst = Instance(tree=dense_to_tree(d), dense=d, seed=5, kind="pmf", monotone=False)
+    failed = [r.name for r in check_inequalities(inst) if not r.passed]
+    assert not failed
