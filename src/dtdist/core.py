@@ -61,18 +61,36 @@ def all_points(n: int) -> np.ndarray:
     return got
 
 
-# rows per block in points_to_indices: its int64 bit matrix stays one block
-# instead of 8n bytes per point (172 MB for 2M points at n=10, which the
-# blocks also index in about half the time)
+# rows per block in points_to_indices: its bit matrix stays one block
+# instead of 4n or 8n bytes per point (172 MB for 2M points at n=10 in
+# int64, which the blocks also index in about half the time)
 _INDEX_BLOCK = 1 << 13
+
+# widest cube whose indices fit an int64, bit 63 in two's complement
+_MAX_POINT_N = 64
 
 
 def points_to_indices(X: np.ndarray) -> np.ndarray:
-    """Dense-table indices for a (k, n) batch of points."""
-    weights = np.int64(1) << np.arange(X.shape[1], dtype=np.int64)
+    """Dense-table indices (int64) for a (k, n) batch of points: bit i of
+    a row's index is set when its x_i > 0.
+
+    Each block is (X > 0) times the weights 2^i, as a float32 BLAS
+    product for n <= 24 and a float64 one for n <= 53.  Every partial sum
+    is an integer below 2^n, so below 2^24 (2^53) and exact in that
+    float, whatever order or blocking the BLAS sums in; wider points use
+    an int64 product.  n is at most 64: at n = 64 bit 63 is the int64
+    sign bit (two's complement), and wider points would need more bits
+    than an index has, so they raise DimensionMismatchError.
+    """
+    n = X.shape[1]
+    if n > _MAX_POINT_N:
+        raise DimensionMismatchError(
+            f"a point index has 64 bits, so n <= {_MAX_POINT_N}; got n={n}")
+    dtype = np.float32 if n <= 24 else np.float64 if n <= 53 else np.int64
+    weights = (np.int64(1) << np.arange(n, dtype=np.int64)).astype(dtype)
     out = np.empty(X.shape[0], dtype=np.int64)
     for lo in range(0, X.shape[0], _INDEX_BLOCK):
-        out[lo:lo + _INDEX_BLOCK] = (X[lo:lo + _INDEX_BLOCK] > 0).astype(np.int64) @ weights
+        out[lo:lo + _INDEX_BLOCK] = (X[lo:lo + _INDEX_BLOCK] > 0).astype(dtype) @ weights
     return out
 
 
@@ -820,9 +838,14 @@ class DistOracle:
             mlo, mhi = cm[f["lo"][j]], cm[f["hi"][j]]
             p_hi = mhi / (mlo + mhi)
             hi_sel = self.rng.random(k if rows is None else rows.size) < p_hi
-            # one write of the split's column: plain at the root, a scatter below
-            X[slice(None) if rows is None else rows, v] = np.where(hi_sel, np.int8(1), np.int8(-1))
-            todo += _children(f, j, rows, hi_sel)
+            kids = _children(f, j, rows, hi_sel)
+            # the split's column, written through the child row lists as
+            # two constant scatters into a view of the column (node ids
+            # are distinct, so the child names the side)
+            col = X[:, v]
+            for child, sub in kids:
+                col[sub] = 1 if child == f["hi"][j] else -1
+            todo += kids
         return X
 
     def _draw_dense(self, s: Restriction, k: int) -> np.ndarray:

@@ -300,7 +300,7 @@ def split_and_rerandomize(
             bits = rng.integers(0, 2, size=(rows.size, len(coords)), dtype=np.int8)
             part &= ~restriction.mask
             for p, i in enumerate(coords):
-                part |= bits[:, p].astype(np.int64) << i
+                part |= np.left_shift(bits[:, p], i, dtype=np.int64)
         parts.append(LabeledSample._of(t.n, sample.y[rows], idx=part))
     return parts
 
@@ -579,14 +579,34 @@ def dist_error(hyp: Hypothesis, target_table: np.ndarray, dense: DensePmf) -> fl
 
 
 def make_labeled_source(d_oracle: DistOracle, target_table: np.ndarray) -> Callable:
-    """labeled_source(k) drawing x ~ D and labeling with the target table."""
+    """labeled_source(k) drawing x ~ D and labeling with the target table.
+
+    The table is checked once, here: shape (2^n,) for the oracle's n, or
+    DimensionMismatchError, and entries 0 or 1, or ValueError.  An entry
+    is 0 or 1 exactly when it survives a round trip through bool, which
+    two casts and a byte compare test: called between runs, with cold
+    caches, they cost about half of an elementwise comparison.  A float
+    -0.0 and an object array fail it too.  The table is copied as uint8,
+    so a later change to the caller's array changes no label.  Each
+    draw's sample is then built unchecked, its indices kept for the lift
+    to split and learn from: DistOracle.sample_batch only returns -1/+1
+    int8 rows (tree and dense draws make them so, and a stream's rows
+    are checked as they are drawn), and labels read from the checked
+    table are 0 or 1.
+    """
+    n = d_oracle.n
+    table = np.asarray(target_table)
+    if table.shape != (1 << n,):
+        raise DimensionMismatchError(f"target table shape {table.shape}, want ({1 << n},)")
+    bits = table.astype(bool)
+    if bits.astype(table.dtype).tobytes() != table.tobytes():
+        raise ValueError("labels must be 0 or 1")
+    table = bits.astype(np.uint8)
 
     def source(k: int) -> LabeledSample:
         X = d_oracle.sample_batch(k)
         idx = points_to_indices(X)
-        sample = LabeledSample(X, target_table[idx])
-        sample._idx = idx  # the lift reuses it to split and to learn
-        return sample
+        return LabeledSample._of(n, table[idx], X=X, idx=idx)
 
     return source
 

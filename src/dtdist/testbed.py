@@ -280,7 +280,12 @@ def brute_optimal_tree(dense: DensePmf, d: int, tau: float):
 
     Returns (objective, encoding) with encodings ("leaf",) and
     ("node", var, lo, hi).  Independent of the search module: influences
-    come from the naive per-point loop above.
+    come from the naive per-point loop above.  It sums them in another
+    order than the search does, so the two agree on the objective away
+    from near-ties: a coordinate whose influence is tau up to rounding
+    may pass the tau cut here and not there, or the reverse (for the pmf
+    2^-n (1 + 0.2 x_i) at tau = 0.2 the search reads 0.19999999999999996
+    and keeps a leaf, this splits).
     """
     n = dense.n
     table = weighting_table(dense)

@@ -88,6 +88,17 @@ def small_pmfs(draw, max_n=5):
     return DensePmf(n, table / table.sum())
 
 
+def pm1_stream(seed, n):
+    """A valid stream backing: n uniform +-1 int64 columns from its own
+    generator."""
+    rows = np.random.default_rng(seed)
+
+    def gen(k, rng):
+        return 2 * rows.integers(0, 2, size=(k, n)) - 1
+
+    return gen
+
+
 def map_trials(trial, count: int) -> list:
     """[trial(0), ..., trial(count - 1)], in order.
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles as O
-from conftest import E2_TABLE, E2_EXPECTED
+from conftest import E2_TABLE, E2_EXPECTED, pm1_stream
 from dtdist import core
 from dtdist import (
     DensePmf,
@@ -66,6 +66,45 @@ def test_all_points_order_and_indices():
     pts = all_points(4)
     assert pts.shape == (16, 4)
     assert np.array_equal(points_to_indices(pts), np.arange(16))
+
+
+def _python_indices(X):
+    """points_to_indices by Python ints: bit i set when x_i > 0, bit 63 in
+    two's complement."""
+    out = []
+    for row in X > 0:
+        v = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        out.append(v - (1 << 64) if v >> 63 else v)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 1, 10, 24, 25, 53, 54, 64]),
+       st.one_of(st.sampled_from([0, 1, 8191, 8192, 8193]), st.integers(0, 20_000)),
+       st.sampled_from([np.int8, np.int64, np.float64]), st.integers(0, 2**32 - 1))
+def test_points_to_indices_matches_python_ints(n, k, dtype, seed):
+    # n 24/25 and 53/54 sit on either side of the float32, float64 and
+    # int64 products, k on either side of a block's end; the rule is
+    # x_i > 0, so entries off -1/+1 are read too
+    values = [-1, 0, 1, 2] + ([-0.5] if dtype is np.float64 else [])
+    X = np.random.default_rng(seed).choice(np.array(values, dtype=dtype), size=(k, n))
+    got = points_to_indices(X)
+    assert got.dtype == np.int64 and got.shape == (k,)
+    assert got.tolist() == _python_indices(X)
+
+
+def test_points_to_indices_refuses_more_than_64_coordinates():
+    # at n=66 the points with only coordinate 64 or only 65 at +1 once
+    # both mapped to index 0
+    X = -np.ones((2, 66), dtype=np.int8)
+    X[0, 64] = X[1, 65] = 1
+    for n in (65, 66):
+        with pytest.raises(DimensionMismatchError, match="n <= 64"):
+            points_to_indices(X[:, :n])
+    top = np.ones((1, 64), dtype=np.int8)
+    assert points_to_indices(top).tolist() == [-1]
+    top[0, :63] = -1
+    assert points_to_indices(top).tolist() == [-(1 << 63)]
 
 
 def test_restriction_construction_and_key():
@@ -615,23 +654,13 @@ def test_stream_backing_sampling():
     assert np.abs(X.mean(axis=0)).max() <= 0.05
 
 
-def _pm1_stream(seed, n):
-    """A valid stream: n uniform +-1 int64 columns from its own generator."""
-    rows = np.random.default_rng(seed)
-
-    def gen(k, rng):
-        return 2 * rows.integers(0, 2, size=(k, n)) - 1
-
-    return gen
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 50), st.integers(0, 2**32 - 1),
        st.sampled_from([0, 3, 200, -128, 1.5, np.nan]), st.data())
 def test_stream_backing_rejects_entries_off_pm1(n, k, seed, bad, data):
     # 200 once came back as -56 and 0 reached the pools unchecked
     r, c = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, n - 1))
-    gen = _pm1_stream(seed, n)
+    gen = pm1_stream(seed, n)
 
     def broken(k, rng):
         X = gen(k, rng).astype(np.float64)
@@ -641,8 +670,8 @@ def test_stream_backing_rejects_entries_off_pm1(n, k, seed, bad, data):
     with pytest.raises(ValueError, match="-1 or \\+1"):
         DistOracle.sampler(broken, seed=1, n=n).sample_batch(k)
     # a valid stream's rows come back as they were, as int8
-    X = DistOracle.sampler(_pm1_stream(seed, n), seed=1, n=n).sample_batch(k)
-    assert X.dtype == np.int8 and np.array_equal(X, _pm1_stream(seed, n)(k, None))
+    X = DistOracle.sampler(pm1_stream(seed, n), seed=1, n=n).sample_batch(k)
+    assert X.dtype == np.int8 and np.array_equal(X, pm1_stream(seed, n)(k, None))
 
 
 def test_mode_gating(e2_dense):
@@ -973,10 +1002,10 @@ def test_dense_draws_are_split_invariant(case):
        st.integers(1, 2 * CHUNK), st.integers(0, 2**31))
 def test_sample_slices_equal_one_batch(kind, k, rows, seed):
     d = DensePmf(5, np.random.default_rng(seed).dirichlet(np.ones(32)))
-    backing = {"dense": d, "tree": dense_to_tree(d), "stream": _pm1_stream(seed, 5)}[kind]
+    backing = {"dense": d, "tree": dense_to_tree(d), "stream": pm1_stream(seed, 5)}[kind]
     sliced, whole = (DistOracle.sampler(backing, seed=seed, n=5) for _ in range(2))
     if kind == "stream":  # each oracle gets a stream of its own
-        whole.backing = _pm1_stream(seed, 5)
+        whole.backing = pm1_stream(seed, 5)
     got = list(sliced.sample_slices(k, rows))
     assert all(0 < X.shape[0] <= rows for X in got)
     want = whole.sample_batch(k)

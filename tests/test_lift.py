@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import COUNT_DEPTH_TREES_8_2, COUNT_DEPTH_TREES_10_2, REQUIRED_M_50_3
+from conftest import (
+    COUNT_DEPTH_TREES_8_2,
+    COUNT_DEPTH_TREES_10_2,
+    REQUIRED_M_50_3,
+    pm1_stream,
+)
 from dtdist import (
     BudgetExceededError,
     ConfigError,
@@ -29,6 +34,7 @@ from dtdist import (
     LabeledSample,
     Leaf,
     LowDegreeHypothesis,
+    OracleMode,
     TreeRoutedHypothesis,
     TruthTableHypothesis,
     UniformLearner,
@@ -786,6 +792,70 @@ def test_make_labeled_source(e2_dense):
     sample = make_labeled_source(oracle, target)(1000)
     assert len(sample) == 1000 and sample.n == 2
     assert np.array_equal(sample.y, target[points_to_indices(sample.X)])
+
+
+def test_labeled_source_checks_the_table_when_built():
+    oracle = DistOracle.sampler(uniform_dense(3), seed=34)
+    # a short table once failed with IndexError at the first draw past its
+    # end, and a (2, 4) one at the first draw
+    for bad in (np.zeros(4, dtype=np.uint8), np.zeros((2, 4), dtype=np.uint8),
+                np.zeros(16, dtype=np.uint8), np.uint8(0)):
+        with pytest.raises(DimensionMismatchError):
+            make_labeled_source(oracle, bad)
+    for bad in ([0, 1, 2, 0, 0, 0, 0, 0], [0.5] * 8, [-1] + [0] * 7,
+                [0] * 7 + [float("nan")], np.full(8, 255, dtype=np.uint8),
+                np.array([0, 1] * 4, dtype=np.int64) + 256, ["0", "1"] * 4):
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            make_labeled_source(oracle, bad)
+    assert oracle.query_count[OracleMode.SAMPLE] == 0
+    # any numeric dtype holding only 0 and 1 is taken, and copied: a later
+    # change to the caller's array changes no label
+    for dtype in (np.int64, np.uint8, np.float32, ">i4", bool):
+        target = np.zeros(8, dtype=dtype)
+        target[[1, 6]] = 1
+        source = make_labeled_source(oracle, target)
+        want = target.astype(np.uint8)
+        target[:] = 7
+        sample = source(2000)
+        assert sample.y.dtype == np.uint8
+        assert np.array_equal(sample.y, want[points_to_indices(sample.X)])
+
+
+@pytest.mark.parametrize("kind", ["dense", "tree", "stream"])
+@pytest.mark.parametrize("k", [0, 1, 5000])
+def test_labeled_source_equals_checked_sample(kind, k):
+    # the unchecked per-draw path builds what the public checked
+    # LabeledSample builds from the same rows
+    n = 6
+    inst = gen_dt_dist(n, 2, seed=35)
+    target = gen_target(n, "depth:2", seed=36).astype(np.int64)
+
+    def oracle():
+        backing = {"dense": inst.dense, "tree": inst.tree, "stream": pm1_stream(37, n)}[kind]
+        return DistOracle.sampler(backing, seed=38, n=n)
+
+    got = make_labeled_source(oracle(), target)(k)
+    X = oracle().sample_batch(k)
+    want = LabeledSample(X, target[points_to_indices(X)])
+    assert got.X.dtype == np.int8 and np.array_equal(got.X, want.X)
+    assert got.y.dtype == np.uint8 and np.array_equal(got.y, want.y)
+    assert np.array_equal(got._index(), want._index())
+
+
+@pytest.mark.parametrize("bad", [0, 200])
+def test_labeled_source_stream_rows_are_still_checked(bad):
+    n = 4
+    gen = pm1_stream(39, n)
+
+    def broken(k, rng):
+        X = gen(k, rng)
+        X[k // 2, 1] = bad
+        return X
+
+    source = make_labeled_source(DistOracle.sampler(broken, seed=1, n=n),
+                                 np.zeros(1 << n, dtype=np.uint8))
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        source(100)
 
 
 # ---------------------------------------------------------------------------
