@@ -75,18 +75,18 @@ def points_to_indices(X: np.ndarray) -> np.ndarray:
     a row's index is set when its x_i > 0.
 
     Each block is (X > 0) times the weights 2^i, as a float32 BLAS
-    product for n <= 24 and a float64 one for n <= 53.  Every partial sum
-    is an integer below 2^n, so below 2^24 (2^53) and exact in that
-    float, whatever order or blocking the BLAS sums in; wider points use
-    an int64 product.  n is at most 64: at n = 64 bit 63 is the int64
-    sign bit (two's complement), and wider points would need more bits
-    than an index has, so they raise DimensionMismatchError.
+    product for n <= 24: every partial sum is an integer below 2^n, so
+    below 2^24 and exact in float32, whatever order or blocking the BLAS
+    sums in.  Wider points use an int64 product.  n is at most 64: at
+    n = 64 bit 63 is the int64 sign bit (two's complement), and wider
+    points would need more bits than an index has, so they raise
+    DimensionMismatchError.
     """
     n = X.shape[1]
     if n > _MAX_POINT_N:
         raise DimensionMismatchError(
             f"a point index has 64 bits, so n <= {_MAX_POINT_N}; got n={n}")
-    dtype = np.float32 if n <= 24 else np.float64 if n <= 53 else np.int64
+    dtype = np.float32 if n <= 24 else np.int64
     weights = (np.int64(1) << np.arange(n, dtype=np.int64)).astype(dtype)
     out = np.empty(X.shape[0], dtype=np.int64)
     for lo in range(0, X.shape[0], _INDEX_BLOCK):

@@ -32,6 +32,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (
+    _MAX_POINT_N,
     EMPTY,
     DensePmf,
     DistOracle,
@@ -386,7 +387,7 @@ class InfluenceOracle:
         for cap in ("max_pool", "infest_reps_cap"):
             if getattr(self.budget, cap) < 1:
                 raise ConfigError(f"{cap} must be positive, got {getattr(self.budget, cap)}")
-        if kind != KIND_EXACT and source.n > 64:
+        if kind != KIND_EXACT and source.n > _MAX_POINT_N:
             raise ConfigError(f"the sample pool keys points by a 64-bit index, n={source.n}")
         self.strict = strict
         self.queries = 0

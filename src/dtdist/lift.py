@@ -582,12 +582,14 @@ def make_labeled_source(d_oracle: DistOracle, target_table: np.ndarray) -> Calla
     """labeled_source(k) drawing x ~ D and labeling with the target table.
 
     The table is checked once, here: shape (2^n,) for the oracle's n, or
-    DimensionMismatchError, and entries 0 or 1, or ValueError.  An entry
-    is 0 or 1 exactly when it survives a round trip through bool, which
-    two casts and a byte compare test: called between runs, with cold
-    caches, they cost about half of an elementwise comparison.  A float
-    -0.0 and an object array fail it too.  The table is copied as uint8,
-    so a later change to the caller's array changes no label.  Each
+    DimensionMismatchError, and entries 0 or 1, or ValueError.  The rule
+    is stricter than LabeledSample's elementwise (y == 0) | (y == 1): an
+    entry must survive a round trip through bool bit for bit, so a float
+    -0.0 and an object array of 0/1 are refused here and taken there.
+    Two casts and a byte compare test it in about half the time of the
+    elementwise comparison when called between runs, with cold caches.
+    The table is copied as uint8, so a later change to the caller's
+    array changes no label.  Each
     draw's sample is then built unchecked, its indices kept for the lift
     to split and learn from: DistOracle.sample_batch only returns -1/+1
     int8 rows (tree and dense draws make them so, and a stream's rows

@@ -83,9 +83,9 @@ def _python_indices(X):
        st.one_of(st.sampled_from([0, 1, 8191, 8192, 8193]), st.integers(0, 20_000)),
        st.sampled_from([np.int8, np.int64, np.float64]), st.integers(0, 2**32 - 1))
 def test_points_to_indices_matches_python_ints(n, k, dtype, seed):
-    # n 24/25 and 53/54 sit on either side of the float32, float64 and
-    # int64 products, k on either side of a block's end; the rule is
-    # x_i > 0, so entries off -1/+1 are read too
+    # n 24/25 sit on either side of the float32 and int64 products, 53/54
+    # on either side of a float64's exact integers, k on either side of a
+    # block's end; the rule is x_i > 0, so entries off -1/+1 are read too
     values = [-1, 0, 1, 2] + ([-0.5] if dtype is np.float64 else [])
     X = np.random.default_rng(seed).choice(np.array(values, dtype=dtype), size=(k, n))
     got = points_to_indices(X)

@@ -802,12 +802,18 @@ def test_labeled_source_checks_the_table_when_built():
                 np.zeros(16, dtype=np.uint8), np.uint8(0)):
         with pytest.raises(DimensionMismatchError):
             make_labeled_source(oracle, bad)
+    # -0.0 and object arrays are refused too: the rule is stricter than
+    # the public LabeledSample's, which takes both
     for bad in ([0, 1, 2, 0, 0, 0, 0, 0], [0.5] * 8, [-1] + [0] * 7,
                 [0] * 7 + [float("nan")], np.full(8, 255, dtype=np.uint8),
-                np.array([0, 1] * 4, dtype=np.int64) + 256, ["0", "1"] * 4):
+                np.array([0, 1] * 4, dtype=np.int64) + 256, ["0", "1"] * 4,
+                [-0.0] + [1.0] * 7, np.array([0, 1] * 4, dtype=object)):
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             make_labeled_source(oracle, bad)
     assert oracle.query_count[OracleMode.SAMPLE] == 0
+    X = np.ones((8, 3), dtype=np.int8)
+    assert LabeledSample(X, [-0.0] + [1.0] * 7).y.tolist() == [0] + [1] * 7
+    assert LabeledSample(X, np.array([0, 1] * 4, dtype=object)).y.tolist() == [0, 1] * 4
     # any numeric dtype holding only 0 and 1 is taken, and copied: a later
     # change to the caller's array changes no label
     for dtype in (np.int64, np.uint8, np.float32, ">i4", bool):
