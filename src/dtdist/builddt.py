@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     EMPTY,
     DistOracle,
@@ -106,13 +108,29 @@ class BuildParams:
 
 @dataclass
 class SearchStats:
+    """Counts of one search; the CLI prints them.
+
+    recursive_calls: every call of the recursion, memo hits included.
+    influence_queries: coordinates whose influence was read, one read per
+    distinct restriction the search visits.
+    leaf_estimates: leaf masses read, one per visited restriction that
+    ends as a leaf, whether or not the returned tree keeps it.
+    """
+
     recursive_calls: int = 0
     influence_queries: int = 0
     leaf_estimates: int = 0
 
 
 class _Search:
-    """One memoized search: shared caches, stats, and the recursion guard."""
+    """One memoized search: the memo, the stats and the recursion guard.
+
+    The recursion carries a restriction as its (mask, bits) ints and its
+    pairs in path order, and keys the memo on (mask, bits) alone: every
+    restriction in one search extends the start one, so its length fixes
+    the remaining budget.  A Restriction is built only on a memo miss,
+    unchecked, since each child fixes one free coordinate of its parent.
+    """
 
     def __init__(self, i_oracle: InfluenceOracle, params: BuildParams):
         self.n = i_oracle.source.n
@@ -122,24 +140,9 @@ class _Search:
         self.stats = SearchStats()
         # n = 0 still makes its one call
         self.guard = call_count_bound(params.eps, params.depth_budget) * max(self.n, 1)
+        # exact influences are cut at tau, estimated ones at 0.75 tau
+        self.cut = params.tau if i_oracle.kind == KIND_EXACT else 0.75 * params.tau
         self.memo: dict = {}
-        self.inf_cache: dict = {}
-
-    def influences(self, s: Restriction):
-        got = self.inf_cache.get((s.mask, s.bits))
-        if got is None:
-            coords, vals, _ = self.i_oracle.estimate_all(s)
-            self.stats.influence_queries += len(coords)
-            got = (coords, vals)
-            self.inf_cache[(s.mask, s.bits)] = got
-        return got
-
-    def candidates(self, s: Restriction) -> list:
-        coords, vals = self.influences(s)
-        cut = self.params.tau
-        if self.i_oracle.kind != KIND_EXACT:
-            cut = 0.75 * self.params.tau
-        return [i for i, v in zip(coords, vals) if v >= cut]
 
     def leaf_density(self, s: Restriction) -> float:
         self.stats.leaf_estimates += 1
@@ -147,44 +150,46 @@ class _Search:
         # weighting value 2^|s| * w, stored as a density by dividing by 2^n
         return w / 2.0 ** (self.n - len(s))
 
-    def build(self, s: Restriction, budget: int):
-        self.stats.recursive_calls += 1
-        if self.stats.recursive_calls > self.guard:
+    def build(self, mask: int, bits: int, pairs: tuple, budget: int):
+        stats = self.stats
+        stats.recursive_calls += 1
+        if stats.recursive_calls > self.guard:
             raise BudgetExceededError(
                 f"tree search exceeded {self.guard:.3g} recursive calls"
             )
-        key = (s.mask, s.bits, budget)
-        hit = self.memo.get(key)
+        hit = self.memo.get((mask, bits))
         if hit is not None:
             return hit
-        _, vals = self.influences(s)
-        cands = self.candidates(s) if budget > 0 else []
-        if not cands:
-            node: Node = Leaf(self.leaf_density(s))
-            obj = float(vals.sum())
-        else:
-            best = None
+        s = Restriction._of(pairs, mask, bits)
+        coords, vals, _ = self.i_oracle.estimate_all(s)
+        stats.influence_queries += len(coords)
+        best = None
+        if budget > 0:
             # ascending order + strict improvement = smallest index wins ties
-            for i in cands:
-                lo, lo_obj = self.build(s.extended(i, -1), budget - 1)
-                hi, hi_obj = self.build(s.extended(i, +1), budget - 1)
+            for k in np.flatnonzero(vals >= self.cut):
+                i = coords[k]
+                bit = 1 << i
+                lo, lo_obj = self.build(mask | bit, bits, pairs + ((i, -1),), budget - 1)
+                hi, hi_obj = self.build(mask | bit, bits | bit, pairs + ((i, 1),), budget - 1)
                 obj_i = 0.5 * (lo_obj + hi_obj)
                 if best is None or obj_i < best[1]:
                     best = (Internal(i, lo, hi), obj_i)
-            node, obj = best
-        self.memo[key] = (node, obj)
-        return node, obj
+        if best is None:
+            best = (Leaf(self.leaf_density(s)), float(vals.sum()))
+        self.memo[mask, bits] = best
+        return best
 
 
 def build_dt(i_oracle: InfluenceOracle, s: Restriction, p: BuildParams):
     """Best depth-limited subtree for the restriction s.
 
     Returns (root node, objective value, SearchStats).  Recursion over
-    all candidate splits with memoization on (canonical restriction,
-    remaining budget); aborts past call_count_bound * n recursive calls.
+    all candidate splits, memoized on the visited restriction's (mask,
+    bits), which within one search also fixes the remaining budget;
+    aborts past call_count_bound * n recursive calls.
     """
     search = _Search(i_oracle, p)
-    node, obj = search.build(s, p.depth_budget)
+    node, obj = search.build(s.mask, s.bits, tuple(s.pairs), p.depth_budget)
     return node, obj, search.stats
 
 

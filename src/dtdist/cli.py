@@ -79,7 +79,10 @@ DEFAULT_SEED = 271828
 def _parse_seed(text: str) -> int:
     if text == "random":
         return int(np.random.SeedSequence().entropy) & ((1 << 63) - 1)
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"--seed must be an integer or 'random', got {text!r}") from None
 
 
 def _load_input(path: str):

@@ -153,6 +153,15 @@ class Restriction:
         return hash((self.mask, self.bits))
 
     @classmethod
+    def _of(cls, pairs: tuple, mask: int, bits: int) -> "Restriction":
+        """Unchecked: the caller vouches that mask and bits are those of
+        pairs, a valid tuple, as when it extends a checked restriction by
+        one of its free coordinates."""
+        s = object.__new__(cls)
+        s.__dict__.update(pairs=pairs, mask=mask, bits=bits)
+        return s
+
+    @classmethod
     def empty(cls) -> "Restriction":
         return cls(())
 

@@ -167,17 +167,24 @@ def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
 
     Descriptors: "depth:k" (depth-k tree predictors), "junta:k"
     (non-constant functions of k coordinates), "signdeg:k" (signs of
-    random degree <= k polynomials).
+    random degree <= k polynomials).  Raises ConfigError for any other
+    class, or for an order k that is not an integer, is negative, or is
+    above n for depth and junta; signdeg takes any k >= 0, and one above
+    n adds no monomials.
     """
     name, _, arg = descriptor.partition(":")
-    if not arg:
-        raise ConfigError(f"descriptor {descriptor!r} must look like 'depth:2'")
-    k = int(arg)
+    if name not in ("depth", "junta", "signdeg"):
+        raise ConfigError(f"unknown target class {name!r}")
+    try:
+        k = int(arg)
+    except ValueError:
+        raise ConfigError(f"descriptor {descriptor!r} must look like 'depth:2'") from None
+    if k < 0 or (k > n and name != "signdeg"):
+        raise ConfigError(f"descriptor {descriptor!r}: the order must be nonnegative, "
+                          f"and at most n={n} for depth and junta")
     rng = stream(seed, "gen-target", descriptor, n)
     pts = all_points(n)
     if name == "depth":
-        if k > n:
-            raise ConfigError(f"depth {k} exceeds n={n}")
         shape = _random_topology(n, k, rng) if k > 0 else ("leaf",)
 
         def evaluate(sh, X):
@@ -199,15 +206,14 @@ def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
         bits = (pts[:, coords] > 0).astype(np.int64)
         idx = bits @ (1 << np.arange(k, dtype=np.int64))
         return sub[idx]
-    if name == "signdeg":
-        acc = np.zeros(1 << n)
-        for size in range(k + 1):
-            for t in combinations(range(n), size):
-                coef = rng.normal()
-                chi = np.prod(pts[:, t].astype(np.float64), axis=1) if t else 1.0
-                acc += coef * chi
-        return (acc < 0.0).astype(np.uint8)
-    raise ConfigError(f"unknown target class {name!r}")
+    acc = np.zeros(1 << n)
+    # no monomial has degree above n, so a larger k draws nothing more
+    for size in range(min(k, n) + 1):
+        for t in combinations(range(n), size):
+            coef = rng.normal()
+            chi = np.prod(pts[:, t].astype(np.float64), axis=1) if t else 1.0
+            acc += coef * chi
+    return (acc < 0.0).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------

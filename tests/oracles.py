@@ -9,9 +9,10 @@ kernel used before it moved to point indices, the tree walks
 tree_leaves, tree_depth and conditional_masses, which DistTree ran
 before its validation walk recorded the depth and one flattening walk
 the leaves, and draw_tree and split_rows, the tree sampler and the lift's
-split as they ran on point rows, and pool_one_batch, the pool's growth
-before dense draws came in slices; each is kept as the reference for its
-rewrite.  Index convention: bit i of a dense index is 1 exactly when
+split as they ran on point rows, pool_one_batch, the pool's growth
+before dense draws came in slices, and build_dt_by_restriction, the tree
+search before it ran on (mask, bits) ints; each is kept as the reference
+for its rewrite.  Index convention: bit i of a dense index is 1 exactly when
 coordinate i equals +1.
 """
 
@@ -376,3 +377,70 @@ def pool_one_batch(oracle, sizes, chunk_rows):
         counts = np.zeros(keys.size, dtype=np.int64)
         np.add.at(counts, where, np.concatenate(cs))
     return keys, counts, draws
+
+
+def build_dt_by_restriction(i_oracle, s, params, stats=None):
+    """builddt.build_dt as it ran before the search moved to (mask, bits)
+    ints: the memo keyed on (mask, bits, remaining budget), an influence
+    cache read twice per miss, each child built with s.extended, and the
+    threshold cut as a loop over (coordinate, value) pairs.  The guard
+    reads call_count_bound from dtdist.builddt when called.  Counts into
+    stats (a fresh SearchStats by default), which a caller can read after
+    the guard raised.  Returns (node, objective, stats)."""
+    from dtdist import KIND_EXACT, BudgetExceededError, Internal, Leaf, SearchStats
+    from dtdist import builddt
+
+    n = i_oracle.source.n
+    params.validate(n, i_oracle)
+    guard = builddt.call_count_bound(params.eps, params.depth_budget) * max(n, 1)
+    stats = SearchStats() if stats is None else stats
+    memo, inf_cache = {}, {}
+
+    def influences(s):
+        got = inf_cache.get((s.mask, s.bits))
+        if got is None:
+            coords, vals, _ = i_oracle.estimate_all(s)
+            stats.influence_queries += len(coords)
+            got = (coords, vals)
+            inf_cache[(s.mask, s.bits)] = got
+        return got
+
+    def candidates(s):
+        coords, vals = influences(s)
+        cut = params.tau
+        if i_oracle.kind != KIND_EXACT:
+            cut = 0.75 * params.tau
+        return [i for i, v in zip(coords, vals) if v >= cut]
+
+    def leaf_density(s):
+        stats.leaf_estimates += 1
+        w = i_oracle.weight(s, params.leaf_sample_count)
+        return w / 2.0 ** (n - len(s))
+
+    def build(s, budget):
+        stats.recursive_calls += 1
+        if stats.recursive_calls > guard:
+            raise BudgetExceededError(f"tree search exceeded {guard:.3g} recursive calls")
+        key = (s.mask, s.bits, budget)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        _, vals = influences(s)
+        cands = candidates(s) if budget > 0 else []
+        if not cands:
+            node = Leaf(leaf_density(s))
+            obj = float(vals.sum())
+        else:
+            best = None
+            for i in cands:
+                lo, lo_obj = build(s.extended(i, -1), budget - 1)
+                hi, hi_obj = build(s.extended(i, +1), budget - 1)
+                obj_i = 0.5 * (lo_obj + hi_obj)
+                if best is None or obj_i < best[1]:
+                    best = (Internal(i, lo, hi), obj_i)
+            node, obj = best
+        memo[key] = (node, obj)
+        return node, obj
+
+    node, obj = build(s, params.depth_budget)
+    return node, obj, stats

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles as O
 from conftest import E2_EXPECTED, small_pmfs
 from dtdist import (
+    BudgetExceededError,
     BuildParams,
     ConfigError,
     DensePmf,
@@ -22,7 +23,10 @@ from dtdist import (
     KIND_EXACT,
     KIND_MONOTONE,
     KIND_SUBCUBE,
+    Leaf,
     Restriction,
+    SearchStats,
+    build_dt,
     call_count_bound,
     default_leaf_sample_count,
     default_tau,
@@ -33,6 +37,7 @@ from dtdist import (
     tv_distance,
     uniform_dense,
 )
+from dtdist import builddt
 from dtdist.builddt import _Search
 from dtdist.testbed import brute_optimal_tree, gen_dt_dist, gen_monotone_dist
 
@@ -104,16 +109,30 @@ def exact_search(dense, params):
     return _Search(exact_io(dense), params)
 
 
+def root_cut(dense, eps, tau):
+    """(root node, SearchStats) of a depth-1 exact search.  Each root
+    candidate adds its two leaf children, so the search makes 1 + 2|C|
+    calls and reads 2|C| leaf masses for the candidate set C, one leaf
+    mass when C is empty."""
+    node, _, stats = build_dt(exact_io(dense), Restriction.empty(), exact_params(1, eps, tau))
+    return node, stats
+
+
 def test_candidate_set_e2(e2_dense):
-    assert exact_search(e2_dense, exact_params(2, tau=0.1)).candidates(
-        Restriction.empty()) == [0, 1]
-    assert exact_search(e2_dense, exact_params(2, eps=0.5, tau=0.3)).candidates(
-        Restriction.empty()) == [0]
+    # influences (0.5, 0.25): both clear 0.1, and 0.25 exactly (the cut
+    # keeps v >= tau); only coordinate 0 clears 0.3
+    for tau in (0.1, 0.25):
+        node, st = root_cut(e2_dense, 0.5, tau)
+        assert (node.var, st.recursive_calls, st.leaf_estimates) == (0, 5, 4)
+        assert st.influence_queries == 2 + 2 * 2 * 1
+    node, st = root_cut(e2_dense, 0.5, 0.3)
+    assert (node.var, st.recursive_calls, st.leaf_estimates) == (0, 3, 2)
 
 
 def test_candidate_set_uniform_empty():
-    search = exact_search(uniform_dense(3), exact_params(2, tau=0.05))
-    assert search.candidates(Restriction.empty()) == []
+    node, st = root_cut(uniform_dense(3), 0.2, 0.05)
+    assert isinstance(node, Leaf)
+    assert (st.recursive_calls, st.influence_queries, st.leaf_estimates) == (1, 3, 1)
 
 
 def test_leaf_label_exact(e2_dense):
@@ -304,6 +323,85 @@ def test_exact_search_output_is_byte_stable():
         h.update(repr((res.objective, res.raw_leaf_values, st.recursive_calls,
                        st.influence_queries, st.leaf_estimates)).encode())
     assert h.hexdigest() == EXACT_SEARCH_PIN
+
+
+# ---------------------------------------------------------------------------
+# the search against its reference on Restriction keys (tests/oracles.py)
+
+
+@st.composite
+def search_cases(draw):
+    """(pmf, start restriction, BuildParams): small_pmfs, a start
+    restriction of any size in a drawn path order, any depth in [0, n]
+    and tau the default eps / (8 d^2) at eps = 0.25, 0.01 or 0.2."""
+    d = draw(small_pmfs())
+    coords = draw(st.permutations(range(d.n)))[: draw(st.integers(0, d.n))]
+    s = Restriction.of(*((i, draw(st.sampled_from([-1, 1]))) for i in coords))
+    depth = draw(st.integers(0, d.n))
+    tau = draw(st.sampled_from([None, 0.01, 0.2]))
+    tau = default_tau(0.25, depth) if tau is None else tau
+    return d, s, BuildParams(depth, tau, eps=0.25, delta=0.1, leaf_sample_count=1000)
+
+
+def assert_same_search(make_io, s, params):
+    """build_dt and the reference agree on the tree, bit for bit on the
+    objective, and on every SearchStats count; returns both oracles."""
+    io, ref_io = make_io(), make_io()
+    node, obj, stats = build_dt(io, s, params)
+    ref_node, ref_obj, ref_stats = O.build_dt_by_restriction(ref_io, s, params)
+    assert node == ref_node
+    assert obj == ref_obj
+    assert stats == ref_stats
+    assert io.queries == ref_io.queries
+    return io, ref_io
+
+
+@settings(max_examples=150, deadline=None)
+@given(search_cases())
+def test_search_matches_restriction_keyed_reference(case):
+    d, s, params = case
+    assert_same_search(lambda: exact_io(d), s, params)
+
+
+@pytest.mark.parametrize("kind", [KIND_MONOTONE, KIND_SUBCUBE])
+def test_sampled_search_matches_restriction_keyed_reference(kind):
+    # same seed, same draws: the oracle counts every query the same way.
+    # The two relevant coordinates read about 0.33 at the root, between
+    # the estimated kinds' 0.75 tau cut and tau itself
+    inst = gen_monotone_dist(5, 2, seed=21)
+    budget = EstimatorBudget(max_pool=20_000, infest_reps_cap=200)
+
+    def make_io():
+        o = (DistOracle.subcube if kind == KIND_SUBCUBE else DistOracle.sampler)(inst.dense, 22)
+        return InfluenceOracle(kind, o, 0.0125, 0.01, budget)
+
+    io, ref_io = assert_same_search(make_io, Restriction.empty(), exact_params(2, 0.5, 0.4))
+    assert io.source.query_count == ref_io.source.query_count
+    assert sum(io.source.query_count.values()) > 0
+
+
+def test_search_guard_stops_at_the_reference_call(monkeypatch):
+    # with the guard at g calls, both searches raise at call g + 1, memo
+    # hit or not, with the same counts, or both finish
+    table = np.random.default_rng(5).random(16)
+    d = DensePmf(4, table / table.sum())
+    s, params = Restriction.of((3, 1)), exact_params(3, tau=0.01)
+    stats = build_dt(exact_io(d), s, params)[2]
+    calls = stats.recursive_calls
+    assert (calls, stats.influence_queries) == (55, 27)  # 27 restrictions, 28 memo hits
+    for g in range(calls + 1):
+        monkeypatch.setattr(builddt, "call_count_bound", lambda eps, depth, g=g: g / 4)
+        if g == calls:
+            assert_same_search(lambda: exact_io(d), s, params)
+            break
+        search, ref_stats = _Search(exact_io(d), params), SearchStats()
+        with pytest.raises(BudgetExceededError) as got:
+            search.build(s.mask, s.bits, s.pairs, params.depth_budget)
+        with pytest.raises(BudgetExceededError) as want:
+            O.build_dt_by_restriction(exact_io(d), s, params, ref_stats)
+        assert str(got.value) == str(want.value)
+        assert search.stats == ref_stats
+        assert ref_stats.recursive_calls == g + 1
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,39 @@ def test_gen_random_seed(capsys):
     assert a["seed"] != b["seed"]
 
 
+@pytest.mark.parametrize("target", ["depth:x", "junta:3.5", "junta:9", "junta:-1", "depth:-1",
+                                    "signdeg:-1", "depth:4", "depth", "poly:2"])
+def test_gen_rejects_bad_target_order(tmp_path, capsys, target):
+    # the first two once raised from int(), the next two from numpy, and
+    # depth:-1 and signdeg:-1 wrote a constant table
+    code, out = run(capsys, ["gen", "--n", "3", "--depth", "1", f"--target={target}",
+                             "--out", str(tmp_path / "g")])
+    assert code == 2 and out == ""
+
+
+@st.composite
+def target_descriptors(draw):
+    name = draw(st.sampled_from(["depth", "junta", "signdeg"]) | st.text(max_size=4))
+    order = draw(st.integers(-2, 6).map(str)
+                 | st.sampled_from(["", "x", "3.5", "1e3", " 2", "+1", "-0", "2:1"])
+                 | st.text(max_size=3))
+    return f"{name}:{order}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), target=target_descriptors())
+def test_generated_gen_targets_write_a_table_or_exit_two(tmp_path_factory, n, target):
+    out = str(tmp_path_factory.mktemp("targets") / "g")
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["gen", "--n", str(n), "--depth", "1", f"--target={target}", "--out", out])
+    if code == 0:
+        table = load_json(out + ".target.json")["table"]
+        assert len(table) == 1 << n and set(table) <= {0, 1}
+    else:
+        assert code == 2 and stdout.getvalue() == "", (target, code)
+
+
 # ---------------------------------------------------------------------------
 # learn-dist
 
@@ -590,6 +623,25 @@ def test_verify_pool_is_capped(monkeypatch, capsys, workers, env, cores, trials,
 def test_verify_rejects_nonpositive_trials(capsys, trials):
     code, out = run(capsys, ["verify", "--suite", "core", "--trials", trials,
                              "--workers", "1"])
+    assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("seed", ["abc", "1e3", "x", "1.5", ""])
+@pytest.mark.parametrize("command", ["gen", "learn-dist", "estimate-influence", "lift", "verify"])
+def test_exit_code_bad_seed(e2_file, tmp_path, capsys, command, seed):
+    # a seed neither an integer nor 'random' once escaped as a ValueError
+    # traceback with exit 1
+    target = str(tmp_path / "target.json")
+    save_json(target, {"n": 2, "table": [0, 1, 1, 0]})
+    argv = {
+        "gen": ["gen", "--n", "3", "--depth", "1"],
+        "learn-dist": ["learn-dist", "--dist", e2_file, "--depth", "1", "--eps", "0.3"],
+        "estimate-influence": ["estimate-influence", "--dist", e2_file, "--coord", "0"],
+        "lift": ["lift", "--dist", e2_file, "--target", target, "--learner", "tree:1",
+                 "--depth", "1", "--eps", "0.3"],
+        "verify": ["verify", "--suite", "core", "--trials", "1", "--workers", "1"],
+    }[command]
+    code, out = run(capsys, argv + [f"--seed={seed}"])
     assert code == 2 and out == ""
 
 
