@@ -165,7 +165,7 @@ class _Search:
         stats.influence_queries += len(coords)
         best = None
         if budget > 0:
-            # ascending order + strict improvement = smallest index wins ties
+            # ascending order + strictly lower objective = smallest index wins ties
             for k in np.flatnonzero(vals >= self.cut):
                 i = coords[k]
                 bit = 1 << i
@@ -203,6 +203,7 @@ class LearnResult:
 
     raw_leaf_values keeps the pre-normalization leaf densities (preorder)
     since the returned tree is rescaled to satisfy normalization exactly.
+    caps_bound counts the EstimatorBudget cuts, by field (see InfluenceOracle).
     """
 
     tree: DistTree
@@ -215,6 +216,7 @@ class LearnResult:
     oracle_queries: dict = field(default_factory=dict)
     influence_accuracy: float = 0.0
     influence_confidence: float = 0.0
+    caps_bound: dict = field(default_factory=dict)
 
 
 def _expected_query_count(n: int, d: int) -> int:
@@ -250,9 +252,9 @@ def learn_distribution_result(
     rule follows from estimator_kind (see BuildParams.validate).  Those
     estimator targets can be extremely sample-hungry at deep
     restrictions; pass an EstimatorBudget (and optionally a coarser tau)
-    to bound the work, at the cost of the formal guarantee.  The returned
-    tree is renormalized exactly; the raw estimated leaf values are kept
-    in the result.
+    to bound the work, at the cost of the formal guarantee (caps_bound
+    reports it).  The returned tree is renormalized exactly; the raw
+    estimated leaf values are kept in the result.
     """
     n = d_oracle.n
     check_unit("eps", eps)
@@ -299,4 +301,5 @@ def learn_distribution_result(
         oracle_queries={m.name: c for m, c in d_oracle.query_count.items()},
         influence_accuracy=accuracy,
         influence_confidence=confidence,
+        caps_bound=dict(i_oracle.caps_bound),
     )

@@ -71,6 +71,7 @@ from .testbed import (
     gen_dt_dist,
     gen_monotone_dist,
     gen_target,
+    parse_target,
 )
 
 DEFAULT_SEED = 271828
@@ -156,6 +157,8 @@ def cmd_gen(args) -> int:
         inst = gen_monotone_dist(args.n, args.depth, seed)
     else:
         inst = gen_dt_dist(args.n, args.depth, seed)
+    if args.target:
+        parse_target(args.n, args.target)  # checked whether or not --out asks for the table
     files = {}
     if args.out:
         save_json(args.out + ".tree.json", inst.tree.to_json_dict())

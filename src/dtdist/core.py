@@ -184,9 +184,6 @@ class Restriction:
     def coords(self) -> tuple:
         return tuple(i for i, _ in self.pairs)
 
-    def extended(self, i: int, b: int) -> "Restriction":
-        return Restriction(self.pairs + ((int(i), int(b)),))
-
     def free_coords(self, n: int) -> list:
         self.check(n)
         return [i for i in range(n) if not self.mask >> i & 1]
@@ -311,7 +308,8 @@ class DistTree:
     def _flatten(self):
         """One preorder walk, on first use: arrays var (-1 at leaves), child
         indices (a leaf is its own child) and density per node, and
-        "leaves", each leaf's (Restriction, density) in preorder.
+        "leaves", each leaf's (Restriction, density) in preorder, unchecked
+        as the validation walk proved each path's variables distinct in [0, n).
 
         Children always carry a larger index than their parent, so a single
         reversed pass computes bottom-up aggregates.
@@ -320,7 +318,7 @@ class DistTree:
             return self._flat
         var, lo, hi, density, leaves = [], [], [], [], []
 
-        def walk(node, s):
+        def walk(node, pairs, mask, bits):
             j = len(var)
             leaf = isinstance(node, Leaf)
             var.append(-1 if leaf else node.var)
@@ -328,13 +326,14 @@ class DistTree:
             hi.append(j)
             density.append(node.density if leaf else 0.0)
             if leaf:
-                leaves.append((s, node.density))
+                leaves.append((Restriction._of(pairs, mask, bits), node.density))
             else:
-                lo[j] = walk(node.lo, s.extended(node.var, -1))
-                hi[j] = walk(node.hi, s.extended(node.var, +1))
+                i = int(node.var)
+                lo[j] = walk(node.lo, pairs + ((i, -1),), mask | 1 << i, bits)
+                hi[j] = walk(node.hi, pairs + ((i, 1),), mask | 1 << i, bits | 1 << i)
             return j
 
-        walk(self.root, EMPTY)
+        walk(self.root, (), 0, 0)
         self._flat = {
             "var": np.array(var, dtype=np.int64),
             "lo": np.array(lo, dtype=np.int64),

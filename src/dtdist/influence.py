@@ -26,6 +26,7 @@ restricted scale, and the two are related by
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,7 +46,7 @@ from .core import (
     slice_cube,
     subcube_weight,
 )
-from .errors import BudgetExceededError, ConfigError, DimensionMismatchError, OracleModeError
+from .errors import ConfigError, DimensionMismatchError, OracleModeError
 
 KIND_EXACT = "exact"
 KIND_MONOTONE = "monotone"
@@ -297,9 +298,8 @@ class EstimatorBudget:
     The contract sample counts grow like accuracy^-2 (and the two-point
     path like accuracy^-4), so tight accuracies at deep restrictions can
     demand astronomically many draws.  When a cap binds, the engine uses
-    everything the cap allows and reports the realized sample count
-    instead of failing; pass strict=True to InfluenceOracle to fail
-    instead.  Both caps must be at least 1.
+    everything the cap allows and reports the realized sample count;
+    InfluenceOracle.caps_bound records the cut.  Both caps must be >= 1.
 
     max_pool caps the plain draws the shared pool takes in total.  The
     pool keeps distinct points with counts, so its memory is
@@ -331,8 +331,9 @@ class InfluenceOracle:
     failure budget, served from the pool below and bounded by the
     EstimatorBudget caps.  estimate_conditional reports the conditional
     scale Inf_i(f_{D_s}) at `accuracy` and `confidence`, sized by the
-    contract alone.  strict=True raises BudgetExceededError where a cap
-    would bind instead of running with fewer samples.
+    contract alone.  A cap that binds cancels the guarantee: caps_bound
+    counts, by EstimatorBudget field name, each sample count a cap cut and
+    each monotone query that a full pool left short of its bias count.
 
     The sample-based kinds keep one growing pool of plain samples and
     reuse it across queries (weights, monotone biases, and the search's
@@ -365,7 +366,6 @@ class InfluenceOracle:
         accuracy: float,
         confidence: float,
         budget: Optional[EstimatorBudget] = None,
-        strict: bool = False,
     ):
         if kind not in KIND_MODES:
             raise ValueError(f"unknown influence oracle kind {kind!r}")
@@ -389,8 +389,7 @@ class InfluenceOracle:
                 raise ConfigError(f"{cap} must be positive, got {getattr(self.budget, cap)}")
         if kind != KIND_EXACT and source.n > _MAX_POINT_N:
             raise ConfigError(f"the sample pool keys points by a 64-bit index, n={source.n}")
-        self.strict = strict
-        self.queries = 0
+        self.caps_bound: Counter = Counter()
         self.pool_draws = 0
         self._keys = np.empty(0, dtype=np.int64)
         self._counts = np.empty(0, dtype=np.int64)
@@ -405,7 +404,7 @@ class InfluenceOracle:
     def plain_pool(self, min_rows: int) -> np.ndarray:
         """Grow the shared pool to at least min_rows plain draws (subject to
         the pool cap); returns its distinct points, sorted by index."""
-        want = min(int(min_rows), self.budget.max_pool)
+        want = self._capped(int(min_rows), "max_pool")
         if self.pool_draws < want:
             keys, counts = [self._keys], [self._counts]
             for X in self.source.sample_slices(want - self.pool_draws, self.CHUNK_ROWS):
@@ -437,13 +436,12 @@ class InfluenceOracle:
         self.plain_pool(min_rows)
         return self.pool_tally(s)[0] / self.pool_draws
 
-    def _capped(self, wanted: int, cap: int, what: str) -> int:
+    def _capped(self, wanted: int, field: str) -> int:
+        """min(wanted, the `field` cap), counting a cut in caps_bound."""
+        cap = getattr(self.budget, field)
         if wanted <= cap:
             return wanted
-        if self.strict:
-            raise BudgetExceededError(
-                f"{what} requires {wanted} samples, cap is {cap}"
-            )
+        self.caps_bound[field] += 1
         return cap
 
     # -- queries ---------------------------------------------------------------
@@ -465,11 +463,9 @@ class InfluenceOracle:
             elif coords != free:
                 pos = {c: p for p, c in enumerate(free)}
                 vals = vals[[pos[i] for i in coords]]
-            self.queries += len(coords)
             return coords, vals, 0
         if coords is None:
             coords = s.free_coords(self.source.n)
-        self.queries += len(coords)
         if not coords:
             return coords, np.zeros(0), 0
 
@@ -478,9 +474,7 @@ class InfluenceOracle:
             w_hat, d_rest = 1.0, dq
         else:
             e_w = a / 2.0 ** (len(s) + 2)
-            n_w = self._capped(
-                bias_sample_count(e_w, dq / 2.0), self.budget.max_pool, "weight estimate"
-            )
+            n_w = self._capped(bias_sample_count(e_w, dq / 2.0), "max_pool")
             w_hat = self.weight(s, n_w)
             d_rest = dq / 2.0
         if w_hat <= 0.0:
@@ -489,18 +483,14 @@ class InfluenceOracle:
         e_cond = min(0.5, a / (2.0 ** len(s) * w_hat))
 
         if self.kind == KIND_MONOTONE:
-            n_c = self._capped(
-                bias_sample_count(e_cond, d_rest), self.budget.max_pool, "bias estimate"
-            )
+            n_c = self._capped(bias_sample_count(e_cond, d_rest), "max_pool")
             have, sums = self.pool_tally(s, coords)
             while have < n_c and self.pool_draws < self.budget.max_pool:
                 goal = math.ceil(n_c / max(w_hat, 2.0 ** -(len(s) + 2)))
                 self.plain_pool(max(goal, 2 * self.pool_draws))
                 have, sums = self.pool_tally(s, coords)
-            if have < n_c and self.strict:
-                raise BudgetExceededError(
-                    f"needed {n_c} conditioned samples in {s}, pool yielded {have}"
-                )
+            if have < n_c:
+                self.caps_bound["max_pool"] += 1
             if have == 0:
                 return coords, np.zeros(len(coords)), 0
             if len(s) > 0:
@@ -511,8 +501,7 @@ class InfluenceOracle:
             return coords, vals, have
 
         # two-point conditioning path
-        runs_wanted = infest_repetitions(e_cond, d_rest)
-        runs = self._capped(runs_wanted, self.budget.infest_reps_cap, "infest repetitions")
+        runs = self._capped(infest_repetitions(e_cond, d_rest), "infest_reps_cap")
         vals, used = _two_point_means(self.source, s, coords, e_cond / 2.0, runs)
         vals *= 2.0 ** len(s) * w_hat
         return coords, vals, used

@@ -162,16 +162,11 @@ def gen_monotone_dist(n: int, d: int, seed: int) -> Instance:
     )
 
 
-def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
-    """{0,1} truth table of a random member of a restriction-closed class.
-
-    Descriptors: "depth:k" (depth-k tree predictors), "junta:k"
-    (non-constant functions of k coordinates), "signdeg:k" (signs of
-    random degree <= k polynomials).  Raises ConfigError for any other
-    class, or for an order k that is not an integer, is negative, or is
-    above n for depth and junta; signdeg takes any k >= 0, and one above
-    n adds no monomials.
-    """
+def parse_target(n: int, descriptor: str) -> tuple:
+    """(class name, order k) of a gen_target descriptor.  Raises
+    ConfigError for any other class, or for an order k that is not an
+    integer, is negative, or is above n for depth and junta; signdeg
+    takes any k >= 0, and one above n adds no monomials."""
     name, _, arg = descriptor.partition(":")
     if name not in ("depth", "junta", "signdeg"):
         raise ConfigError(f"unknown target class {name!r}")
@@ -182,6 +177,15 @@ def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
     if k < 0 or (k > n and name != "signdeg"):
         raise ConfigError(f"descriptor {descriptor!r}: the order must be nonnegative, "
                           f"and at most n={n} for depth and junta")
+    return name, k
+
+
+def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
+    """{0,1} truth table of a random member of a restriction-closed class:
+    "depth:k" (depth-k tree predictors), "junta:k" (non-constant functions
+    of k coordinates) or "signdeg:k" (signs of random degree <= k
+    polynomials).  Raises as parse_target does."""
+    name, k = parse_target(n, descriptor)
     rng = stream(seed, "gen-target", descriptor, n)
     pts = all_points(n)
     if name == "depth":

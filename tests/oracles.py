@@ -382,12 +382,12 @@ def pool_one_batch(oracle, sizes, chunk_rows):
 def build_dt_by_restriction(i_oracle, s, params, stats=None):
     """builddt.build_dt as it ran before the search moved to (mask, bits)
     ints: the memo keyed on (mask, bits, remaining budget), an influence
-    cache read twice per miss, each child built with s.extended, and the
+    cache read twice per miss, each child a checked Restriction, and the
     threshold cut as a loop over (coordinate, value) pairs.  The guard
     reads call_count_bound from dtdist.builddt when called.  Counts into
     stats (a fresh SearchStats by default), which a caller can read after
     the guard raised.  Returns (node, objective, stats)."""
-    from dtdist import KIND_EXACT, BudgetExceededError, Internal, Leaf, SearchStats
+    from dtdist import KIND_EXACT, BudgetExceededError, Internal, Leaf, Restriction, SearchStats
     from dtdist import builddt
 
     n = i_oracle.source.n
@@ -433,8 +433,8 @@ def build_dt_by_restriction(i_oracle, s, params, stats=None):
         else:
             best = None
             for i in cands:
-                lo, lo_obj = build(s.extended(i, -1), budget - 1)
-                hi, hi_obj = build(s.extended(i, +1), budget - 1)
+                lo, lo_obj = build(Restriction(s.pairs + ((i, -1),)), budget - 1)
+                hi, hi_obj = build(Restriction(s.pairs + ((i, 1),)), budget - 1)
                 obj_i = 0.5 * (lo_obj + hi_obj)
                 if best is None or obj_i < best[1]:
                     best = (Internal(i, lo, hi), obj_i)

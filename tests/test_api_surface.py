@@ -61,6 +61,19 @@ def test_learn_distribution_result_parameters():
                      "tau", "accuracy", "budget"]
 
 
+def test_influence_oracle_parameters():
+    # caps that bind are recorded in caps_bound; no switch turns them into errors
+    names = list(inspect.signature(dtdist.InfluenceOracle).parameters)
+    assert names == ["kind", "source", "accuracy", "confidence", "budget"]
+
+
+def test_learn_result_fields():
+    names = [f.name for f in dataclasses.fields(dtdist.LearnResult)]
+    assert names == ["tree", "objective", "stats", "params", "estimator_kind",
+                     "raw_leaf_values", "normalization", "oracle_queries",
+                     "influence_accuracy", "influence_confidence", "caps_bound"]
+
+
 def test_build_dt_parameters():
     names = list(inspect.signature(dtdist.build_dt).parameters)
     assert names == ["i_oracle", "s", "p"]
@@ -77,8 +90,8 @@ def _public(obj) -> list:
 
 def test_restriction_attributes():
     assert _public(dtdist.Restriction.of((0, 1))) == [
-        "bits", "check", "consistent_mask", "coords", "empty", "extended",
-        "free_coords", "mask", "of", "pairs", "parse",
+        "bits", "check", "consistent_mask", "coords", "empty", "free_coords",
+        "mask", "of", "pairs", "parse",
     ]
 
 

@@ -259,6 +259,7 @@ def test_monotone_pipeline_small():
     tv = tv_distance(tree_to_dense(res.tree), inst.dense)
     assert tv <= 0.2
     assert res.estimator_kind == KIND_MONOTONE
+    assert set(res.caps_bound) == {"max_pool"}  # the default pool cap binds
     # normalization holds exactly after rescaling
     assert sum(
         2.0 ** (6 - len(s)) * dens for s, dens in res.tree.leaves()
@@ -275,6 +276,7 @@ def test_subcube_pipeline_small():
     res = learn_distribution_result(o, 2, 0.2, 0.1, "subcube")
     assert tv_distance(tree_to_dense(res.tree), inst.dense) <= 0.2
     assert res.estimator_kind == KIND_SUBCUBE
+    assert set(res.caps_bound) == {"max_pool", "infest_reps_cap"}  # both defaults bind
 
 
 @pytest.mark.parametrize("kind", [KIND_EXACT, KIND_MONOTONE])
@@ -352,7 +354,7 @@ def assert_same_search(make_io, s, params):
     assert node == ref_node
     assert obj == ref_obj
     assert stats == ref_stats
-    assert io.queries == ref_io.queries
+    assert io.caps_bound == ref_io.caps_bound
     return io, ref_io
 
 
@@ -436,6 +438,7 @@ def test_exact_objective_matches_brute_force_on_any_pmf(case):
                                     KIND_EXACT, tau=tau)
     want, _ = brute_optimal_tree(d, depth, res.params.tau)
     assert abs(res.objective - want) <= 1e-9
+    assert res.caps_bound == {}  # the exact kind draws nothing to cap
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,3 +458,19 @@ def test_small_cap_sample_learn_is_normalized_or_raises(d, kind, seed, data):
     table = tree_to_dense(res.tree).table
     assert res.tree.depth() <= depth
     assert np.all(table >= 0.0) and abs(table.sum() - 1.0) <= 1e-9
+    assert set(res.caps_bound) <= {"max_pool", "infest_reps_cap"}
+    assert all(count > 0 for count in res.caps_bound.values())
+
+
+@pytest.mark.parametrize("kind", [KIND_MONOTONE, KIND_SUBCUBE])
+def test_sample_learn_below_the_caps_records_none(e2_dense, kind):
+    # at tau = eps = 0.5 every request stays below the default caps (the
+    # largest is about 15,000 pool draws), so nothing is recorded, and the
+    # learn matches one under caps far above
+    def learn(budget=None):
+        source = (DistOracle.subcube if kind == KIND_SUBCUBE else DistOracle.sampler)(e2_dense, 3)
+        return learn_distribution_result(source, 2, 0.5, 0.1, kind, tau=0.5, budget=budget)
+
+    res, roomy = learn(), learn(EstimatorBudget(max_pool=10**8, infest_reps_cap=10**8))
+    assert res.caps_bound == roomy.caps_bound == {}
+    assert roomy.tree.to_json_dict() == res.tree.to_json_dict()

@@ -99,10 +99,13 @@ def test_gen_random_seed(capsys):
                                     "signdeg:-1", "depth:4", "depth", "poly:2"])
 def test_gen_rejects_bad_target_order(tmp_path, capsys, target):
     # the first two once raised from int(), the next two from numpy, and
-    # depth:-1 and signdeg:-1 wrote a constant table
-    code, out = run(capsys, ["gen", "--n", "3", "--depth", "1", f"--target={target}",
-                             "--out", str(tmp_path / "g")])
-    assert code == 2 and out == ""
+    # depth:-1 and signdeg:-1 wrote a constant table; without --out the
+    # descriptor was never read, and the run exited 0
+    args = ["gen", "--n", "3", "--depth", "1", f"--target={target}"]
+    for extra in (["--out", str(tmp_path / "g")], []):
+        code, out = run(capsys, args + extra)
+        assert code == 2 and out == "", extra
+    assert list(tmp_path.iterdir()) == []
 
 
 @st.composite

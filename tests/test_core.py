@@ -115,8 +115,9 @@ def test_restriction_construction_and_key():
     assert dict(s.pairs) == {3: -1, 1: 1}
     assert len(s) == 2
     assert Restriction.of({3: -1, 1: 1}) == s
-    assert s.extended(0, 1) == Restriction.of((0, 1), (1, 1), (3, -1))
-    assert str(s.extended(0, 1)) == "0=+1,1=+1,3=-1"
+    grown = Restriction(s.pairs + ((0, 1),))
+    assert grown == Restriction.of((0, 1), (1, 1), (3, -1))
+    assert str(grown) == "0=+1,1=+1,3=-1"
     assert s.free_coords(5) == [0, 2, 4]
 
 
@@ -222,7 +223,7 @@ def test_restriction_integer_form(case, rnd):
     rnd.shuffle(order)
     grown = Restriction.empty()
     for i, sign in order:
-        grown = grown.extended(i, sign)
+        grown = Restriction(grown.pairs + ((i, sign),))
     assert grown.pairs == tuple(order)
     assert grown == s and (grown.mask, grown.bits) == (s.mask, s.bits)
     back = pickle.loads(pickle.dumps(s))
@@ -299,10 +300,10 @@ def routing_cases(draw):
     return n, shape, X
 
 
-def _shape_tree(n, shape):
+def _shape_tree(n, shape, var=int):
     """DistTree of a routing_cases shape and its node objects in preorder
     (a node's position is its id); leaf weights w become densities with
-    leaf masses w / total."""
+    leaf masses w / total, and split variables are of type var."""
     def weights(node):
         return node[2] if node[0] == "leaf" else weights(node[2]) + weights(node[3])
 
@@ -317,7 +318,7 @@ def _shape_tree(n, shape):
             preorder[j] = Leaf(w / (total * 2.0 ** (n - depth)))
         else:
             lo, hi = build(node[2]), build(node[3])
-            preorder[j] = Internal(node[1], lo, hi)
+            preorder[j] = Internal(var(node[1]), lo, hi)
         return preorder[j]
 
     return DistTree(n, build(shape)), preorder
@@ -347,10 +348,16 @@ def test_flattened_walk_matches_object_walks(case, data):
     # leaves, depth and conditional masses against the recursive walks the
     # tree ran before its validation walk recorded the depth and one
     # flattening walk the leaves; the masses must be bit-equal, as the
-    # seeded tree sampler reads them
+    # seeded tree sampler reads them.  Each leaf's unchecked Restriction
+    # equals the checked one of its pairs, numpy split variables included
     n, shape, _ = case
-    t, _ = _shape_tree(n, shape)
+    t, _ = _shape_tree(n, shape, data.draw(st.sampled_from([int, np.int64])))
     assert [(s.pairs, d) for s, d in t.leaves()] == O.tree_leaves(t.root)
+    for s, _ in t.leaves():
+        checked = Restriction(s.pairs)
+        assert s == checked and s.pairs == checked.pairs
+        assert (s.mask, s.bits) == (checked.mask, checked.bits)
+        assert all(type(i) is int for i, _ in s.pairs)
     assert t.depth() == O.tree_depth(t.root)
     t.leaves().clear()  # a copy: the recorded list stays whole
     assert len(t.leaves()) == len(O.tree_leaves(t.root))

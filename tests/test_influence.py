@@ -13,7 +13,6 @@ import oracles as O
 from conftest import E2_EXPECTED
 from dtdist import influence
 from dtdist import (
-    BudgetExceededError,
     ConfigError,
     DensePmf,
     DimensionMismatchError,
@@ -628,18 +627,13 @@ def test_influence_oracle_pool_reuse(e2_dense):
 
 
 def test_influence_oracle_budget_strict(e2_dense):
+    # a binding cap is recorded, not raised: the weight and the bias counts
+    # are cut to max_pool, and the full pool still yields fewer conditioned
+    # draws than the cut bias count
     tiny = EstimatorBudget(max_pool=500, infest_reps_cap=50)
-    strict = InfluenceOracle(
-        KIND_MONOTONE,
-        DistOracle.sampler(e2_dense, seed=11),
-        0.001,
-        0.01,
-        budget=tiny,
-        strict=True,
-    )
-    with pytest.raises(BudgetExceededError):
-        strict.estimate_all(Restriction.of((0, 1)))
-    # non-strict degrades instead of raising and stays within the caps
+    with pytest.raises(TypeError):
+        InfluenceOracle(KIND_MONOTONE, DistOracle.sampler(e2_dense, seed=11), 0.001, 0.01,
+                        budget=tiny, strict=True)
     soft = InfluenceOracle(
         KIND_MONOTONE,
         DistOracle.sampler(e2_dense, seed=11),
@@ -647,7 +641,9 @@ def test_influence_oracle_budget_strict(e2_dense):
         0.01,
         budget=tiny,
     )
+    assert soft.caps_bound == {}
     _, vals, _ = soft.estimate_all(Restriction.of((0, 1)))
+    assert soft.caps_bound == {"max_pool": 3}
     assert soft.source.query_count[soft.source.mode.SAMPLE] <= 500
     assert vals.shape == (1,)
 
@@ -664,16 +660,15 @@ def test_influence_oracle_subcube_caps(e2_dense):
     _, vals, used = io.estimate_all(Restriction.of((0, 1)))
     assert vals.shape == (1,)
     assert used > 0
-    strict = InfluenceOracle(
-        KIND_SUBCUBE,
-        DistOracle.subcube(e2_dense, seed=12),
-        0.001,
-        0.01,
-        budget=tiny,
-        strict=True,
-    )
-    with pytest.raises(BudgetExceededError):
-        strict.estimate_all(Restriction.of((0, 1)))
+    # the weight's count and the two-point runs were each cut once
+    assert io.caps_bound == {"max_pool": 1, "infest_reps_cap": 1}
+    assert io.pool_draws == 1000
+    # the exact kind draws nothing, so nothing binds
+    exact = InfluenceOracle(KIND_EXACT, DistOracle.exact(e2_dense, seed=1), 0.001, 0.01,
+                            budget=tiny)
+    exact.estimate_all(Restriction.of((0, 1)))
+    exact.weight(Restriction.of((0, 1)), 10**9)
+    assert exact.caps_bound == {}
 
 
 def test_influence_oracle_zero_weight_returns_zero():

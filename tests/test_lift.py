@@ -909,6 +909,7 @@ def test_end_to_end_learns_tree_and_lifts():
     assert result.learner_name == "tree:2"
     assert result.labeled_count == required_sample_size(learner.m, 2, 0.1, 0.1)
     assert dist_error(result.hypothesis, target, inst.dense) <= 0.1
+    assert result.learn_result.caps_bound == {}  # an exact stage 1 draws nothing to cap
     # the learned tree is itself exact here, so every leaf saw points
     assert all(r.status == "ok" for r in result.leaf_records)
 
