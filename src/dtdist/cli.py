@@ -334,6 +334,8 @@ def cmd_lift(args) -> int:
         "seed": seed,
         "error_exact": err,
         "pass": err <= args.eps,
+        "leaf_status": {k: sum(r.status == k for r in result.leaf_records)
+                        for k in ("ok", "skipped", "error")},
     }
     _emit(summary, started)
     return 0 if summary["pass"] else 1

@@ -269,7 +269,6 @@ class DistTree:
         self.n = _nonneg_int(n, "tree n", InvalidTreeError)
         self.root = root
         self._flat = None  # lazy: parallel arrays for vectorized descent
-        self._cond_cache: dict = {}
         self._depth = 0  # deepest leaf, recorded by the validation walk
         self._validate()
 
@@ -347,13 +346,11 @@ class DistTree:
         """Per-node mass of (subtree cell) intersect (subcube s).
 
         Entry j is Pr[x in subtree j and x consistent with s] when leaf
-        densities are interpreted as probabilities.  Cached per subcube;
-        with s empty this is the plain subtree-mass table used by sampling.
-        Raises DimensionMismatchError for a coordinate of s outside [0, n).
+        densities are interpreted as probabilities; with s empty this is
+        the plain subtree-mass table used by sampling.  A fresh array on
+        every call.  Raises DimensionMismatchError for a coordinate of s
+        outside [0, n).
         """
-        cached = self._cond_cache.get(s)
-        if cached is not None:
-            return cached
         s.check(self.n)
         f = self._flatten()
         out = np.zeros(len(f["var"]), dtype=np.float64)
@@ -364,7 +361,6 @@ class DistTree:
         for j in range(len(out) - 1, -1, -1):  # children follow their parent
             if f["var"][j] >= 0:
                 out[j] = out[f["lo"][j]] + out[f["hi"][j]]
-        self._cond_cache[s] = out
         return out
 
     # -- evaluation ---------------------------------------------------------
@@ -677,7 +673,6 @@ class DistOracle:
             self.n = int(n)
         self._rng = None
         self.query_count = {m: 0 for m in OracleMode}
-        self._dense_cache = None
         self._clamped_table = None
         self._plain_guide = None
 
@@ -780,17 +775,11 @@ class DistOracle:
         return self.backing.eval_batch(X)
 
     def dense(self) -> DensePmf:
-        """Full table (EXACT_PMF mode only); conversion cached."""
+        """Full table (EXACT_PMF mode only): a DensePmf backing itself, or
+        a DistTree's converted afresh on every call."""
         self._require(OracleMode.EXACT_PMF)
-        return self._as_dense()
-
-    def _as_dense(self) -> DensePmf:
-        """The backing's table in any mode; a DistTree is converted once."""
-        if isinstance(self.backing, DensePmf):
-            return self.backing
-        if self._dense_cache is None:
-            self._dense_cache = tree_to_dense(self.backing)
-        return self._dense_cache
+        b = self.backing
+        return b if isinstance(b, DensePmf) else tree_to_dense(b)
 
     def _clamped(self) -> np.ndarray:
         """The table clamped at 0, built once.  Validation lets entries down
@@ -798,14 +787,10 @@ class DistOracle:
         the cdf that _inverse_cdf searches non-monotone; valid tables are
         unchanged, as nothing is renormalized."""
         if self._clamped_table is None:
-            self._clamped_table = np.maximum(self._as_dense().table, 0.0)
+            b = self.backing
+            table = b.table if isinstance(b, DensePmf) else tree_to_dense(b).table
+            self._clamped_table = np.maximum(table, 0.0)
         return self._clamped_table
-
-    def _guide(self) -> tuple:
-        """_cdf_guide of the clamped table, built once: the plain draws'."""
-        if self._plain_guide is None:
-            self._plain_guide = _cdf_guide(self._clamped())
-        return self._plain_guide
 
     # -- internals -----------------------------------------------------------------
 
@@ -868,7 +853,9 @@ class DistOracle:
         draws' guide is built once per oracle, a subcube's per call."""
         table = self._clamped()
         if len(s) == 0:
-            return _inverse_cdf(self.rng, self._guide(), k, all_points(self.n))
+            if self._plain_guide is None:
+                self._plain_guide = _cdf_guide(table)
+            return _inverse_cdf(self.rng, self._plain_guide, k, all_points(self.n))
         sub_idx = np.flatnonzero((np.arange(table.size) & s.mask) == s.bits)
         sub = table[sub_idx]
         w = float(sub.sum())

@@ -97,21 +97,24 @@ def _partners(m: int) -> np.ndarray:
 
 
 def _derived_rows(d: DensePmf, s: Restriction, level: int, rows: list):
-    """(free, buffer, live) of s, at length `level`, read from its parent's
-    kept rows (see exact_influence_all), or None when rows holds no parent
-    of s one level up."""
+    """(free, buffer) of s, at length `level`, read from its parent's kept
+    rows (see exact_influence_all), or None when rows holds no parent of s
+    one level up."""
     got = rows[level - 1] if 0 < level <= len(rows) else None
     if got is None:
         return None
-    mask, bits, free, buf, live = got
+    mask, bits, free, buf = got
     i = (s.mask & ~mask).bit_length() - 1
     if mask & ~s.mask or s.bits & mask != bits or i >= d.n:
         return None
     # the child's y is the parent's with bit t, the position of i among the
-    # parent's free coordinates, taken out: every row's half where bit t is b
-    t = free.index(i)
-    half = buf.reshape(len(buf), -1, 2, 1 << t)[:, :, s.bits >> i & 1]
-    return free[:t] + free[t + 1:], half.reshape(len(buf), -1), live[:t] + live[t + 1:]
+    # parent's free coordinates, taken out: every row but t, cut to its half
+    # where bit t is b (sizes explicit: an m = 1 parent's child is empty)
+    m, t = len(free), free.index(i)
+    keep = (slice(1, m) if t == 0 else slice(0, t) if t == m - 1
+            else [*range(t), *range(t + 1, m)])
+    half = buf.reshape(m, 1 << (m - t - 1), 2, 1 << t)[keep, :, s.bits >> i & 1]
+    return free[:t] + free[t + 1:], half.reshape(m - 1, 1 << (m - 1))
 
 
 def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[list] = None):
@@ -137,34 +140,33 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[l
 
     `rows` is an optional cache owned by one caller over one d, a list
     indexed by restriction length: rows[len(s)] = (s.mask, s.bits, free,
-    buffer, live) for the last single-chunk subcube computed at that
-    length (None after a larger one), with live[p] the buffer row of free
-    position p.  When rows[len(s) - 1] belongs to a parent of s, that is
-    s less one fixed coordinate i, no subcube is gathered: with t the
-    position of i among the parent's free coordinates and b its bit in s,
-    every buffer row is cut to its half where bit t of y is b, and row
-    live[t] is dropped from live.  The half is a view when t is the
-    parent's first or last position and a copy otherwise.  Its rows hold
-    the same floats in the same y order as the child's own gather, each
-    summed pairwise as one run, so the values are bit-identical to the
-    kernel's.  A call keeps its buffer at its own length and drops every
-    deeper one, so rows holds at most one buffer per length, each with at
-    most half the floats of the one above: under 1 MiB in all at m <= 12.
-    A miss, or a subcube that spans several chunks, runs the kernel.
+    buffer) for the last single-chunk subcube computed at that length
+    (None after a larger one), with buffer row p that of free position p.
+    When rows[len(s) - 1] belongs to a parent of s, that is s less one
+    fixed coordinate i, no subcube is gathered: with t the position of i
+    among the parent's free coordinates and b its bit in s, the child's
+    buffer is every parent row but row t, each cut to its half where bit
+    t of y is b.  It is a view when t is the parent's first or last
+    position and one copy otherwise.  Its rows hold the same floats in
+    the same y order as the child's own gather, each summed pairwise as
+    one run, so the values are bit-identical to the kernel's.  A call
+    keeps its buffer at its own length and drops every deeper one, so
+    rows holds at most one buffer per length, each with under half the
+    floats of the one above: under 0.7 MiB in all at m <= 12.  A miss,
+    or a subcube that spans several chunks, runs the kernel.
     """
     level = len(s)
     got = None if rows is None else _derived_rows(d, s, level, rows)
     if got is None:
         free, buf, vals = _kernel(d, s)
-        live = list(range(len(free)))
     else:
-        free, buf, live = got
-        vals = np.add.reduce(buf, axis=1)[live]
+        free, buf = got
+        vals = np.add.reduce(buf, axis=1)
     vals *= 2.0 ** (d.n - len(free) - 1)
     if rows is not None:
         del rows[level:]
         rows += [None] * (level - len(rows))
-        rows.append(None if buf is None else (s.mask, s.bits, free, buf, live))
+        rows.append(None if buf is None else (s.mask, s.bits, free, buf))
     return free, vals
 
 

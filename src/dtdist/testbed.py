@@ -211,12 +211,19 @@ def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
         idx = bits @ (1 << np.arange(k, dtype=np.int64))
         return sub[idx]
     acc = np.zeros(1 << n)
+    cols = np.ascontiguousarray(pts.T)
+    # chis[j] = (t[j], the +-1 character of t[:j + 1]) for the last monomial
+    # t; the next keeps the prefix they share and extends it a column at a
+    # time, so every character is exact and the sums are the product formula's
+    chis = []
     # no monomial has degree above n, so a larger k draws nothing more
     for size in range(min(k, n) + 1):
         for t in combinations(range(n), size):
             coef = rng.normal()
-            chi = np.prod(pts[:, t].astype(np.float64), axis=1) if t else 1.0
-            acc += coef * chi
+            del chis[next((j for j, (i, _) in enumerate(chis) if i != t[j]), len(chis)):]
+            for i in t[len(chis):]:
+                chis.append((i, chis[-1][1] * cols[i] if chis else cols[i]))
+            acc += np.multiply(chis[-1][1], coef, dtype=np.float64) if t else coef
     return (acc < 0.0).astype(np.uint8)
 
 

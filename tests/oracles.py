@@ -11,12 +11,15 @@ before its validation walk recorded the depth and one flattening walk
 the leaves, and draw_tree and split_rows, the tree sampler and the lift's
 split as they ran on point rows, pool_one_batch, the pool's growth
 before dense draws came in slices, and build_dt_by_restriction, the tree
-search before it ran on (mask, bits) ints; each is kept as the reference
-for its rewrite.  Index convention: bit i of a dense index is 1 exactly when
+search before it ran on (mask, bits) ints, and signdeg_table, the
+per-monomial formula gen_target's "signdeg:k" ran before it built each
+character from its prefix's; each is kept as the reference for its
+rewrite.  Index convention: bit i of a dense index is 1 exactly when
 coordinate i equals +1.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -444,3 +447,22 @@ def build_dt_by_restriction(i_oracle, s, params, stats=None):
 
     node, obj = build(s, params.depth_budget)
     return node, obj, stats
+
+
+def signdeg_table(n, k, rng):
+    """{0,1} table of p(x) < 0 for the degree <= k polynomial p whose
+    monomials, by degree and then lexicographically, draw their
+    coefficients from rng in turn, each character a product over the
+    monomial's coordinates."""
+    monomials = [t for size in range(min(k, n) + 1) for t in combinations(range(n), size)]
+    coefs = [rng.normal() for _ in monomials]
+    out = []
+    for x in range(1 << n):
+        acc = 0.0
+        for coef, t in zip(coefs, monomials):
+            chi = 1
+            for i in t:
+                chi *= 1 if x >> i & 1 else -1
+            acc += coef * chi
+        out.append(1 if acc < 0.0 else 0)
+    return np.array(out, dtype=np.uint8)

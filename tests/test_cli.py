@@ -7,6 +7,7 @@ seed.  Exit codes: 0 success, 1 failed check, 2 bad configuration,
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 from conftest import E2_TABLE
 from dtdist import DensePmf, load_json, save_json
 from dtdist.cli import main
+from dtdist.lift import make_exhaustive_tree_learner
 
 TRAILER = re.compile(r'"elapsed_s": [^,}]+\}\s*$')
 
@@ -310,13 +312,37 @@ def test_lift_end_to_end(tmp_path, capsys):
     assert summary["learner"] == "tree:2" and not summary["boosted"]
     assert summary["error_exact"] <= 0.3
     assert summary["labeled"] > 0
+    assert summary["leaf_status"] == {"ok": summary["leaves"], "skipped": 0, "error": 0}
     assert load_json(hyp_out)["kind"] == "tree-routed"
+
+
+def test_lift_counts_leaves_whose_learner_raised(tmp_path, capsys, monkeypatch):
+    # a leaf whose learner raises predicts 0; the summary says so
+    def raising(*args):
+        def learn(sample):
+            raise RuntimeError("leaf learner failed")
+        return dataclasses.replace(make_exhaustive_tree_learner(*args), learn=learn)
+
+    monkeypatch.setattr("dtdist.cli.make_exhaustive_tree_learner", raising)
+    gen_out = str(tmp_path / "l")
+    run_json(capsys, ["gen", "--n", "6", "--depth", "2", "--target", "depth:2",
+                      "--seed", "11", "--out", gen_out])
+    code, summary = run_json(
+        capsys,
+        ["lift", "--dist", gen_out + ".tree.json",
+         "--target", gen_out + ".target.json", "--learner", "tree:2",
+         "--depth", "2", "--eps", "0.3", "--seed", "12"],
+    )
+    assert summary["leaf_status"] == {"ok": 0, "skipped": 0, "error": summary["leaves"]}
+    assert code == (0 if summary["pass"] else 1)
 
 
 def test_lift_output_is_byte_stable(tmp_path, capsys):
     # sha256 of the summary line (elapsed_s stripped) and of the hypothesis
     # file, recorded before the tree learner moved to a count cube; any
-    # change to routing, rerandomisation or the learner's ERM shows here
+    # change to routing, rerandomisation or the learner's ERM shows here.
+    # The summary literal was re-recorded when `leaf_status` was appended,
+    # with every earlier key equal at both commits
     gen_out = str(tmp_path / "pin")
     run_json(capsys, ["gen", "--n", "6", "--depth", "2", "--target", "depth:4",
                       "--seed", "11", "--out", gen_out])
@@ -329,7 +355,7 @@ def test_lift_output_is_byte_stable(tmp_path, capsys):
     )
     assert code == 0
     assert hashlib.sha256(strip_elapsed(line).encode()).hexdigest() == (
-        "5cbbe5b85a71061eb428c4358b49d21f3c38066fc1d3798e907003eea626fd9e"
+        "085d847de5f108d54b89c688754f14402891a0a726074c3f2e0116fecb1de726"
     )
     assert hashlib.sha256(Path(hyp_out).read_bytes()).hexdigest() == (
         "de46ac94a2d358e3f2752782515580edf3c02f8c6922f7f50272ab36dd28c12f"

@@ -366,6 +366,19 @@ def test_flattened_walk_matches_object_walks(case, data):
     assert got == O.conditional_masses(t.root, n, signs)
 
 
+def test_tree_tables_are_fresh_per_call(e2_tree):
+    # a caller may write to conditional_masses' array and to a tree-backed
+    # oracle's dense table without changing what the next call returns
+    o = DistOracle.exact(e2_tree)
+    for get in (lambda: e2_tree.conditional_masses(Restriction.of()),
+                lambda: e2_tree.conditional_masses(Restriction.of((1, 1))),
+                lambda: o.dense().table):
+        got = get()
+        want = got.copy()
+        got[:] = -1.0
+        assert np.array_equal(get(), want)
+
+
 def test_route_dimension_mismatch(e2_tree):
     with pytest.raises(DimensionMismatchError):
         e2_tree.leaf_index_batch(np.ones((2, 3), dtype=np.int8))

@@ -4,6 +4,8 @@ Brute-force functionals are cross-checked against the plain loop
 reimplementations in oracles.py; frozen E2 values come from conftest.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from dtdist import (
     Restriction,
     exact_total_influence,
     exhaustive_tree_learn,
+    stream,
     tree_to_dense,
     uniform_dense,
     uniform_tree,
@@ -157,6 +160,30 @@ def test_gen_target_junta_support():
         table = gen_target(7, "junta:2", seed=seed)
         deps = dependent_coords(table, 7)
         assert 1 <= len(deps) <= 2  # non-constant, at most 2 live coords
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 8])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 10])
+def test_gen_target_signdeg_matches_monomial_formula(n, k):
+    desc = f"signdeg:{k}"
+    want = oracles.signdeg_table(n, k, stream(5, "gen-target", desc, n))
+    assert np.array_equal(gen_target(n, desc, seed=5), want)
+
+
+# sha256 of a gen_target table of each class, recorded before signdeg built
+# each character from its prefix's
+GEN_TARGET_PINS = {
+    (8, "depth:3"): "e094de7c2467b225c1596d0dbe0d252f5dc1276fdaa4df481723707ab610364a",
+    (8, "junta:3"): "bd7d319e720fa76994e62d960713fcd8e3ba1019d5bf214173988fd6244e48a3",
+    (8, "signdeg:3"): "ae1281bb4253617dc97043ef58e35d6ea0ab6ab81c0fb7ed52000cd5456052fd",
+    (12, "signdeg:4"): "1e24d31746c7ef46367926d8a54f2067011147eb6090fdbbe78098c292618b68",
+}
+
+
+@pytest.mark.parametrize("n,desc", sorted(GEN_TARGET_PINS))
+def test_gen_target_tables_are_pinned(n, desc):
+    digest = hashlib.sha256(gen_target(n, desc, seed=3).tobytes()).hexdigest()
+    assert digest == GEN_TARGET_PINS[(n, desc)]
 
 
 def test_gen_target_rejects_bad_descriptors():
