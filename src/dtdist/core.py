@@ -243,6 +243,26 @@ def _nonneg_int(value, what: str, error) -> int:
     return int(value)
 
 
+def _random_bits(rng: np.random.Generator, shape) -> np.ndarray:
+    """rng.integers(0, 2, size=shape, dtype=np.int8), bit for bit, drawn
+    four to a 32-bit word.
+
+    numpy draws a bounded int8 by Lemire's multiply-shift on one byte of a
+    buffered next_uint32 word, low byte first: for the range 2 the value
+    is (byte * 2) >> 8 and the rejection threshold (255 - 1) % 2 is 0, so
+    each bit is the top bit of its byte.  Reading those bytes from
+    ceil(N / 4) full-range uint32 draws (N the product of shape) gives the
+    same bits from the same ceil(N / 4) next_uint32 calls, so the
+    generator, a half-word that PCG64 holds over included, is left in the
+    same state as the int8 draw leaves it.
+    """
+    size = math.prod(shape)
+    words = rng.integers(0, 1 << 32, size=-(-size // 4), dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)
+    bits >>= 7
+    return bits[:size].view(np.int8).reshape(shape)
+
+
 def _children(flat, j, rows, hi_sel) -> list:
     """(child, rows) for the children of internal node j of a flattened
     tree that receive rows, lo first so that a stack pops hi first; rows
@@ -275,25 +295,25 @@ class DistTree:
     # -- structure ---------------------------------------------------------
 
     def _validate(self):
-        total = 0.0
-
-        def walk(node, path):
-            nonlocal total
+        """One preorder walk, lo before hi, so the leaf masses sum in tree
+        order; a path's variables are kept as a bit mask."""
+        n, total = self.n, 0.0
+        todo = [(self.root, 0, 0)]  # node, path variables' mask, path length
+        while todo:
+            node, path, length = todo.pop()
             if isinstance(node, Leaf):
                 if not -1e-12 <= node.density < math.inf:
                     raise InvalidTreeError(f"leaf density {node.density} is negative or not finite")
-                total += node.density * 2.0 ** (self.n - len(path))
-                self._depth = max(self._depth, len(path))
-                return
+                total += node.density * 2.0 ** (n - length)
+                self._depth = max(self._depth, length)
+                continue
             var = _nonneg_int(node.var, "split variable", InvalidTreeError)
-            if var >= self.n:
+            if var >= n:
                 raise InvalidTreeError(f"split variable {var} out of range")
-            if var in path:
+            if path >> var & 1:
                 raise InvalidTreeError(f"variable {var} repeated on a path")
-            walk(node.lo, path | {var})
-            walk(node.hi, path | {var})
-
-        walk(self.root, set())
+            path |= 1 << var
+            todo += ((node.hi, path, length + 1), (node.lo, path, length + 1))
         if not abs(total - 1.0) <= ATOL:
             raise InvalidTreeError(f"leaf masses sum to {total!r}, not 1")
 
@@ -592,6 +612,9 @@ class OracleMode(IntEnum):
     EXACT_PMF = 3
 
 
+# a fresh oracle's query_count, copied: iterating the enum costs more
+_NO_QUERIES = dict.fromkeys(OracleMode, 0)
+
 # uniforms per pass of _inverse_cdf: one _INDEX_BLOCK, so that each chunk's
 # temporaries stay below the 128 KB at which glibc maps (and unmaps) a block
 _DRAW_CHUNK = _INDEX_BLOCK
@@ -672,7 +695,7 @@ class DistOracle:
                 raise OracleModeError(f"a stream backing grants SAMPLE only, not {self.mode.name}")
             self.n = int(n)
         self._rng = None
-        self.query_count = {m: 0 for m in OracleMode}
+        self.query_count = _NO_QUERIES.copy()
         self._clamped_table = None
         self._plain_guide = None
 
@@ -808,12 +831,17 @@ class DistOracle:
         return got.astype(np.int8, copy=False)
 
     def _draw_tree(self, s: Restriction, k: int) -> np.ndarray:
+        """k points of the tree conditioned on s.  Every coordinate starts
+        as a uniform sign from _random_bits (the same bits as one (k, n)
+        rng.integers(0, 2) int8 draw, four to a 32-bit word); s's pairs
+        are written over them, then each free split, top down, sends its
+        rows to a child by one uniform per row and writes its column."""
         t: DistTree = self.backing
         cm = t.conditional_masses(s)
         if cm[0] <= 0.0:
             raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
         f = t._flatten()
-        X = self.rng.integers(0, 2, size=(k, self.n), dtype=np.int8)
+        X = _random_bits(self.rng, (k, self.n))
         X *= 2
         X -= 1
         for i, b in s.pairs:
@@ -925,6 +953,10 @@ def json_dumps(obj) -> str:
         if v is None:
             return "null"
         if isinstance(v, (list, tuple, np.ndarray)):
+            # a flat list of exact floats (a dense table) in one format
+            # call; anything else, numpy scalars included, element by element
+            if type(v) is list and set(map(type, v)) == {float}:
+                return "[" + ("%.17g, " * len(v))[:-2] % tuple(v) + "]"
             return "[" + ", ".join(emit(x) for x in v) + "]"
         if isinstance(v, dict):
             items = ", ".join(f"{json.dumps(str(k))}: {emit(x)}" for k, x in v.items())

@@ -27,6 +27,7 @@ from .core import (
     Internal,
     Leaf,
     _nonneg_int,
+    _random_bits,
     all_points,
     index_to_point,
     points_to_indices,
@@ -283,8 +284,9 @@ def split_and_rerandomize(
     The rows are routed once; each part is then built from the sample's
     dense-table indices alone, its path bits rewritten in place as
     (idx & ~mask) | packed bits, one int64 per point and no copy of the
-    point matrix.  The bits come from one (rows, path length) int8 draw
-    of rng per nonempty leaf with a path, in preorder, column p for the
+    point matrix.  The bits come from _random_bits, per nonempty leaf
+    with a path, in preorder: the same bits as one (rows, path length)
+    rng.integers(0, 2) int8 draw, four to a 32-bit word, column p for the
     leaf's p-th path coordinate and bit 1 for +1.
     """
     if sample.n != t.n:
@@ -297,7 +299,7 @@ def split_and_rerandomize(
         part = idx[rows]
         coords = restriction.coords()
         if coords and rows.size:
-            bits = rng.integers(0, 2, size=(rows.size, len(coords)), dtype=np.int8)
+            bits = _random_bits(rng, (rows.size, len(coords)))
             part &= ~restriction.mask
             for p, i in enumerate(coords):
                 part |= np.left_shift(bits[:, p], i, dtype=np.int64)
