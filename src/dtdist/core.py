@@ -431,6 +431,8 @@ class DistTree:
     def from_json_dict(cls, obj: dict) -> "DistTree":
         def conv(d):
             if "leaf" in d:
+                if type(d["leaf"]) not in (int, float):
+                    raise InvalidTreeError(f"leaf density {d['leaf']!r} is not a number")
                 return Leaf(float(d["leaf"]))
             return Internal(d["var"], conv(d["lo"]), conv(d["hi"]))
 
@@ -488,7 +490,12 @@ class DensePmf:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DensePmf":
-        return cls(obj["n"], np.array(obj["table"], dtype=np.float64))
+        """Refuses a table entry that is not an int or a float (a bool or a
+        numeric string included), which np.array would convert."""
+        table = obj["table"]
+        if not set(map(type, table)) <= {int, float}:
+            raise InvalidPmfError("table entries must be numbers")
+        return cls(obj["n"], np.array(table, dtype=np.float64))
 
 
 def uniform_dense(n: int) -> DensePmf:
@@ -516,21 +523,26 @@ def tv_distance(a: DensePmf, b: DensePmf) -> float:
     return 0.5 * float(np.abs(a.table - b.table).sum())
 
 
-def slice_cube(d: DensePmf, s: Restriction) -> np.ndarray:
-    """View of d's table on the subcube s, shaped [2] * (n - |s|).
+def slice_cube(table: np.ndarray, s: Restriction) -> np.ndarray:
+    """View of table on the subcube s, shaped [2] * (n - |s|) + table.shape[1:].
 
-    Axis a indexes the free coordinate free[m-1-a], where free lists the
-    unrestricted coordinates in increasing order (the DensePmf.cube
-    convention restricted to them), so the C-order flatten lists the
-    subcube's points by increasing index, the indices k with
-    k & s.mask == s.bits.  Raises DimensionMismatchError for a
-    coordinate outside [0, n).
+    table is any array whose first axis has 2^n entries in the dense-table
+    index order: a DensePmf's table, or all_points(n), whose points then
+    keep their trailing axis.  Axis a indexes the free coordinate
+    free[m-1-a], where free lists the unrestricted coordinates in
+    increasing order (the DensePmf.cube convention restricted to them), so
+    the C-order flatten of the subcube axes lists its cells by increasing
+    index, the indices k with k & s.mask == s.bits.  The index ends in an
+    Ellipsis, so a full restriction still gives a view, not a scalar.
+    Raises DimensionMismatchError for a coordinate outside [0, n).
     """
-    s.check(d.n)
-    idx = [slice(None)] * d.n
+    n = table.shape[0].bit_length() - 1
+    s.check(n)
+    idx = [slice(None)] * n
     for i, b in s.pairs:
-        idx[d.n - 1 - i] = (b + 1) // 2
-    return d.cube()[tuple(idx)]
+        idx[n - 1 - i] = (b + 1) // 2
+    idx.append(Ellipsis)
+    return table.reshape((2,) * n + table.shape[1:])[tuple(idx)]
 
 
 def restrict_dist(d: DensePmf, s: Restriction):
@@ -539,7 +551,7 @@ def restrict_dist(d: DensePmf, s: Restriction):
     Returns (DensePmf over the free coordinates in increasing original
     order, subcube weight).  Raises ZeroWeightSubcubeError on mass 0.
     """
-    sub = slice_cube(d, s).reshape(-1)
+    sub = slice_cube(d.table, s).reshape(-1)
     w = float(sub.sum())
     if w <= 0.0:
         raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
@@ -549,7 +561,7 @@ def restrict_dist(d: DensePmf, s: Restriction):
 
 def subcube_weight(d: DensePmf, s: Restriction) -> float:
     """Pr_D[x in s]."""
-    return float(slice_cube(d, s).sum())
+    return float(slice_cube(d.table, s).sum())
 
 
 def tree_to_dense(t: DistTree) -> DensePmf:
@@ -576,28 +588,23 @@ def tree_to_dense(t: DistTree) -> DensePmf:
 def dense_to_tree(d: DensePmf) -> DistTree:
     """Minimal exact tree by greedy recursive splitting.
 
-    Splits on the smallest coordinate whose two restrictions of the table
-    differ; emits a leaf once the table is constant.  Reproduces the pmf
-    exactly; the resulting depth is an exact cover, not necessarily the
-    minimum decision-tree depth.
+    Recurses on restrictions, reading each subcube through slice_cube: it
+    splits on the smallest free coordinate whose two halves differ and
+    emits a leaf, valued at the subcube's first cell, once the subcube is
+    constant.  Reproduces the pmf exactly; the resulting depth is an exact
+    cover, not necessarily the minimum decision-tree depth.
     """
 
-    def build(sub, coords):
-        # sub is the table over `coords` (increasing), little-endian
-        if sub.max() - sub.min() <= 0.0:
-            return Leaf(float(sub[0]))
-        m = len(coords)
-        cube = sub.reshape([2] * m)
-        for pos, coord in enumerate(coords):
-            ax = m - 1 - pos
-            lo = np.take(cube, 0, axis=ax).reshape(-1)
-            hi = np.take(cube, 1, axis=ax).reshape(-1)
-            if not np.array_equal(lo, hi):
-                rest = coords[:pos] + coords[pos + 1 :]
-                return Internal(coord, build(lo, rest), build(hi, rest))
-        return Leaf(float(sub[0]))  # unreachable: some axis must differ
+    def build(s):
+        sub = slice_cube(d.table, s)
+        if not sub.max() - sub.min() <= 0.0:
+            for i in s.free_coords(d.n):
+                lo, hi = (Restriction(s.pairs + ((i, b),)) for b in (-1, 1))
+                if not np.array_equal(slice_cube(d.table, lo), slice_cube(d.table, hi)):
+                    return Internal(i, build(lo), build(hi))
+        return Leaf(float(sub.flat[0]))
 
-    return DistTree(d.n, build(d.table.copy(), tuple(range(d.n))))
+    return DistTree(d.n, build(EMPTY))
 
 
 # ---------------------------------------------------------------------------
@@ -637,13 +644,11 @@ def _cdf_guide(p: np.ndarray) -> tuple:
     return cdf, G, lo, amb
 
 
-def _inverse_cdf(rng: np.random.Generator, guide: tuple, k: int, rows: np.ndarray,
-                 cells: Optional[np.ndarray] = None) -> np.ndarray:
-    """rows[cells[j]] for k indices j drawn from the pmf p that
-    guide = _cdf_guide(p) was built from (rows[j] when cells is None),
-    stacked into one (k, ...) array.  The indices equal
-    rng.choice(p.size, k, p=p) index for index, and rng is left in the
-    same state.
+def _inverse_cdf(rng: np.random.Generator, guide: tuple, k: int, rows: np.ndarray) -> np.ndarray:
+    """rows[j] for k indices j drawn from the pmf p that guide =
+    _cdf_guide(p) was built from, stacked into one (k, ...) array.  The
+    indices equal rng.choice(p.size, k, p=p) index for index, and rng is
+    left in the same state.
 
     rng.choice inverts the cdf at rng.random(k), one binary search per
     draw: searchsorted(cdf, u, "right").  Here the bucket of u is
@@ -663,8 +668,6 @@ def _inverse_cdf(rng: np.random.Generator, guide: tuple, k: int, rows: np.ndarra
         pick = lo[b]
         hard = amb[b]
         pick[hard] = cdf.searchsorted(u[hard], "right")
-        if cells is not None:
-            pick = cells[pick]
         np.take(rows, pick, axis=0, out=out[start:start + u.size])
     return out
 
@@ -874,22 +877,24 @@ class DistOracle:
         (over the subcube's cells, in index order, weights sub / w) by
         _inverse_cdf: the same indices and stream position as
         rng.choice(size, k, p=...), from one guide-table lookup per draw
-        and a chunked read of the uniforms.  Each chunk's rows are
-        gathered from all_points(n) straight into the (k, n) int8 result,
-        a subcube's picks mapped through sub_idx first, so no index array
-        of length k and no sub-table of points is built.  The plain
-        draws' guide is built once per oracle, a subcube's per call."""
-        table = self._clamped()
+        and a chunked read of the uniforms.  slice_cube reads the
+        subcube's cells from the table and its point rows from
+        all_points(n), both by increasing index, and each chunk's picks
+        are gathered from those rows straight into the (k, n) int8
+        result, so no index array of length k is built.  The plain draws'
+        guide is built once per oracle, a subcube's per call."""
+        table, pts = self._clamped(), all_points(self.n)
         if len(s) == 0:
             if self._plain_guide is None:
                 self._plain_guide = _cdf_guide(table)
-            return _inverse_cdf(self.rng, self._plain_guide, k, all_points(self.n))
-        sub_idx = np.flatnonzero((np.arange(table.size) & s.mask) == s.bits)
-        sub = table[sub_idx]
+            return _inverse_cdf(self.rng, self._plain_guide, k, pts)
+        sub = slice_cube(table, s).reshape(-1)
         w = float(sub.sum())
         if w <= 0.0:
             raise ZeroWeightSubcubeError(f"subcube {s} has zero mass")
-        return _inverse_cdf(self.rng, _cdf_guide(sub / w), k, all_points(self.n), sub_idx)
+        guide = _cdf_guide(sub / w)
+        del sub  # freed before the subcube's point rows are copied
+        return _inverse_cdf(self.rng, guide, k, slice_cube(pts, s).reshape(-1, self.n))
 
 
 # attempts per accepted point: ceil(REJECTION_CAP_FACTOR / w_hat)

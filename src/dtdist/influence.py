@@ -80,21 +80,6 @@ def _checked(n: int, s: Restriction, coords: Sequence[int]) -> list:
 # floats, or one subcube row when that is larger
 _CHUNK_CELLS = 1 << 16
 
-# m -> the (m, 2^m) table P[p, y] = y ^ 2^p, built on first use for subcubes
-# whose whole difference buffer fits one chunk (m <= 12 at the default size,
-# under 1 MB for all of them).  The tables stay private and writable: np.take
-# copies a read-only index array on every call, which costs more than the
-# gather itself at m=12.
-_PARTNERS: dict = {}
-
-
-def _partners(m: int) -> np.ndarray:
-    got = _PARTNERS.get(m)
-    if got is None:
-        got = np.arange(1 << m, dtype=np.intp) ^ (1 << np.arange(m, dtype=np.intp))[:, None]
-        _PARTNERS[m] = got
-    return got
-
 
 def _derived_rows(d: DensePmf, s: Restriction, level: int, rows: list):
     """(free, buffer) of s, at length `level`, read from its parent's kept
@@ -127,29 +112,27 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[l
 
     The subcube is read once as a flat vector q, its points by increasing
     index, so flipping free position p pairs q[y] with q[y ^ 2^p].  Row p
-    of a difference buffer holds |q[y] - q[y ^ 2^p]| in y order; each
-    chunk of rows takes one in-place abs and one row sum.  When all m rows
-    fit one chunk (m * 2^m <= _CHUNK_CELLS) the buffer is one gather
-    through the cached partner table P[p, y] = y ^ 2^p; otherwise each row
-    is written from two strided views of q.  Transient memory is at most
-    2^m + _CHUNK_CELLS floats (one row when 2^m is larger), plus the
-    cached tables, which hold _CHUNK_CELLS indices at most per m.  Each
-    row is summed pairwise as one contiguous run, the order a sum over
-    the flipped copy of the cube uses, so the values are bit-identical to
-    it whichever way the rows were filled.
+    of a difference buffer holds |q[y] - q[y ^ 2^p]| in y order, written
+    from two strided views of q; the rows go in chunks of at most
+    _CHUNK_CELLS floats (one row when 2^m is larger), and each chunk takes
+    one in-place abs and one row sum.  Transient memory is at most
+    2^m + _CHUNK_CELLS floats, one row when 2^m is larger.  Each row is
+    summed pairwise as one contiguous run, the order a sum over the
+    flipped copy of the cube uses, so the values are bit-identical to it.
 
     `rows` is an optional cache owned by one caller over one d, a list
     indexed by restriction length: rows[len(s)] = (s.mask, s.bits, free,
     buffer) for the last single-chunk subcube computed at that length
-    (None after a larger one), with buffer row p that of free position p.
+    (None after one whose m rows span several chunks), with buffer row p
+    that of free position p.
     When rows[len(s) - 1] belongs to a parent of s, that is s less one
-    fixed coordinate i, no subcube is gathered: with t the position of i
+    fixed coordinate i, the subcube is not read: with t the position of i
     among the parent's free coordinates and b its bit in s, the child's
     buffer is every parent row but row t, each cut to its half where bit
     t of y is b.  It is a view when t is the parent's first or last
     position and one copy otherwise.  Its rows hold the same floats in
-    the same y order as the child's own gather, each summed pairwise as
-    one run, so the values are bit-identical to the kernel's.  A call
+    the same y order as the child's own kernel rows, each summed pairwise
+    as one run, so the values are bit-identical to the kernel's.  A call
     keeps its buffer at its own length and drops every deeper one, so
     rows holds at most one buffer per length, each with under half the
     floats of the one above: under 0.7 MiB in all at m <= 12.  A miss,
@@ -171,14 +154,11 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[l
 
 
 def _kernel(d: DensePmf, s: Restriction):
-    """(free, the single-chunk |difference| rows or None, row sums)."""
-    q, free = slice_cube(d, s).reshape(-1), s.free_coords(d.n)
+    """(free, the |difference| rows when all m fit one chunk, else None,
+    row sums): the fill exact_influence_all describes.  The search reads a
+    returned buffer to derive its children's rows."""
+    q, free = slice_cube(d.table, s).reshape(-1), s.free_coords(d.n)
     m = len(free)
-    if m * q.size <= _CHUNK_CELLS:
-        buf = np.take(q, _partners(m))
-        np.subtract(q, buf, out=buf)
-        np.abs(buf, out=buf)
-        return free, buf, buf.sum(axis=1)
     vals = np.empty(m, dtype=np.float64)
     rows = max(1, min(m, _CHUNK_CELLS >> m))
     buf = np.empty((rows, q.size), dtype=np.float64)
@@ -189,7 +169,7 @@ def _kernel(d: DensePmf, s: Restriction):
             np.subtract(a, a[:, ::-1], out=row.reshape(a.shape))
         np.abs(block, out=block)
         vals[lo : lo + len(block)] = block.sum(axis=1)
-    return free, None, vals
+    return free, buf[:m] if m * q.size <= _CHUNK_CELLS else None, vals
 
 
 def exact_influence(d: DensePmf, i: int, s: Restriction = EMPTY) -> float:

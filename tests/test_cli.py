@@ -510,11 +510,16 @@ def test_exit_code_invalid_distribution(e2_file, tmp_path, capsys):
                              "--coord", "0"])
     assert code == 2 and out == ""
     # non-finite values; NaN once passed both checks, and exited 1 (exact)
-    # or with a traceback (subcube)
+    # or with a traceback (subcube); the strings and booleans, which numpy
+    # and float() read as numbers, once loaded and exited 0
     for name, text in (
         ("nan_table", '{"n": 1, "table": [0.5, NaN]}'),
         ("inf_table", '{"n": 1, "table": [0.5, Infinity]}'),
         ("nan_leaf", '{"n": 1, "root": {"var": 0, "lo": {"leaf": 0.5}, "hi": {"leaf": NaN}}}'),
+        ("string_table", '{"n": 1, "table": ["0.5", "0.5"]}'),
+        ("bool_table", '{"n": 1, "table": [true, false]}'),
+        ("string_leaf", '{"n": 0, "root": {"leaf": "1"}}'),
+        ("bool_leaf", '{"n": 0, "root": {"leaf": true}}'),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(text)
@@ -728,7 +733,8 @@ def test_unknown_subcommand_exits_two(capsys):
 
 # values a JSON file can hold where a count, a coordinate or a mass belongs
 _NOT_COUNTS = [-1, True, False, 1.5, "1", None, [1], 10**30]
-_NOT_MASSES = [float("nan"), float("inf"), float("-inf"), 10**400, "x", None, [], {}]
+_NOT_MASSES = [float("nan"), float("inf"), float("-inf"), 10**400, "x", "0.5", "1", True, False,
+               None, [], {}]
 
 
 @st.composite

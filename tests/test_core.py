@@ -231,7 +231,7 @@ def test_restriction_integer_form(case, rnd):
 
 
 _PAST_N = {
-    "slice_cube": lambda d, t, s: core.slice_cube(d, s),
+    "slice_cube": lambda d, t, s: core.slice_cube(d.table, s),
     "subcube_weight": lambda d, t, s: subcube_weight(d, s),
     "restrict_dist": lambda d, t, s: restrict_dist(d, s),
     "conditional_masses": lambda d, t, s: t.conditional_masses(s),
@@ -944,9 +944,9 @@ def test_two_point_kernel_clamps_tiny_negative_mass(kind):
 
 
 def test_dense_conditional_draws_match_mask_path():
-    # the subcube's indices come from the mask expression on indices; the
-    # old path masked all 2^n points, and both list them in the same order,
-    # so the weight and the draws are bit-equal at a fixed seed
+    # the subcube's cells and points come from slice_cube; the old path
+    # masked all 2^n points, and both list them in the same order, so the
+    # weight and the draws are bit-equal at a fixed seed
     n, seed = 7, 23
     table = np.random.default_rng(4).dirichlet(np.ones(1 << n))
     table[:5] = 0.0
@@ -958,9 +958,10 @@ def test_dense_conditional_draws_match_mask_path():
         mask = s.consistent_mask(pts)
         sub_idx = np.flatnonzero(mask)
         w_mask = float(table[mask].sum())
-        sliced = np.flatnonzero((np.arange(1 << n) & s.mask) == s.bits)
-        assert np.array_equal(sliced, sub_idx)
-        assert float(table[sliced].sum()) == w_mask
+        sliced = core.slice_cube(table, s).reshape(-1)
+        assert np.array_equal(sliced, table[sub_idx])
+        assert np.array_equal(core.slice_cube(pts, s).reshape(sub_idx.size, n), pts[sub_idx])
+        assert float(sliced.sum()) == w_mask
         if w_mask == 0.0:
             with pytest.raises(ZeroWeightSubcubeError):
                 DistOracle.subcube(d, seed=seed).subcube_sample_batch(s, 10)
@@ -969,6 +970,35 @@ def test_dense_conditional_draws_match_mask_path():
         want = pts[sub_idx[rng.choice(sub_idx.size, size=3000, p=table[sub_idx] / w_mask)]]
         got = DistOracle.subcube(d, seed=seed).subcube_sample_batch(s, 3000)
         assert np.array_equal(got, want)
+
+
+@st.composite
+def cube_restrictions(draw):
+    """(n, s): n in 0..6 and s fixing 0..n coordinates, the full cube too."""
+    n = draw(st.integers(0, 6))
+    coords = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    return n, Restriction.of(*[(c, draw(st.sampled_from([-1, 1]))) for c in coords])
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=cube_restrictions())
+@example(case=(0, Restriction.empty()))
+@example(case=(3, Restriction.of((0, 1), (1, -1), (2, 1))))
+def test_slice_cube_lists_subcube_rows_by_index(case):
+    # a table with a trailing axis keeps it; the cells come by increasing
+    # index, and a full restriction still gives an array view, not a scalar
+    n, s = case
+    m = n - len(s)
+    want = [k for k in range(1 << n) if k & s.mask == s.bits]
+    pts = all_points(n)
+    got = core.slice_cube(pts, s)
+    assert got.shape == (2,) * m + (n,)
+    assert np.array_equal(got.reshape(1 << m, n), pts[want])
+    idx = np.arange(1 << n)
+    flat = core.slice_cube(idx, s)
+    assert isinstance(flat, np.ndarray) and flat.shape == (2,) * m
+    assert np.shares_memory(flat, idx)
+    assert flat.reshape(-1).tolist() == want
 
 
 # ---------------------------------------------------------------------------

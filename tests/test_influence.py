@@ -17,6 +17,7 @@ from dtdist import (
     DensePmf,
     DimensionMismatchError,
     DistOracle,
+    DistTree,
     EstimatorBudget,
     InfluenceOracle,
     KIND_EXACT,
@@ -27,6 +28,8 @@ from dtdist import (
     ZeroWeightSubcubeError,
     bias_sample_count,
     dense_to_tree,
+    derive_seed,
+    end_to_end,
     exact_conditional_influence,
     exact_influence,
     exact_influence_all,
@@ -35,13 +38,15 @@ from dtdist import (
     infest_repetitions,
     infest_sample_count,
     learn_distribution_result,
+    make_exhaustive_tree_learner,
+    make_labeled_source,
     points_to_indices,
     restrict_dist,
     subcube_weight,
     uniform_dense,
 )
 from dtdist.core import slice_cube
-from dtdist.testbed import gen_dt_dist
+from dtdist.testbed import gen_dt_dist, gen_target
 
 ATOL = 1e-9
 
@@ -71,7 +76,7 @@ def restricted_tables(draw, max_n=9):
 
 def flipped_copy_influences(d, s):
     """The exact kernel as one flipped copy of the subcube per coordinate."""
-    q, free = slice_cube(d, s), s.free_coords(d.n)
+    q, free = slice_cube(d.table, s), s.free_coords(d.n)
     m = len(free)
     scale = 2.0 ** (d.n - m - 1)
     vals = np.empty(m, dtype=np.float64)
@@ -242,36 +247,59 @@ def test_exact_kernel_memory_bound():
     assert peak < 2_000_000
 
 
-@pytest.mark.parametrize("m, cells, gathered", [
+@pytest.mark.parametrize("m, cells, kept", [
     (1, 2, True), (1, 1, False),
     (5, 5 << 5, True), (5, (5 << 5) - 1, False),
     (9, 9 << 9, True), (9, (9 << 9) - 1, False),
     (12, None, True), (13, None, False),  # the default _CHUNK_CELLS
 ])
-def test_exact_kernel_bit_equal_at_chunk_boundary(m, cells, gathered):
-    # a subcube whose m x 2^m buffer fits one chunk is one partner gather,
-    # one cell more and each row is written from strided views
+def test_exact_kernel_bit_equal_at_chunk_boundary(m, cells, kept):
+    # a subcube whose m x 2^m buffer fits one chunk returns it, for the
+    # search to derive its children's rows from; one cell more and the rows
+    # go in several chunks and none is returned
     d = random_dense(m + 2, m)
     s = Restriction.of((0, 1), (m + 1, -1))
     chunk = influence._CHUNK_CELLS if cells is None else cells
-    with mock.patch.object(influence, "_CHUNK_CELLS", chunk), \
-            mock.patch.dict(influence._PARTNERS, clear=True):
+    with mock.patch.object(influence, "_CHUNK_CELLS", chunk):
+        free, buf, _ = influence._kernel(d, s)
+        assert (buf is not None) == (m * 2**m <= chunk) == kept
         free, vals = exact_influence_all(d, s)
-        assert (m in influence._PARTNERS) == gathered
     want_free, want = flipped_copy_influences(d, s)
     assert free == want_free
     assert np.array_equal(vals, want)
 
 
-def test_exact_kernel_partner_cache_bound():
-    # subcubes of every size 0..16: only m <= 12 fits one chunk, and the
-    # thirteen tables hold 90,114 indices (0.72 MB) together
-    d = random_dense(16, 5)
-    with mock.patch.dict(influence._PARTNERS, clear=True):
-        for k in range(17):
-            exact_influence_all(d, Restriction.of(*[(i, 1) for i in range(k)]))
-        assert sorted(influence._PARTNERS) == list(range(13))
-        assert sum(t.nbytes for t in influence._PARTNERS.values()) < 1 << 20
+def _lift_stage_one():
+    # item 0 of the lift benchmark at seed 1: stage 1 is an exact search
+    n, d, eps, delta = 10, 2, 0.1, 0.1
+    inst_seed = derive_seed(1, "lift", n, 0)
+    inst = gen_dt_dist(n, d, inst_seed)
+    target = gen_target(n, f"depth:{d}", derive_seed(inst_seed, "target"))
+    oracle_seed = derive_seed(1, "oracle", 0, 0)
+    tree = DistTree(n, inst.tree.root)
+    labels = DistOracle.sampler(tree, derive_seed(oracle_seed, "labels"))
+    learner = make_exhaustive_tree_learner(n, d, eps / 2.0, delta / (4.0 * 2.0 ** d))
+    end_to_end(DistOracle.exact(tree, oracle_seed), make_labeled_source(labels, target),
+               learner, d, eps, delta, KIND_EXACT, dist_kwargs={"tau": None}, seed=oracle_seed)
+
+
+def _criterion_one():
+    # trial 0 of acceptance criterion 1: n=12, d=3, eps=0.1
+    inst = gen_dt_dist(12, 3, derive_seed(271828, "acc1", 0))
+    oracle = DistOracle.exact(inst.dense, derive_seed(271828, "acc1-oracle", 0))
+    learn_distribution_result(oracle, 3, 0.1, 0.1, KIND_EXACT)
+
+
+@pytest.mark.parametrize("search", [_criterion_one, _lift_stage_one], ids=["criterion1", "lift"])
+def test_exact_search_runs_kernel_once(search):
+    # at n <= 12 the root's rows fit one chunk, and every deeper subcube the
+    # depth-first search asks for derives its rows from its parent's
+    with mock.patch.object(influence, "_kernel", wraps=influence._kernel) as kernel, \
+            mock.patch.object(influence, "exact_influence_all",
+                              wraps=influence.exact_influence_all) as reads:
+        search()
+    assert kernel.call_count == 1
+    assert reads.call_count > 1
 
 
 @st.composite
