@@ -34,6 +34,7 @@ from .core import (
     Leaf,
     Node,
     Restriction,
+    _count,
 )
 from .errors import BudgetExceededError, ConfigError, DegenerateEstimateError
 from .influence import (
@@ -62,7 +63,7 @@ def default_leaf_sample_count(eps: float, delta: float, depth_budget: int) -> in
     weighting value +-eps/2 at confidence 1 - delta/2^(d+1) after a union
     bound over at most 2^(d+1) leaf evaluations."""
     d = max(depth_budget, 0)
-    return math.ceil(32.0 * 4.0 ** d * math.log(2.0 ** (d + 2) / delta) / (eps * eps))
+    return _count(32.0 * 4.0 ** d * math.log(2.0 ** (d + 2) / delta), eps * eps, "leaf samples")
 
 
 def call_count_bound(eps: float, depth_budget: int) -> float:

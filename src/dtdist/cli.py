@@ -59,6 +59,7 @@ from .influence import (
 )
 from .builddt import check_unit, learn_distribution_result
 from .lift import (
+    _binary,
     dist_error,
     end_to_end,
     make_exhaustive_tree_learner,
@@ -243,10 +244,15 @@ def cmd_estimate_influence(args) -> int:
     seed = _parse_seed(args.seed)
     oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
     i_oracle = InfluenceOracle(args.oracle, oracle, args.eps, args.delta)
+    # the exact oracle reports on the restricted scale, samplers on the
+    # conditional one; compare against the matching ground truth
+    ref = _reference_dense(dist)
     if args.oracle == "exact":
         est = i_oracle.estimate(args.coord, s)
+        exact = exact_influence(ref, args.coord, s)
     else:
         est = i_oracle.estimate_conditional(args.coord, s)
+        exact = exact_conditional_influence(ref, args.coord, s)
     summary = {
         "command": "estimate-influence",
         "oracle": args.oracle,
@@ -254,16 +260,9 @@ def cmd_estimate_influence(args) -> int:
         "seed": seed,
         "estimate": est.to_json_dict(),
         "queries": {m.name: c for m, c in oracle.query_count.items()},
+        "exact": exact,
+        "abs_error": abs(est.value - exact),
     }
-    # the exact oracle reports on the restricted scale, samplers on the
-    # conditional one; compare against the matching ground truth
-    ref = _reference_dense(dist)
-    if args.oracle == "exact":
-        exact = exact_influence(ref, args.coord, s)
-    else:
-        exact = exact_conditional_influence(ref, args.coord, s)
-    summary["exact"] = exact
-    summary["abs_error"] = abs(est.value - exact)
     _emit(summary, started)
     return 0
 
@@ -277,7 +276,7 @@ def cmd_lift(args) -> int:
     if not isinstance(target_obj, dict) or "table" not in target_obj:
         raise ConfigError(f"{args.target} holds no target table")
     labels = target_obj["table"]
-    if not isinstance(labels, list) or not all(type(v) is int and v in (0, 1) for v in labels):
+    if not _binary(labels):
         raise ConfigError(f"{args.target}: target labels must be the integers 0 and 1")
     table = np.asarray(labels, dtype=np.uint8)
     if table.size != 1 << dist.n:

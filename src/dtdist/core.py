@@ -24,6 +24,7 @@ import numpy as np
 
 from ._seeds import stream
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
     InvalidPmfError,
     InvalidTreeError,
@@ -38,6 +39,16 @@ MAX_DENSE_N = 20
 ATOL = 1e-9
 # serialization round-trips hold to this tolerance
 ATOL_ROUNDTRIP = 1e-12
+
+
+def _count(num: float, den: float, what: str, int64: bool = False) -> int:
+    """ceil(num / den), the last division of a sample-size formula; raises
+    ConfigError if it is not finite (den == 0 included) or, with int64 (a
+    count drawn whole, which no budget cap cuts), does not fit an int64."""
+    q = num / den if den else math.inf
+    if not abs(q) < (2.0 ** 63 if int64 else math.inf):
+        raise ConfigError(f"{what} {q:.3g} is not a finite{' int64' if int64 else ''} count")
+    return math.ceil(q)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +487,6 @@ class DensePmf:
             if not abs(total - 1.0) <= ATOL:
                 raise InvalidPmfError(f"probabilities sum to {total!r}, not 1")
 
-    def cube(self) -> np.ndarray:
-        """Table reshaped to [2]*n; axis a indexes coordinate n-1-a."""
-        return self.table.reshape([2] * self.n)
-
     def eval_batch(self, X: np.ndarray) -> np.ndarray:
         if X.shape[1] != self.n:
             raise DimensionMismatchError(f"points have {X.shape[1]} coords, pmf has {self.n}")
@@ -530,10 +537,10 @@ def slice_cube(table: np.ndarray, s: Restriction) -> np.ndarray:
     index order: a DensePmf's table, or all_points(n), whose points then
     keep their trailing axis.  Axis a indexes the free coordinate
     free[m-1-a], where free lists the unrestricted coordinates in
-    increasing order (the DensePmf.cube convention restricted to them), so
-    the C-order flatten of the subcube axes lists its cells by increasing
-    index, the indices k with k & s.mask == s.bits.  The index ends in an
-    Ellipsis, so a full restriction still gives a view, not a scalar.
+    increasing order, so the C-order flatten of the subcube axes lists its
+    cells by increasing index, the indices k with k & s.mask == s.bits.
+    The index ends in an Ellipsis, so a full restriction still gives a
+    view, not a scalar.
     Raises DimensionMismatchError for a coordinate outside [0, n).
     """
     n = table.shape[0].bit_length() - 1
@@ -568,21 +575,10 @@ def tree_to_dense(t: DistTree) -> DensePmf:
     """Materialize the tree's pmf table (n <= 20)."""
     if t.n > MAX_DENSE_N:
         raise InvalidPmfError(f"dense representation capped at n={MAX_DENSE_N}")
-    arr = np.empty([2] * t.n, dtype=np.float64) if t.n else np.empty([], dtype=np.float64)
-
-    def fill(node, idx):
-        if isinstance(node, Leaf):
-            arr[tuple(idx)] = node.density
-            return
-        lo_idx = list(idx)
-        lo_idx[t.n - 1 - node.var] = 0
-        hi_idx = list(idx)
-        hi_idx[t.n - 1 - node.var] = 1
-        fill(node.lo, lo_idx)
-        fill(node.hi, hi_idx)
-
-    fill(t.root, [slice(None)] * t.n)
-    return DensePmf(t.n, arr.reshape(-1))
+    table = np.empty(1 << t.n, dtype=np.float64)
+    for r, density in t.leaves():
+        slice_cube(table, r)[...] = density
+    return DensePmf(t.n, table)
 
 
 def dense_to_tree(d: DensePmf) -> DistTree:

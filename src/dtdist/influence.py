@@ -39,6 +39,7 @@ from .core import (
     DistOracle,
     OracleMode,
     Restriction,
+    _count,
     index_to_point,
     points_to_indices,
     reject_sample,
@@ -201,17 +202,17 @@ def exact_conditional_influence(d: DensePmf, i: int, s: Restriction = EMPTY) -> 
 
 def bias_sample_count(eps: float, delta: float) -> int:
     """Conditioned samples for a +-eps, 1-delta bias estimate (Hoeffding)."""
-    return math.ceil(math.log(2.0 / delta) / (2.0 * eps * eps))
+    return _count(math.log(2.0 / delta), 2.0 * eps * eps, "bias samples")
 
 
 def infest_sample_count(eps: float) -> int:
     """Two-point conditioned samples per run; the run's bias is <= eps."""
-    return math.ceil(1.0 / (eps * eps))
+    return _count(1.0, eps * eps, "two-point draws per run", int64=True)
 
 
 def infest_repetitions(eps: float, delta: float) -> int:
     """Runs of infest(eps/2) whose mean is +-eps accurate w.p. 1-delta."""
-    return math.ceil(2.0 * math.log(2.0 / delta) / ((eps / 2.0) ** 2))
+    return _count(2.0 * math.log(2.0 / delta), (eps / 2.0) ** 2, "two-point runs")
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +284,13 @@ class EstimatorBudget:
     everything the cap allows and reports the realized sample count;
     InfluenceOracle.caps_bound records the cut.  Both caps must be >= 1.
 
-    max_pool caps the plain draws the shared pool takes in total.  The
-    pool keeps distinct points with counts, so its memory is
-    O(min(2^n, draws) * n), not O(max_pool * n).  While it grows, a dense
-    backing's draws arrive in slices of InfluenceOracle.CHUNK_ROWS; a
-    tree or stream backing's arrive as one (draws, n) batch.
-    infest_reps_cap caps the two-point runs per subcube query, not the
-    draws of each run.
+    max_pool caps the plain draws the shared pool takes in total (and
+    those of one monotone estimate_conditional).  The pool keeps distinct
+    points with counts, so its memory is O(min(2^n, draws) * n), not
+    O(max_pool * n).  While it grows, a dense backing's draws arrive in
+    slices of InfluenceOracle.CHUNK_ROWS; a tree or stream backing's
+    arrive as one (draws, n) batch.  infest_reps_cap caps the two-point
+    runs per subcube query, from either entry point, not each run's draws.
     """
 
     max_pool: int = 2_000_000
@@ -310,12 +311,14 @@ class InfluenceOracle:
     `accuracy` > 0 and `confidence` in (0, 1) are the per-query targets
     on that scale; weight estimation gets accuracy/2^(|s|+2) and the
     conditional estimate accuracy/(2^|s| * w_hat), each at half the
-    failure budget, served from the pool below and bounded by the
-    EstimatorBudget caps.  estimate_conditional reports the conditional
-    scale Inf_i(f_{D_s}) at `accuracy` and `confidence`, sized by the
-    contract alone.  A cap that binds cancels the guarantee: caps_bound
-    counts, by EstimatorBudget field name, each sample count a cap cut and
-    each monotone query that a full pool left short of its bias count.
+    failure budget, served from the pool below.  estimate_conditional
+    reports the conditional scale Inf_i(f_{D_s}) at `accuracy` and
+    `confidence` from draws of its own.  Both cut their counts at the
+    EstimatorBudget caps, and a cap that binds cancels the guarantee:
+    caps_bound counts, by EstimatorBudget field name, each sample count a
+    cap cut and each monotone query that a full pool left short of its
+    bias count.  A count that is not finite raises ConfigError, as do
+    two-point draws per run past int64, which no cap cuts.
 
     The sample-based kinds keep one growing pool of plain samples and
     reuse it across queries (weights, monotone biases, and the search's
@@ -502,25 +505,26 @@ class InfluenceOracle:
         """Inf_i(f_{D_s}) on the conditional scale, +-accuracy w.p. at
         least 1 - confidence.
 
-        Sized by the contract alone; the pool and the budget caps are not
-        used.  "monotone" averages x_i over bias_sample_count(accuracy,
-        confidence) plain draws conditioned on s by rejection, clamped at
-        0 (the monotone truth is nonnegative, sampling noise need not
-        be); "subcube" averages infest_repetitions(accuracy, confidence)
-        runs of infest(accuracy / 2), each biased by at most accuracy/2
-        with the mean concentrating to accuracy/2; "exact" enumerates.
-        Raises as estimate_all does for a coordinate outside [0, n) or
-        one that s fixes.
+        Not from the pool.  "monotone" averages x_i over
+        bias_sample_count(accuracy, confidence) plain draws, capped at
+        max_pool, conditioned on s by rejection and clamped at 0 (the
+        monotone truth is nonnegative, sampling noise need not be);
+        "subcube" averages infest_repetitions(accuracy, confidence) runs,
+        capped at infest_reps_cap, of infest(accuracy / 2), each biased
+        by at most accuracy/2 with the mean concentrating to accuracy/2;
+        "exact" enumerates.  Raises as estimate_all does for a coordinate
+        outside [0, n) or one that s fixes.
         """
         _checked(self.source.n, s, [i])
         if self.kind == KIND_EXACT:
             value, used = exact_conditional_influence(self._dense, i, s), 0
         elif self.kind == KIND_MONOTONE:
-            used = bias_sample_count(self.accuracy, self.confidence)
+            used = self._capped(bias_sample_count(self.accuracy, self.confidence), "max_pool")
             X = reject_sample(self.source.sample_batch, s, used)
             value = max(0.0, float(X[:, i].mean()))
         else:
-            runs = infest_repetitions(self.accuracy, self.confidence)
+            runs = self._capped(infest_repetitions(self.accuracy, self.confidence),
+                                "infest_reps_cap")
             vals, used = _two_point_means(self.source, s, [i], self.accuracy / 2.0, runs)
             value = float(vals[0])
         return InfluenceEstimate(

@@ -26,6 +26,7 @@ from .core import (
     DistTree,
     Internal,
     Leaf,
+    _count,
     _nonneg_int,
     _random_bits,
     all_points,
@@ -33,10 +34,12 @@ from .core import (
     points_to_indices,
 )
 from .errors import BudgetExceededError, ConfigError, DimensionMismatchError, InvalidTreeError
-from .builddt import LearnResult, learn_distribution_result
+from .builddt import LearnResult, check_unit, learn_distribution_result
 
 # widest cube whose dense-table indices are nonnegative int64s
 _MAX_INDEX_N = 63
+# labeled points end_to_end may draw (2^24 at n=4 peak near 0.75 GB resident)
+_MAX_ROWS = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -211,16 +214,26 @@ class TreeRoutedHypothesis(Hypothesis):
         return {"kind": "tree-routed", "n": self.tree.n, "root": conv(self.tree.root)}
 
 
+def _binary(labels) -> bool:
+    return isinstance(labels, list) and all(type(v) is int and v in (0, 1) for v in labels)
+
+
 def hypothesis_from_json(obj: dict) -> Hypothesis:
+    """Inverts to_json_dict.  Raises ConfigError for an unknown kind, a label
+    that is not the integer 0 or 1, or a lowdeg variable outside [0, n)."""
     kind = obj.get("kind")
-    if kind == "const":
+    if kind == "const" and _binary([obj["value"]]):
         return ConstantHypothesis(obj["value"])
-    if kind == "table":
+    if kind == "table" and _binary(obj["table"]):
         return TruthTableHypothesis(obj["n"], obj["table"])
+    if kind in ("const", "table"):
+        raise ConfigError(f"{kind} hypothesis labels must be the integers 0 and 1")
     if kind == "lowdeg":
-        return LowDegreeHypothesis(
-            obj["n"], {tuple(t["vars"]): t["coef"] for t in obj["terms"]}
-        )
+        terms = {tuple(t["vars"]): t["coef"] for t in obj["terms"]}
+        hyp = LowDegreeHypothesis(obj["n"], terms)
+        if not all(type(i) is int and 0 <= i < hyp.n for t in terms for i in t):
+            raise ConfigError(f"lowdeg term variables must be integers in [0, {hyp.n})")
+        return hyp
     if kind == "tree-routed":
         # n gets DistTree's own check before it sizes the leaves, and each
         # var goes to DistTree unconverted: a bool, a float or a negative
@@ -263,9 +276,8 @@ def required_sample_size(m: int, d: int, eps: float, delta: float) -> int:
     """Labeled examples so every leaf of a depth-d tree that matters at
     error scale eps receives m points w.p. >= 1 - delta:
     ceil(8 * (d + m + ln(2^(d+1)/delta)) * 2^d / eps)."""
-    return math.ceil(
-        8.0 * (d + m + math.log(2.0 ** (d + 1) / delta)) * 2.0 ** d / eps
-    )
+    return _count(8.0 * (d + m + math.log(2.0 ** (d + 1) / delta)) * 2.0 ** d, eps,
+                  "labeled samples")
 
 
 def split_and_rerandomize(
@@ -376,10 +388,10 @@ def boost(learner: UniformLearner, delta_target: float) -> UniformLearner:
     selection adds at most 10% to the error; the boosted learner declares
     (1.1 * eps, delta_target).
     """
-    runs = max(1, math.ceil(math.log2(2.0 / delta_target)))
-    holdout = math.ceil(
-        2.0 * math.log(4.0 * runs / delta_target) / (0.05 * learner.eps) ** 2
-    )
+    check_unit("boosting delta", delta_target)
+    runs = max(1, _count(math.log2(2.0 / delta_target), 1.0, "boosting runs"))
+    holdout = _count(2.0 * math.log(4.0 * runs / delta_target), (0.05 * learner.eps) ** 2,
+                     "boosting holdout")
     m_new = runs * learner.m + holdout
 
     def learn(sample: LabeledSample) -> Hypothesis:
@@ -436,8 +448,9 @@ def low_degree_learn(sample: LabeledSample, k: int) -> Hypothesis:
 
 
 def make_low_degree_learner(n: int, k: int, eps: float, delta: float) -> UniformLearner:
+    check_unit("learner delta", delta)
     terms = sum(math.comb(n, j) for j in range(k + 1))
-    m = math.ceil(4.0 * terms * math.log(4.0 * terms / delta) / eps)
+    m = _count(4.0 * terms * math.log(4.0 * terms / delta), eps, "learner samples")
     return UniformLearner(
         name=f"lowdeg:{k}",
         m=m,
@@ -559,8 +572,9 @@ def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
 
 
 def make_exhaustive_tree_learner(n: int, k: int, eps: float, delta: float) -> UniformLearner:
+    check_unit("learner delta", delta)
     log_h = math.log(count_depth_trees(n, k))
-    m = math.ceil((log_h + math.log(1.0 / delta)) / eps)
+    m = _count(log_h + math.log(1.0 / delta), eps, "learner samples")
     return UniformLearner(
         name=f"tree:{k}",
         m=m,
@@ -650,11 +664,17 @@ def end_to_end(
     tree for D to total variation dist_eps, defaulting to the robustness
     budget eps / (3 * learner.m); (2) boost the learner to per-leaf
     failure delta / 2^(d+1) unless its declared delta already meets
-    that; (3) draw required_sample_size labeled points and lift.  The
-    default dist_eps makes stage (1) extremely demanding for
-    sample-based estimators; pass dist_eps/dist_kwargs to trade
-    guarantee for feasibility.
+    that; (3) draw required_sample_size labeled points and lift; a size
+    past _MAX_ROWS raises ConfigError before (1).  The default dist_eps
+    makes stage (1) extremely demanding for sample-based estimators; pass
+    dist_eps/dist_kwargs to trade guarantee for feasibility.
     """
+    delta_leaf = delta / (2.0 * 2.0 ** depth_budget)
+    boosted = learner.delta > delta_leaf
+    use = boost(learner, delta_leaf) if boosted else learner
+    count = required_sample_size(use.m, depth_budget, eps, delta)
+    if count > _MAX_ROWS:
+        raise ConfigError(f"labeled samples {count} are above the {_MAX_ROWS} a lift may draw")
     if dist_eps is None:
         dist_eps = eps / (3.0 * learner.m)
     lr = learn_distribution_result(
@@ -665,10 +685,6 @@ def end_to_end(
         estimator_kind,
         **(dist_kwargs or {}),
     )
-    delta_leaf = delta / (2.0 * 2.0 ** depth_budget)
-    boosted = learner.delta > delta_leaf
-    use = boost(learner, delta_leaf) if boosted else learner
-    count = required_sample_size(use.m, depth_budget, eps, delta)
     sample = labeled_source(count)
     report = lift_learn_result(
         lr.tree, use, sample, stream(seed, "lift-rerand"), eps=eps, delta=delta

@@ -59,7 +59,7 @@ def is_monotone_dense(d: DensePmf) -> bool:
     """True iff raising any single coordinate never lowers the pmf; by
     chaining flips this is equivalent to monotonicity over the
     coordinatewise order."""
-    cube = d.cube()
+    cube = d.table.reshape([2] * d.n)
     for ax in range(d.n):
         lo = np.take(cube, 0, axis=ax)
         hi = np.take(cube, 1, axis=ax)
@@ -101,24 +101,15 @@ def gen_dt_dist(n: int, d: int, seed: int) -> Instance:
     rng = stream(seed, "gen-dt", n, d)
     shape = _random_topology(n, d, rng) if d > 0 else ("leaf",)
 
-    leaf_depths: list = []
+    def leaves(sh):
+        return 1 if sh[0] == "leaf" else leaves(sh[2]) + leaves(sh[3])
 
-    def scan(sh, depth):
-        if sh[0] == "leaf":
-            leaf_depths.append(depth)
-            return
-        scan(sh[2], depth + 1)
-        scan(sh[3], depth + 1)
-
-    scan(shape, 0)
-    masses = rng.dirichlet(np.ones(len(leaf_depths)))
-    masses = masses / masses.sum()
-    it = iter(range(len(leaf_depths)))
+    masses = rng.dirichlet(np.ones(leaves(shape)))
+    it = iter(masses / masses.sum())
 
     def build(sh, depth):
         if sh[0] == "leaf":
-            j = next(it)
-            return Leaf(float(masses[j]) / 2.0 ** (n - depth))
+            return Leaf(float(next(it)) / 2.0 ** (n - depth))
         return Internal(sh[1], build(sh[2], depth + 1), build(sh[3], depth + 1))
 
     tree = DistTree(n, build(shape, 0))
@@ -150,8 +141,7 @@ def gen_monotone_dist(n: int, d: int, seed: int) -> Instance:
 
     tree = DistTree(n, build(0, 0))
     dense = tree_to_dense(tree)
-    monotone = is_monotone_dense(dense)
-    assert monotone, "constructive family must be monotone"
+    assert is_monotone_dense(dense), "constructive family must be monotone"
     return Instance(
         tree=tree,
         dense=dense,

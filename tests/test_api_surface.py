@@ -1,11 +1,12 @@
 """The package's public surface, pinned.
 
 A new export, budget field, search knob or learn parameter fails here,
-so that it shows up in review as a deliberate edit of these lists.  The
-README's python blocks run here too, so its quick start cannot call a
-name the package no longer has.
+so that it shows up in review as a deliberate edit of these lists, and
+so does a new math.ceil call site.  The README's python blocks run here
+too, so its quick start cannot call a name the package no longer has.
 """
 
+import ast
 import dataclasses
 import inspect
 import pathlib
@@ -111,3 +112,32 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+# every ceil call in the package, as (file, enclosing function): each
+# sample-size formula ends in core._count, so a formula that rounds up on
+# its own shows up here
+CEIL_SITES = [
+    ("core.py", "_count"),
+    ("core.py", "reject_sample"),
+    ("influence.py", "InfluenceOracle.estimate_all"),
+]
+
+
+def _ceil_sites(node, path, scope, out):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            _ceil_sites(child, path, scope + (child.name,), out)
+            continue
+        if isinstance(child, ast.Call):
+            f = child.func
+            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == "ceil":
+                out.append((path.name, ".".join(scope)))
+        _ceil_sites(child, path, scope, out)
+
+
+def test_ceil_call_sites():
+    out: list = []
+    for path in sorted(pathlib.Path(dtdist.__file__).parent.glob("*.py")):
+        _ceil_sites(ast.parse(path.read_text()), path, (), out)
+    assert sorted(out) == CEIL_SITES

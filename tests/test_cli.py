@@ -14,6 +14,7 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import E2_TABLE
-from dtdist import DensePmf, load_json, save_json
+from dtdist import DensePmf, lift, load_json, save_json
 from dtdist.cli import main
 from dtdist.lift import make_exhaustive_tree_learner
 
@@ -906,4 +907,103 @@ def test_generated_bad_target_files_exit_two(tmp_path_factory, text):
                           "--depth", "1", "--eps", "0.3"])
     # every text is malformed by construction, so none may run
     assert code == 2, (text, code, err)
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# sample counts at extreme eps and delta
+
+
+@pytest.fixture(scope="module")
+def n4_files(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("n4") / "i")
+    assert run_door(["gen", "--n", "4", "--depth", "2", "--target", "depth:2",
+                     "--seed", "7", "--out", out])[0] == 0
+    return out
+
+
+def _count_argv(command: str, out: str) -> list:
+    """A run of command on the n=4 instance; options given after it win."""
+    return {
+        "learn-dist": [command, "--dist", out + ".tree.json", "--depth", "2", "--eps", "0.2"],
+        "estimate-influence": [command, "--dist", out + ".tree.json", "--coord", "0"],
+        "lift": [command, "--dist", out + ".tree.json", "--target", out + ".target.json",
+                 "--learner", "tree:2", "--depth", "2", "--eps", "0.3"],
+    }[command]
+
+
+# each printed a traceback and exited 1: ZeroDivisionError (eps^2 underflows
+# to 0), OverflowError (ceil of an infinite count) or, past its uncapped
+# 2.95e21 runs, numpy's "Maximum allowed dimension exceeded"
+@pytest.mark.parametrize("argv", [
+    ["estimate-influence", "--oracle", "monotone", "--eps", "1e-300"],
+    ["estimate-influence", "--oracle", "subcube", "--eps", "1e-300"],
+    ["estimate-influence", "--oracle", "subcube", "--eps", "1e-10"],
+    ["learn-dist", "--eps", "1e-300"],
+    ["learn-dist", "--delta", "1e-320"],
+    ["lift", "--delta", "1e-320"],
+    ["lift", "--dist-eps", "1e-300"],
+], ids=lambda argv: " ".join(argv))
+def test_counts_out_of_range_exit_two(n4_files, argv):
+    code, err = run_door(_count_argv(argv[0], n4_files) + argv[1:])
+    assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_lift_past_the_row_limit_exits_two_before_drawing(tmp_path, monkeypatch):
+    out = str(tmp_path / "i")
+    run_door(["gen", "--n", "10", "--depth", "2", "--target", "depth:2", "--seed", "7",
+              "--out", out])
+    drawn = []
+    monkeypatch.setattr("dtdist.lift.learn_distribution_result",
+                        lambda *args, **kwargs: drawn.append("stage 1"))
+    monkeypatch.setattr("dtdist.core.DistOracle.sample_batch",
+                        lambda self, k: drawn.append(k))
+    code, err = run_door(["lift", "--dist", out + ".tree.json", "--target", out + ".target.json",
+                          "--learner", "tree:2", "--depth", "2", "--eps", "0.001"])
+    assert code == 2 and "labeled samples 938028225 are above the 16777216" in err
+    assert drawn == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--eps", "1e-9"],  # the exact kind never draws its 2.6e21 leaf samples
+    # bias samples of 1.9e19 at depth 1, cut at max_pool
+    ["--oracle", "subcube", "--eps", "1e-6", "--max-pool", "20000", "--infest-reps", "50"],
+], ids=lambda argv: " ".join(argv))
+def test_counts_past_int64_that_a_cap_cuts_still_run(n4_files, argv):
+    code, err = run_door(_count_argv("learn-dist", n4_files) + argv)
+    assert code in (0, 1) and err == "", err
+
+
+# eps or delta in (0, 1): the named extremes, any float, and one from the
+# range where runs do work rather than exit 2
+_UNIT = (st.sampled_from([5e-324, 1e-320, 1e-300, 1e-10, 1e-3, 0.5, 1 - 1e-16])
+         | st.floats(min_value=5e-324, max_value=1 - 1e-16) | st.floats(1e-4, 1 - 1e-16))
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["learn-dist", "estimate-influence", "lift"]),
+       oracle=st.sampled_from(["exact", "monotone", "subcube"]),
+       eps=_UNIT, delta=_UNIT, dist_eps=st.none() | _UNIT,
+       learner=st.sampled_from(["tree:1", "lowdeg:1"]))
+@example(command="lift", oracle="exact", eps=5e-324, delta=0.1, dist_eps=None, learner="tree:1")
+@example(command="lift", oracle="exact", eps=0.3, delta=5e-324, dist_eps=None, learner="tree:1")
+@example(command="learn-dist", oracle="subcube", eps=1e-10, delta=1 - 1e-16, dist_eps=None,
+         learner="tree:1")
+def test_generated_eps_and_delta_never_traceback(n4_files, command, oracle, eps, delta,
+                                                  dist_eps, learner):
+    # any eps and delta in (0, 1) runs, fails its check or exits 2 or 3.
+    # The runs are kept small: the sample caps are lowered, and so is the
+    # row limit (2^24 rows at n=4 peak near 0.75 GB); the limit itself is
+    # tested above at its value
+    caps = ["--max-pool", "20000", "--infest-reps", "200"]
+    unit = ["--eps", repr(eps), "--delta", repr(delta), "--oracle", oracle]
+    if command == "lift":
+        argv = ["lift", "--dist", n4_files + ".dense.json", "--target", n4_files + ".target.json",
+                "--learner", learner, "--depth", "1"] + unit + caps
+        argv += [] if dist_eps is None else ["--dist-eps", repr(dist_eps)]
+    else:
+        argv = _count_argv(command, n4_files) + unit + (caps if command == "learn-dist" else [])
+    with mock.patch.object(lift, "_MAX_ROWS", 1 << 16):
+        code, err = run_door(argv)
+    assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Representations, conversions, serialization, and the sampling oracle."""
 
+import math
 import pickle
 import tracemalloc
 from unittest import mock
@@ -13,6 +14,7 @@ import oracles as O
 from conftest import E2_TABLE, E2_EXPECTED, pm1_stream
 from dtdist import core
 from dtdist import (
+    ConfigError,
     DensePmf,
     DimensionMismatchError,
     DistOracle,
@@ -522,6 +524,20 @@ def test_restrict_zero_weight_raises():
         restrict_dist(d, Restriction.of((1, -1)))
 
 
+@settings(max_examples=150, deadline=None)
+@given(routing_cases())
+def test_tree_to_dense_equals_routed_densities(case):
+    # each leaf's density written over its subcube is, bit for bit, the
+    # density every point of the cube routes to
+    n, shape, _ = case
+    t, _ = _shape_tree(n, shape)
+    assert np.array_equal(tree_to_dense(t).table, t.eval_batch(all_points(n)))
+
+
+def test_tree_to_dense_at_n0():
+    assert tree_to_dense(uniform_tree(0)).table.tolist() == [1.0]
+
+
 def test_tree_dense_conversions(e2_tree, e2_dense):
     assert tv_distance(tree_to_dense(e2_tree), e2_dense) == pytest.approx(0.0, abs=ATOL)
     t = dense_to_tree(e2_dense)
@@ -554,6 +570,34 @@ def test_conversion_roundtrip_property(n, levels, seed):
     back = tree_to_dense(dense_to_tree(d))
     assert back.n == n
     assert np.abs(back.table - d.table).max() <= core.ATOL_ROUNDTRIP
+
+
+# ---------------------------------------------------------------------------
+# sample counts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(1e-3, 1e9), st.floats(1e-9, 1e3))
+def test_count_is_the_ceiling_of_its_quotient(num, den):
+    assert core._count(num, den, "x") == math.ceil(num / den)
+
+
+@pytest.mark.parametrize("num, den, int64, match", [
+    (1.0, 0.0, False, "inf is not a finite count"),  # eps^2 underflowed to 0
+    (math.inf, 2.0, False, "inf is not a finite count"),  # log(2 / 1e-320)
+    (math.nan, 1.0, False, "nan is not a finite count"),
+    (2.0 ** 63, 1.0, True, "9.22e\\+18 is not a finite int64 count"),
+    (4.0, 1e-20, True, "4e\\+20 is not a finite int64 count"),
+])
+def test_count_refuses_what_no_draw_can_take(num, den, int64, match):
+    with pytest.raises(ConfigError, match=match):
+        core._count(num, den, "x", int64)
+
+
+def test_count_past_int64_feeds_a_cap_unchanged():
+    # a count that a budget cap cuts is returned whole, as ceil gives it
+    assert core._count(4.0, 1e-20, "x") == math.ceil(4.0 / 1e-20)
+    assert core._count(2.0 ** 63 - 1024, 1.0, "x", int64=True) == 2 ** 63 - 1024
 
 
 # ---------------------------------------------------------------------------

@@ -433,6 +433,49 @@ def test_sample_count_formulas():
     assert infest_repetitions(0.1, 0.01) > infest_repetitions(0.1, 0.05)
 
 
+@pytest.mark.parametrize("count, args", [
+    (bias_sample_count, (1e-300, 0.05)),  # eps^2 underflows to 0
+    (infest_repetitions, (1e-300, 0.05)),
+    (infest_sample_count, (1e-300,)),
+    (bias_sample_count, (0.1, 1e-320)),  # log(2 / delta) overflows
+])
+def test_sample_counts_refuse_counts_that_are_not_finite(count, args):
+    with pytest.raises(ConfigError, match="inf is not a finite"):
+        count(*args)
+
+
+def test_only_two_point_draws_per_run_must_fit_an_int64():
+    # 10^20 draws per run go to rng.binomial whole; 2.95e21 runs are cut
+    # at infest_reps_cap, and 1.5e20 bias samples at max_pool
+    with pytest.raises(ConfigError, match="two-point draws per run 1e\\+20 is not a finite int64"):
+        infest_sample_count(1e-10)
+    assert infest_repetitions(1e-10, 0.05) == math.ceil(
+        2.0 * math.log(2.0 / 0.05) / ((1e-10 / 2.0) ** 2))
+    assert bias_sample_count(1e-10, 0.05) == math.ceil(math.log(2.0 / 0.05) / (2.0 * 1e-20))
+
+
+def test_estimate_conditional_caps_its_runs(e2_dense):
+    # accuracy 0.001 asks for 29,511,036 runs of 4,000,000 two-point draws;
+    # the runs are cut to the budget's 20,000 and the cut is recorded
+    io = InfluenceOracle(KIND_SUBCUBE, DistOracle.subcube(e2_dense, seed=8), 0.001, 0.05)
+    assert infest_repetitions(0.001, 0.05) == 29_511_036
+    est = io.estimate_conditional(0)
+    assert io.caps_bound == {"infest_reps_cap": 1}
+    assert est.samples_used == 20_000 * (infest_sample_count(0.0005) + 1)
+    assert abs(est.value - 0.5) <= 0.01
+
+
+def test_estimate_conditional_caps_its_monotone_draws(e2_dense):
+    io = InfluenceOracle(KIND_MONOTONE, DistOracle.sampler(e2_dense, seed=9), 0.05, 0.05,
+                         EstimatorBudget(max_pool=100))
+    est = io.estimate_conditional(0, Restriction.of((1, 1)))
+    assert bias_sample_count(0.05, 0.05) == 738
+    assert est.samples_used == 100 and io.caps_bound == {"max_pool": 1}
+    # at the default caps the contract count is drawn whole, and nothing is cut
+    io = InfluenceOracle(KIND_MONOTONE, DistOracle.sampler(e2_dense, seed=9), 0.05, 0.05)
+    assert io.estimate_conditional(0).samples_used == 738 and not io.caps_bound
+
+
 # ---------------------------------------------------------------------------
 # monotone bias estimator
 

@@ -61,6 +61,7 @@ from dtdist import (
     uniform_dense,
     uniform_tree,
 )
+from dtdist import lift
 from dtdist.testbed import gen_dt_dist, gen_target
 
 
@@ -210,6 +211,28 @@ def test_hypothesis_from_json_rejects_non_integer_n_and_var(bad):
             hypothesis_from_json(obj)
 
 
+@pytest.mark.parametrize("obj", [
+    {"kind": "table", "n": 1, "table": [2, 0]},
+    {"kind": "table", "n": 1, "table": [1.0, 0]},
+    {"kind": "table", "n": 1, "table": [True, 0]},
+    {"kind": "table", "n": 1, "table": "10"},
+    {"kind": "const", "value": 7},
+    {"kind": "const", "value": "1"},
+    {"kind": "const", "value": False},
+    {"kind": "lowdeg", "n": 1, "terms": [{"vars": [5], "coef": 1.0}]},
+    {"kind": "lowdeg", "n": 2, "terms": [{"vars": [0, -1], "coef": 1.0}]},
+    {"kind": "lowdeg", "n": 2, "terms": [{"vars": [1.0], "coef": 1.0}]},
+    {"kind": "tree-routed", "n": 1,
+     "root": {"var": 0, "lo": {"hyp": {"kind": "const", "value": 0}},
+              "hi": {"hyp": {"kind": "const", "value": 2}}}},
+])
+def test_hypothesis_from_json_refuses_what_would_not_predict_0_or_1(obj):
+    # a table entry 2 and a const 7 once loaded and predicted 2 and 7, and a
+    # lowdeg term on var 5 at n=1 raised IndexError only at predict time
+    with pytest.raises(ConfigError):
+        hypothesis_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # sample-size formula
 
@@ -230,6 +253,33 @@ def test_required_sample_size_monotonicity():
     assert required_sample_size(30, 2, 0.1, 0.01) > base
     # doubling the depth costs at least the extra 2^d leaf factor
     assert required_sample_size(30, 6, 0.1, 0.1) >= (1 << 3) * base
+
+
+def test_learner_sizes_are_only_formulas():
+    # nothing is drawn here, so no row limit applies: a count past it is
+    # returned as the formula gives it, and only an undefined one raises
+    learner = make_exhaustive_tree_learner(10, 2, 0.0005, 0.1 / 16.0)
+    assert required_sample_size(learner.m, 2, 0.001, 0.1) == 938_028_225
+    assert make_low_degree_learner(10, 2, 1e-6, 0.1).m > lift._MAX_ROWS
+    assert boost(learner, 1e-6).m > lift._MAX_ROWS
+    with pytest.raises(ConfigError, match="learner samples inf is not a finite count"):
+        make_exhaustive_tree_learner(10, 2, 0.1, 1e-320)  # log(1 / delta) overflows
+    with pytest.raises(ConfigError, match="learner delta must be in"):
+        make_exhaustive_tree_learner(10, 2, 0.1, 0.0)
+    with pytest.raises(ConfigError, match="boosting delta must be in"):
+        boost(learner, 0.0)
+
+
+def test_lift_learn_result_below_a_huge_recommended_size_only_warns():
+    # a depth-3 tree with m = 1000 at eps = 1e-4 recommends about 6.4e8 points
+    u = Leaf(0.125)
+    t = DistTree(3, Internal(0, Internal(1, Internal(2, u, u), u), u))
+    learner = UniformLearner(name="const", m=1000, eps=0.1, delta=0.1,
+                             learn=lambda s: ConstantHypothesis(0))
+    sample = LabeledSample(all_points(3), np.zeros(8, dtype=np.uint8))
+    with pytest.warns(UserWarning, match="below the recommended 6"):
+        report = lift_learn_result(t, learner, sample, eps=1e-4, delta=0.1)
+    assert [r.status for r in report.leaf_records] == ["skipped"] * 4
 
 
 def test_required_sample_size_matches_oracle_grid():
