@@ -49,6 +49,11 @@ def check_unit(name: str, value: float):
         raise ConfigError(f"{name} must be in (0,1), got {value}")
 
 
+def check_depth(d: int, n: int):
+    if not 0 <= d <= n:
+        raise ConfigError(f"depth budget {d} outside [0, {n}]")
+
+
 def default_tau(eps: float, depth_budget: int) -> float:
     """Influence threshold eps / (8 d^2); with it the optimal tree's
     objective is small enough that the result lands within eps/2 of D in
@@ -67,10 +72,8 @@ def default_leaf_sample_count(eps: float, delta: float, depth_budget: int) -> in
 
 
 def call_count_bound(eps: float, depth_budget: int) -> float:
-    """Upper bound (16 d^3 / eps)^d on recursive calls; the factor-2 slack
-    over the exact-threshold bound covers estimated thresholds."""
-    if depth_budget <= 0:
-        return 1.0
+    """Upper bound (16 d^3 / eps)^d on recursive calls, 1 at d = 0; the
+    factor-2 slack over the exact-threshold bound covers estimated thresholds."""
     return (16.0 * depth_budget ** 3 / eps) ** depth_budget
 
 
@@ -88,8 +91,7 @@ class BuildParams:
         """Range checks; an estimating i_oracle must also have accuracy
         <= tau/4, so that its 0.75 tau cut keeps every coordinate of
         influence >= tau and drops every one below tau/2."""
-        if self.depth_budget < 0 or self.depth_budget > n:
-            raise ConfigError(f"depth budget {self.depth_budget} outside [0, {n}]")
+        check_depth(self.depth_budget, n)
         check_unit("eps", self.eps)
         check_unit("delta", self.delta)
         if not 0.0 < self.tau <= self.eps:
@@ -223,7 +225,7 @@ class LearnResult:
 def _expected_query_count(n: int, d: int) -> int:
     """Distinct (restriction, coordinate) influence queries reachable by a
     memoized depth-d search; sizes the per-query confidence split."""
-    restr = sum(math.comb(n, k) * 2 ** k for k in range(min(d, n) + 1))
+    restr = sum(math.comb(n, k) * 2 ** k for k in range(d + 1))
     return max(1, n * restr)
 
 
@@ -260,6 +262,7 @@ def learn_distribution_result(
     n = d_oracle.n
     check_unit("eps", eps)
     check_unit("delta", delta)
+    check_depth(depth_budget, n)
     params = BuildParams(
         depth_budget=depth_budget,
         tau=default_tau(eps, depth_budget) if tau is None else float(tau),

@@ -29,6 +29,7 @@ from .core import (
     DistTree,
     OracleMode,
     Restriction,
+    _dense,
     json_dumps,
     load_json,
     points_to_indices,
@@ -57,7 +58,7 @@ from .influence import (
     exact_conditional_influence,
     exact_influence,
 )
-from .builddt import check_unit, learn_distribution_result
+from .builddt import check_depth, check_unit, learn_distribution_result
 from .lift import (
     _binary,
     dist_error,
@@ -124,10 +125,6 @@ def _parse_restriction(text: str, n: int) -> Restriction:
     return s
 
 
-def _reference_dense(dist) -> DensePmf:
-    return dist if isinstance(dist, DensePmf) else tree_to_dense(dist)
-
-
 def _emit(result: dict, started: float) -> dict:
     result["elapsed_s"] = time.time() - started
     print(json_dumps(result))
@@ -151,8 +148,6 @@ def cmd_gen(args) -> int:
     started = time.time()
     if not 1 <= args.n <= 20:
         raise ConfigError(f"--n must be in [1,20], got {args.n}")
-    if not 0 <= args.depth <= args.n:
-        raise ConfigError(f"--depth must be in [0,{args.n}]")
     seed = _parse_seed(args.seed)
     if args.monotone:
         inst = gen_monotone_dist(args.n, args.depth, seed)
@@ -191,8 +186,6 @@ def cmd_learn_dist(args) -> int:
     check_unit("--eps", args.eps)
     check_unit("--delta", args.delta)
     dist = _load_dist(args.dist)
-    if not 0 <= args.depth <= dist.n:
-        raise ConfigError(f"--depth must be in [0,{dist.n}]")
     seed = _parse_seed(args.seed)
     oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
     result = learn_distribution_result(
@@ -205,7 +198,7 @@ def cmd_learn_dist(args) -> int:
         accuracy=args.accuracy,
         budget=_estimator_budget(args),
     )
-    tv_exact = tv_distance(_reference_dense(dist), tree_to_dense(result.tree))
+    tv_exact = tv_distance(_dense(dist), tree_to_dense(result.tree))
     if args.out:
         save_json(args.out, result.tree.to_json_dict())
     summary = {
@@ -246,7 +239,7 @@ def cmd_estimate_influence(args) -> int:
     i_oracle = InfluenceOracle(args.oracle, oracle, args.eps, args.delta)
     # the exact oracle reports on the restricted scale, samplers on the
     # conditional one; compare against the matching ground truth
-    ref = _reference_dense(dist)
+    ref = _dense(dist)
     if args.oracle == "exact":
         est = i_oracle.estimate(args.coord, s)
         exact = exact_influence(ref, args.coord, s)
@@ -286,22 +279,15 @@ def cmd_lift(args) -> int:
         k = int(arg)
     except ValueError:
         raise ConfigError("--learner must look like tree:2 or lowdeg:1") from None
+    factories = {"tree": make_exhaustive_tree_learner, "lowdeg": make_low_degree_learner}
+    if name not in factories:
+        raise ConfigError(f"unknown learner {name!r}")
+    check_depth(args.depth, dist.n)
     # the learner's own delta sits below delta/(2*2^depth) so the lift
     # never needs confidence boosting (whose holdout cost is enormous);
     # the learners only pay log(1/delta) for it
     leaf_delta = args.delta / (4.0 * 2.0 ** args.depth)
-    if name == "tree":
-        # the exhaustive search refuses larger orders at every leaf
-        if not (0 <= k <= 3 and dist.n <= 16):
-            raise ConfigError(f"--learner tree:K needs 0 <= K <= 3 and n <= 16, "
-                              f"got K={k}, n={dist.n}")
-        learner = make_exhaustive_tree_learner(dist.n, k, args.eps / 2.0, leaf_delta)
-    elif name == "lowdeg":
-        if k < 0:
-            raise ConfigError(f"--learner lowdeg:K needs K >= 0, got {k}")
-        learner = make_low_degree_learner(dist.n, k, args.eps / 2.0, leaf_delta)
-    else:
-        raise ConfigError(f"unknown learner {name!r}")
+    learner = factories[name](dist.n, k, args.eps / 2.0, leaf_delta)
     seed = _parse_seed(args.seed)
     oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
     labeled = make_labeled_source(
@@ -319,7 +305,7 @@ def cmd_lift(args) -> int:
         dist_kwargs={"tau": args.tau, "budget": _estimator_budget(args)},
         seed=seed,
     )
-    err = dist_error(result.hypothesis, table, _reference_dense(dist))
+    err = dist_error(result.hypothesis, table, _dense(dist))
     if args.out:
         save_json(args.out, result.hypothesis.to_json_dict())
     summary = {
@@ -344,14 +330,8 @@ def cmd_lift(args) -> int:
 # verify suites
 
 
-def _trial_params(trial: int):
-    n = 4 + trial % 7
-    d = 1 + trial % 3
-    return n, min(d, n)
-
-
 def _verify_inequalities(trial: int, seed: int) -> list:
-    n, d = _trial_params(trial)
+    n, d = 4 + trial % 7, 1 + trial % 3
     inst = gen_dt_dist(n, d, derive_seed(seed, "ineq", trial))
     partner = gen_dt_dist(n, max(1, (trial + 1) % 3 + 1), derive_seed(seed, "ineq-partner", trial))
     out = []

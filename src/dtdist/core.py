@@ -428,6 +428,12 @@ class DistTree:
         leaf_ord = np.cumsum(self._flatten()["var"] < 0) - 1  # ordinal among leaves
         return leaf_ord[self._route(X)]
 
+    def _leaf_rows(self, X: np.ndarray):
+        """Yields the rows of X that route to each leaf, in preorder."""
+        ords = self.leaf_index_batch(X)
+        for j in range(len(self._flatten()["leaves"])):
+            yield np.flatnonzero(ords == j)
+
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -519,7 +525,7 @@ Dist = Union[DistTree, DensePmf]
 def weighting_table(dist: Dist) -> np.ndarray:
     """Full table of the weighting 2^n * pmf over all points, indexed like
     DensePmf; it averages to exactly 1 over a uniform point."""
-    d = dist if isinstance(dist, DensePmf) else tree_to_dense(dist)
+    d = _dense(dist)
     return d.table * (2.0 ** d.n)
 
 
@@ -579,6 +585,10 @@ def tree_to_dense(t: DistTree) -> DensePmf:
     for r, density in t.leaves():
         slice_cube(table, r)[...] = density
     return DensePmf(t.n, table)
+
+
+def _dense(dist: Dist) -> DensePmf:
+    return dist if isinstance(dist, DensePmf) else tree_to_dense(dist)
 
 
 def dense_to_tree(d: DensePmf) -> DistTree:
@@ -797,11 +807,9 @@ class DistOracle:
         return self.backing.eval_batch(X)
 
     def dense(self) -> DensePmf:
-        """Full table (EXACT_PMF mode only): a DensePmf backing itself, or
-        a DistTree's converted afresh on every call."""
+        """Full table (EXACT_PMF mode only) by _dense, a tree's built afresh on every call."""
         self._require(OracleMode.EXACT_PMF)
-        b = self.backing
-        return b if isinstance(b, DensePmf) else tree_to_dense(b)
+        return _dense(self.backing)
 
     def _clamped(self) -> np.ndarray:
         """The table clamped at 0, built once.  Validation lets entries down
@@ -809,9 +817,7 @@ class DistOracle:
         the cdf that _inverse_cdf searches non-monotone; valid tables are
         unchanged, as nothing is renormalized."""
         if self._clamped_table is None:
-            b = self.backing
-            table = b.table if isinstance(b, DensePmf) else tree_to_dense(b).table
-            self._clamped_table = np.maximum(table, 0.0)
+            self._clamped_table = np.maximum(_dense(self.backing).table, 0.0)
         return self._clamped_table
 
     # -- internals -----------------------------------------------------------------

@@ -34,7 +34,7 @@ from .core import (
     points_to_indices,
 )
 from .errors import BudgetExceededError, ConfigError, DimensionMismatchError, InvalidTreeError
-from .builddt import LearnResult, check_unit, learn_distribution_result
+from .builddt import LearnResult, check_depth, check_unit, learn_distribution_result
 
 # widest cube whose dense-table indices are nonnegative int64s
 _MAX_INDEX_N = 63
@@ -50,7 +50,7 @@ class LabeledSample:
     """Points with {0,1} labels.
 
     X is a (rows, n) int8 matrix of -1/+1 entries and y the rows' uint8
-    labels; any other entry in either raises ValueError before the cast.
+    labels; any other entry in either raises ValueError (see _labels).
     The lift also reads each point as its dense-table index, one int64
     per point beside X, computed on first use and then reused: the parts
     split_and_rerandomize builds hold only indices and labels, and
@@ -63,10 +63,8 @@ class LabeledSample:
             raise DimensionMismatchError(f"sample shapes {X.shape} / {y.shape} do not align")
         if not ((X == 1) | (X == -1)).all():
             raise ValueError("point entries must be -1 or +1")
-        if not ((y == 0) | (y == 1)).all():
-            raise ValueError("labels must be 0 or 1")
         self._X = np.asarray(X, dtype=np.int8)
-        self.y = np.asarray(y, dtype=np.uint8)
+        self.y = _labels(y)
         self._n = X.shape[1]
         self._idx = None
 
@@ -108,6 +106,16 @@ class LabeledSample:
             None if self._X is None else self._X[idx],
             None if self._idx is None else self._idx[idx],
         )
+
+
+def _labels(y: np.ndarray) -> np.ndarray:
+    """y as a fresh uint8 array; ValueError unless every entry survives a
+    round trip through bool bit for bit, which refuses -0.0 and object
+    arrays too, in about half the time of (y == 0) | (y == 1)."""
+    bits = y.astype(bool)
+    if bits.astype(y.dtype).tobytes() != y.tobytes():
+        raise ValueError("labels must be 0 or 1")
+    return bits.astype(np.uint8)
 
 
 class Hypothesis:
@@ -195,10 +203,8 @@ class TreeRoutedHypothesis(Hypothesis):
         self.leaf_hyps = list(leaf_hyps)
 
     def predict_batch(self, X):
-        ords = self.tree.leaf_index_batch(X)
         out = np.empty(X.shape[0], dtype=np.uint8)
-        for j, hyp in enumerate(self.leaf_hyps):
-            rows = np.flatnonzero(ords == j)
+        for hyp, rows in zip(self.leaf_hyps, self.tree._leaf_rows(X)):
             if rows.size:
                 out[rows] = hyp.predict_batch(X[rows])
         return out
@@ -219,21 +225,27 @@ def _binary(labels) -> bool:
 
 
 def hypothesis_from_json(obj: dict) -> Hypothesis:
-    """Inverts to_json_dict.  Raises ConfigError for an unknown kind, a label
-    that is not the integer 0 or 1, or a lowdeg variable outside [0, n)."""
+    """Inverts to_json_dict.  Raises ConfigError before any constructor runs for
+    an unknown kind, labels other than the integers 0 and 1, a table of length
+    not 2^n (n <= 16), or lowdeg variables not in [0, n) or coefficients not numbers."""
     kind = obj.get("kind")
     if kind == "const" and _binary([obj["value"]]):
         return ConstantHypothesis(obj["value"])
     if kind == "table" and _binary(obj["table"]):
-        return TruthTableHypothesis(obj["n"], obj["table"])
+        n = _nonneg_int(obj["n"], "hypothesis n", ConfigError)
+        if n <= 16 and len(obj["table"]) != 1 << n:
+            raise ConfigError(f"table hypothesis at n={n} needs {1 << n} labels")
+        return TruthTableHypothesis(n, obj["table"])
     if kind in ("const", "table"):
         raise ConfigError(f"{kind} hypothesis labels must be the integers 0 and 1")
     if kind == "lowdeg":
+        n = _nonneg_int(obj["n"], "hypothesis n", ConfigError)
         terms = {tuple(t["vars"]): t["coef"] for t in obj["terms"]}
-        hyp = LowDegreeHypothesis(obj["n"], terms)
-        if not all(type(i) is int and 0 <= i < hyp.n for t in terms for i in t):
-            raise ConfigError(f"lowdeg term variables must be integers in [0, {hyp.n})")
-        return hyp
+        if not all(type(i) is int and 0 <= i < n for t in terms for i in t):
+            raise ConfigError(f"lowdeg term variables must be integers in [0, {n})")
+        if not all(type(c) in (int, float) for c in terms.values()):
+            raise ConfigError("lowdeg coefficients must be numbers")
+        return LowDegreeHypothesis(n, terms)
     if kind == "tree-routed":
         # n gets DistTree's own check before it sizes the leaves, and each
         # var goes to DistTree unconverted: a bool, a float or a negative
@@ -303,11 +315,9 @@ def split_and_rerandomize(
     """
     if sample.n != t.n:
         raise DimensionMismatchError(f"sample n={sample.n}, tree n={t.n}")
-    ords = t.leaf_index_batch(sample.X)
     idx = sample._index()
     parts = []
-    for j, (restriction, _) in enumerate(t.leaves()):
-        rows = np.flatnonzero(ords == j)
+    for (restriction, _), rows in zip(t.leaves(), t._leaf_rows(sample.X)):
         part = idx[rows]
         coords = restriction.coords()
         if coords and rows.size:
@@ -448,6 +458,7 @@ def low_degree_learn(sample: LabeledSample, k: int) -> Hypothesis:
 
 
 def make_low_degree_learner(n: int, k: int, eps: float, delta: float) -> UniformLearner:
+    _nonneg_int(k, "lowdeg learner degree", ConfigError)
     check_unit("learner delta", delta)
     terms = sum(math.comb(n, j) for j in range(k + 1))
     m = _count(4.0 * terms * math.log(4.0 * terms / delta), eps, "learner samples")
@@ -462,8 +473,7 @@ def make_low_degree_learner(n: int, k: int, eps: float, delta: float) -> Uniform
 
 def count_depth_trees(n: int, k: int) -> int:
     """Number of (not necessarily reduced) depth <= k tree predictors."""
-    if k < 0:
-        raise ConfigError(f"tree depth must be >= 0, got {k}")
+    _nonneg_int(k, "tree depth", ConfigError)
     if k == 0 or n == 0:
         return 2
     return 2 + n * count_depth_trees(n - 1, k - 1) ** 2
@@ -495,13 +505,10 @@ def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
     leaf labeled 0 precedes a leaf labeled 1 precedes any split and splits
     compare by variable then subtrees: a node splits only when its best
     split errs strictly less than its leaf, and on the least v among
-    equal splits.  Guarded at 0 <= k <= 3, n <= 16.
+    equal splits.  Guarded by _tree_order, as BudgetExceededError.
     """
     n = sample.n
-    if k < 0:
-        raise ConfigError(f"tree depth must be >= 0, got {k}")
-    if k > 3 or n > 16:
-        raise BudgetExceededError(f"exhaustive search capped at k<=3, n<=16; got k={k}, n={n}")
+    _tree_order(n, k, BudgetExceededError)
     cell = sample._index() * 2 + sample.y
     cnt = np.bincount(cell, minlength=2 << n).reshape(-1, 2)
     pts = np.flatnonzero(cnt.any(axis=1))
@@ -571,7 +578,15 @@ def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
     return hyp
 
 
+def _tree_order(n: int, k: int, wide=ConfigError):
+    """The exhaustive search's limits: ConfigError for k < 0, wide for k > 3 or n > 16."""
+    _nonneg_int(k, "tree learner depth", ConfigError)
+    if k > 3 or n > 16:
+        raise wide(f"tree learner capped at depth k <= 3 and n <= 16; got k={k}, n={n}")
+
+
 def make_exhaustive_tree_learner(n: int, k: int, eps: float, delta: float) -> UniformLearner:
+    _tree_order(n, k)
     check_unit("learner delta", delta)
     log_h = math.log(count_depth_trees(n, k))
     m = _count(log_h + math.log(1.0 / delta), eps, "learner samples")
@@ -598,28 +613,19 @@ def make_labeled_source(d_oracle: DistOracle, target_table: np.ndarray) -> Calla
     """labeled_source(k) drawing x ~ D and labeling with the target table.
 
     The table is checked once, here: shape (2^n,) for the oracle's n, or
-    DimensionMismatchError, and entries 0 or 1, or ValueError.  The rule
-    is stricter than LabeledSample's elementwise (y == 0) | (y == 1): an
-    entry must survive a round trip through bool bit for bit, so a float
-    -0.0 and an object array of 0/1 are refused here and taken there.
-    Two casts and a byte compare test it in about half the time of the
-    elementwise comparison when called between runs, with cold caches.
-    The table is copied as uint8, so a later change to the caller's
-    array changes no label.  Each
-    draw's sample is then built unchecked, its indices kept for the lift
-    to split and learn from: DistOracle.sample_batch only returns -1/+1
-    int8 rows (tree and dense draws make them so, and a stream's rows
-    are checked as they are drawn), and labels read from the checked
-    table are 0 or 1.
+    DimensionMismatchError, and LabeledSample's label rule, _labels.  It is
+    copied as uint8, so a later change to the caller's array changes no
+    label.  Each draw's sample is then built unchecked, its indices kept
+    for the lift to split and learn from: DistOracle.sample_batch only
+    returns -1/+1 int8 rows (tree and dense draws make them so, and a
+    stream's rows are checked as they are drawn), and labels read from the
+    checked table are 0 or 1.
     """
     n = d_oracle.n
     table = np.asarray(target_table)
     if table.shape != (1 << n,):
         raise DimensionMismatchError(f"target table shape {table.shape}, want ({1 << n},)")
-    bits = table.astype(bool)
-    if bits.astype(table.dtype).tobytes() != table.tobytes():
-        raise ValueError("labels must be 0 or 1")
-    table = bits.astype(np.uint8)
+    table = _labels(table)
 
     def source(k: int) -> LabeledSample:
         X = d_oracle.sample_batch(k)
@@ -665,10 +671,12 @@ def end_to_end(
     budget eps / (3 * learner.m); (2) boost the learner to per-leaf
     failure delta / 2^(d+1) unless its declared delta already meets
     that; (3) draw required_sample_size labeled points and lift; a size
-    past _MAX_ROWS raises ConfigError before (1).  The default dist_eps
-    makes stage (1) extremely demanding for sample-based estimators; pass
-    dist_eps/dist_kwargs to trade guarantee for feasibility.
+    past _MAX_ROWS, or a depth_budget outside [0, n], raises ConfigError
+    before (1).  The default dist_eps makes stage (1) extremely demanding
+    for sample-based estimators; pass dist_eps/dist_kwargs to trade
+    guarantee for feasibility.
     """
+    check_depth(depth_budget, d_oracle.n)
     delta_leaf = delta / (2.0 * 2.0 ** depth_budget)
     boosted = learner.delta > delta_leaf
     use = boost(learner, delta_leaf) if boosted else learner

@@ -23,8 +23,10 @@ from .core import (
     restrict_dist,
     tree_to_dense,
     tv_distance,
+    uniform_dense,
     weighting_table,
 )
+from .builddt import check_depth
 from .errors import BudgetExceededError, ConfigError, ZeroWeightSubcubeError
 
 CHECK_TOL = 1e-9
@@ -96,8 +98,7 @@ def gen_dt_dist(n: int, d: int, seed: int) -> Instance:
     """Random depth-d tree distribution: random topology, then leaf
     masses drawn jointly uniform on the simplex (Dirichlet with all
     concentrations 1)."""
-    if d > n:
-        raise ConfigError(f"depth {d} exceeds n={n}")
+    check_depth(d, n)
     rng = stream(seed, "gen-dt", n, d)
     shape = _random_topology(n, d, rng) if d > 0 else ("leaf",)
 
@@ -129,6 +130,7 @@ def gen_monotone_dist(n: int, d: int, seed: int) -> Instance:
     pick d coordinates J and a factor c > 1, and set pmf(x) proportional
     to c^(number of +1s of x on J), realized as the complete depth-d tree
     over J."""
+    check_depth(d, n)
     rng = stream(seed, "gen-monotone", n, d)
     J = sorted(int(v) for v in rng.choice(n, size=d, replace=False))
     c = float(rng.uniform(1.5, 3.0))
@@ -394,7 +396,7 @@ def check_inequalities(inst: Instance, other: Optional[Instance] = None) -> list
         worst = max(worst, abs(avg - (stats.total - inf_all[i])))
     records.append(_record("influence-drop", "eq", worst, 0.0))
 
-    tv_u = tv_distance(inst.dense, DensePmf(n, np.full(1 << n, 2.0 ** -n)))
+    tv_u = tv_distance(inst.dense, uniform_dense(n))
     records.append(_record("tv-vs-influence", "le", 2.0 * tv_u, stats.total))
 
     # cross-distribution relations against the partner tree

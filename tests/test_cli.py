@@ -580,7 +580,7 @@ def test_exit_code_learner_order_out_of_range(tmp_path, capsys, learner):
                  "--learner", learner, "--depth", "2", "--eps", "0.3", "--seed", "12"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: --learner"), captured.err
+    assert captured.err.startswith("error: ") and "learner" in captured.err, captured.err
 
 
 def test_exit_code_tree_learner_above_n16(tmp_path, capsys):
@@ -949,6 +949,13 @@ def test_counts_out_of_range_exit_two(n4_files, argv):
     assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize("depth", ["5000", "-5000", "50"])
+def test_lift_depth_outside_the_cube_exits_two(n4_files, depth):
+    # 5000 and -5000 once escaped as OverflowError and ZeroDivisionError
+    code, err = run_door(_count_argv("lift", n4_files) + ["--depth", depth])
+    assert code == 2 and err == f"error: depth budget {depth} outside [0, 4]\n", err
+
+
 def test_lift_past_the_row_limit_exits_two_before_drawing(tmp_path, monkeypatch):
     out = str(tmp_path / "i")
     run_door(["gen", "--n", "10", "--depth", "2", "--target", "depth:2", "--seed", "7",
@@ -984,25 +991,30 @@ _UNIT = (st.sampled_from([5e-324, 1e-320, 1e-300, 1e-10, 1e-3, 0.5, 1 - 1e-16])
 @given(command=st.sampled_from(["learn-dist", "estimate-influence", "lift"]),
        oracle=st.sampled_from(["exact", "monotone", "subcube"]),
        eps=_UNIT, delta=_UNIT, dist_eps=st.none() | _UNIT,
-       learner=st.sampled_from(["tree:1", "lowdeg:1"]))
-@example(command="lift", oracle="exact", eps=5e-324, delta=0.1, dist_eps=None, learner="tree:1")
-@example(command="lift", oracle="exact", eps=0.3, delta=5e-324, dist_eps=None, learner="tree:1")
+       learner=st.sampled_from(["tree", "lowdeg"]), order=st.integers(-1, 5),
+       depth=st.sampled_from([-5000, -1, 5, 5000]) | st.integers(0, 4))
+@example(command="lift", oracle="exact", eps=5e-324, delta=0.1, dist_eps=None, learner="tree",
+         order=1, depth=1)
+@example(command="lift", oracle="exact", eps=0.3, delta=5e-324, dist_eps=None, learner="tree",
+         order=1, depth=1)
 @example(command="learn-dist", oracle="subcube", eps=1e-10, delta=1 - 1e-16, dist_eps=None,
-         learner="tree:1")
+         learner="tree", order=1, depth=1)
 def test_generated_eps_and_delta_never_traceback(n4_files, command, oracle, eps, delta,
-                                                  dist_eps, learner):
-    # any eps and delta in (0, 1) runs, fails its check or exits 2 or 3.
-    # The runs are kept small: the sample caps are lowered, and so is the
-    # row limit (2^24 rows at n=4 peak near 0.75 GB); the limit itself is
-    # tested above at its value
+                                                  dist_eps, learner, order, depth):
+    # any eps and delta in (0, 1), depth and learner order runs, fails its
+    # check or exits 2 or 3; depth 5000 and -5000 once escaped as
+    # OverflowError and ZeroDivisionError.  The runs are kept small: the
+    # sample caps are lowered, and so is the row limit (2^24 rows at n=4
+    # peak near 0.75 GB); the limit itself is tested above at its value
     caps = ["--max-pool", "20000", "--infest-reps", "200"]
     unit = ["--eps", repr(eps), "--delta", repr(delta), "--oracle", oracle]
     if command == "lift":
         argv = ["lift", "--dist", n4_files + ".dense.json", "--target", n4_files + ".target.json",
-                "--learner", learner, "--depth", "1"] + unit + caps
+                "--learner", f"{learner}:{order}", "--depth", str(depth)] + unit + caps
         argv += [] if dist_eps is None else ["--dist-eps", repr(dist_eps)]
     else:
         argv = _count_argv(command, n4_files) + unit + (caps if command == "learn-dist" else [])
+        argv += ["--depth", str(depth)] if command == "learn-dist" else []
     with mock.patch.object(lift, "_MAX_ROWS", 1 << 16):
         code, err = run_door(argv)
     assert code in (0, 1, 2, 3), (argv, code, err)

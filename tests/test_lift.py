@@ -28,6 +28,7 @@ from dtdist import (
     DimensionMismatchError,
     DistOracle,
     DistTree,
+    Hypothesis,
     Internal,
     InvalidTreeError,
     KIND_EXACT,
@@ -48,6 +49,7 @@ from dtdist import (
     hypothesis_from_json,
     index_to_point,
     json_dumps,
+    learn_distribution_result,
     lift_learn_result,
     low_degree_learn,
     make_exhaustive_tree_learner,
@@ -62,7 +64,7 @@ from dtdist import (
     uniform_tree,
 )
 from dtdist import lift
-from dtdist.testbed import gen_dt_dist, gen_target
+from dtdist.testbed import gen_dt_dist, gen_monotone_dist, gen_target
 
 
 def uniform_points(n, k, rng):
@@ -222,13 +224,19 @@ def test_hypothesis_from_json_rejects_non_integer_n_and_var(bad):
     {"kind": "lowdeg", "n": 1, "terms": [{"vars": [5], "coef": 1.0}]},
     {"kind": "lowdeg", "n": 2, "terms": [{"vars": [0, -1], "coef": 1.0}]},
     {"kind": "lowdeg", "n": 2, "terms": [{"vars": [1.0], "coef": 1.0}]},
+    {"kind": "lowdeg", "n": 2, "terms": [{"vars": ["a"], "coef": 1.0}]},
+    {"kind": "lowdeg", "n": 2, "terms": [{"vars": [0], "coef": "x"}]},
+    {"kind": "lowdeg", "n": 2, "terms": [{"vars": [0], "coef": True}]},
+    {"kind": "table", "n": 2, "table": [0, 1]},
     {"kind": "tree-routed", "n": 1,
      "root": {"var": 0, "lo": {"hyp": {"kind": "const", "value": 0}},
               "hi": {"hyp": {"kind": "const", "value": 2}}}},
 ])
 def test_hypothesis_from_json_refuses_what_would_not_predict_0_or_1(obj):
     # a table entry 2 and a const 7 once loaded and predicted 2 and 7, and a
-    # lowdeg term on var 5 at n=1 raised IndexError only at predict time
+    # lowdeg term on var 5 at n=1 raised IndexError only at predict time; a
+    # var "a" or a coef "x" escaped as ValueError, a short table as
+    # DimensionMismatchError, and a coef true loaded as 1.0
     with pytest.raises(ConfigError):
         hypothesis_from_json(obj)
 
@@ -407,6 +415,46 @@ def test_split_matches_row_reference(case):
         off = [i for i in range(t.n) if not r.mask >> i & 1]
         assert np.array_equal(part.X[:, off], X[rows][:, off])
     assert rng.random() == ref_rng.random()
+
+
+class _Seen(Hypothesis):
+    """Predicts its leaf ordinal and keeps the rows it was asked about."""
+
+    def __init__(self, j, seen):
+        self.j, self.seen = j, seen
+
+    def predict_batch(self, X):
+        self.seen[self.j] = X
+        return np.full(X.shape[0], self.j, dtype=np.uint8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 3), st.integers(0, 40), st.integers(0, 2**16))
+def test_leaf_grouping_matches_a_per_row_walk(n, d, k, seed):
+    # the split and the stitched predictor group rows by leaf alike: as a
+    # walk of each row against the leaves' restrictions, empty leaves and
+    # n = 0 and k = 0 included, with the split's bits as the row reference's
+    t = gen_dt_dist(n, min(d, n), seed).tree
+    rng = np.random.default_rng(seed)
+    X = (2 * rng.integers(0, 2, size=(k, n)) - 1).astype(np.int8)
+    y = rng.integers(0, 2, size=k).astype(np.uint8)
+    leaves = t.leaves()
+    walk = np.array([next(j for j, (r, _) in enumerate(leaves)
+                          if all((x[i] > 0) == (v > 0) for i, v in r.pairs)) for x in X],
+                    dtype=np.int64)
+    split_rng, ref_rng = stream(seed, "rerand"), stream(seed, "rerand")
+    parts = split_and_rerandomize(t, LabeledSample(X, y), split_rng)
+    want = oracles.split_rows(t, X, y, ref_rng)
+    assert split_rng.random() == ref_rng.random()
+    seen: dict = {}
+    hyp = TreeRoutedHypothesis(t, [_Seen(j, seen) for j in range(len(leaves))])
+    assert np.array_equal(hyp.predict_batch(X), walk)
+    for j, ((r, _), part, (wX, _)) in enumerate(zip(leaves, parts, want)):
+        rows = np.flatnonzero(walk == j)
+        assert np.array_equal(part.y, y[rows]) and np.array_equal(part.X, wX)
+        off = [i for i in range(n) if not r.mask >> i & 1]
+        assert np.array_equal(part.X[:, off], X[rows][:, off])
+        assert np.array_equal(seen[j], X[rows]) if rows.size else j not in seen
 
 
 def test_split_parts_hold_indices_until_read():
@@ -628,6 +676,31 @@ def test_negative_tree_depth_is_config_error():
         make_exhaustive_tree_learner(4, -1, 0.1, 0.1)
     with pytest.raises(ConfigError):
         exhaustive_tree_learn(sample, -1)
+
+
+def test_library_entry_points_refuse_a_bad_depth_or_learner_order():
+    # each once escaped as another error, or returned something that fails
+    # later: OverflowError at depth 5000, a depth -1 instance, numpy's own
+    # error, a math domain error, and a learner that fails on every leaf
+    inst = gen_dt_dist(4, 2, seed=7)
+    oracle = DistOracle.exact(inst.tree, seed=7)
+    learner = make_exhaustive_tree_learner(4, 1, 0.15, 0.01)
+    source = make_labeled_source(DistOracle.sampler(inst.tree, seed=8),
+                                 gen_target(4, "depth:1", seed=9))
+    for bad in (5000, -1, 5):
+        with pytest.raises(ConfigError, match="depth budget"):
+            end_to_end(oracle, source, learner, bad, 0.3, 0.1)
+    with pytest.raises(ConfigError, match="depth budget 5000 outside"):
+        learn_distribution_result(oracle, 5000, 0.1, 0.1)
+    for gen, d in ((gen_dt_dist, -1), (gen_monotone_dist, -1), (gen_monotone_dist, 9)):
+        with pytest.raises(ConfigError, match="depth budget"):
+            gen(4, d, 7)
+    with pytest.raises(ConfigError, match="lowdeg learner degree"):
+        make_low_degree_learner(4, -1, 0.1, 0.1)
+    with pytest.raises(ConfigError, match="n <= 16"):
+        make_exhaustive_tree_learner(20, 2, 0.1, 0.1)
+    with pytest.raises(ConfigError, match="k <= 3"):
+        make_exhaustive_tree_learner(4, 4, 0.1, 0.1)
 
 
 def test_learner_budget_formulas():
@@ -852,18 +925,16 @@ def test_labeled_source_checks_the_table_when_built():
                 np.zeros(16, dtype=np.uint8), np.uint8(0)):
         with pytest.raises(DimensionMismatchError):
             make_labeled_source(oracle, bad)
-    # -0.0 and object arrays are refused too: the rule is stricter than
-    # the public LabeledSample's, which takes both
+    # -0.0 and object arrays are refused too, here and by LabeledSample
     for bad in ([0, 1, 2, 0, 0, 0, 0, 0], [0.5] * 8, [-1] + [0] * 7,
                 [0] * 7 + [float("nan")], np.full(8, 255, dtype=np.uint8),
                 np.array([0, 1] * 4, dtype=np.int64) + 256, ["0", "1"] * 4,
                 [-0.0] + [1.0] * 7, np.array([0, 1] * 4, dtype=object)):
         with pytest.raises(ValueError, match="labels must be 0 or 1"):
             make_labeled_source(oracle, bad)
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            LabeledSample(np.ones((8, 3), dtype=np.int8), bad)
     assert oracle.query_count[OracleMode.SAMPLE] == 0
-    X = np.ones((8, 3), dtype=np.int8)
-    assert LabeledSample(X, [-0.0] + [1.0] * 7).y.tolist() == [0] + [1] * 7
-    assert LabeledSample(X, np.array([0, 1] * 4, dtype=object)).y.tolist() == [0, 1] * 4
     # any numeric dtype holding only 0 and 1 is taken, and copied: a later
     # change to the caller's array changes no label
     for dtype in (np.int64, np.uint8, np.float32, ">i4", bool):
@@ -875,6 +946,36 @@ def test_labeled_source_checks_the_table_when_built():
         sample = source(2000)
         assert sample.y.dtype == np.uint8
         assert np.array_equal(sample.y, want[points_to_indices(sample.X)])
+
+
+@st.composite
+def label_arrays(draw):
+    # eight 0/1 labels of one dtype, maybe with one entry swapped for an odd value
+    dtype = draw(st.sampled_from([np.uint8, np.int8, np.int64, ">i4", np.float32, np.float64,
+                                  bool, object]))
+    y = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=8, max_size=8)), dtype=dtype)
+    if draw(st.booleans()):
+        odd = draw(st.sampled_from([2, -1, 255, 256, 0.5, -0.0, 1.0, float("nan"), True, "1"]))
+        try:
+            y[draw(st.integers(0, 7))] = odd
+        except (ValueError, OverflowError):
+            pass  # odd does not fit the dtype
+    return y
+
+
+@settings(max_examples=200, deadline=None)
+@given(label_arrays())
+def test_labeled_sample_and_source_take_the_same_labels(y):
+    oracle = DistOracle.sampler(uniform_dense(3), seed=35)
+    try:
+        sample = make_labeled_source(oracle, y)(64)
+    except ValueError:
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            LabeledSample(all_points(3), y)
+        return
+    got = LabeledSample(all_points(3), y).y
+    assert got.dtype == np.uint8
+    assert np.array_equal(sample.y, got[points_to_indices(sample.X)])
 
 
 @pytest.mark.parametrize("kind", ["dense", "tree", "stream"])
