@@ -35,6 +35,7 @@ from .core import (
     Node,
     Restriction,
     _count,
+    _nonneg_int,
 )
 from .errors import BudgetExceededError, ConfigError, DegenerateEstimateError
 from .influence import (
@@ -50,8 +51,10 @@ def check_unit(name: str, value: float):
 
 
 def check_depth(d: int, n: int):
-    if not 0 <= d <= n:
+    """Raises ConfigError unless d is an integer, not a bool, in [0, n]."""
+    if isinstance(d, (int, np.integer)) and not 0 <= d <= n:
         raise ConfigError(f"depth budget {d} outside [0, {n}]")
+    _nonneg_int(d, "depth budget", ConfigError)
 
 
 def default_tau(eps: float, depth_budget: int) -> float:

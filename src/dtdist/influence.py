@@ -83,24 +83,24 @@ _CHUNK_CELLS = 1 << 16
 
 
 def _derived_rows(d: DensePmf, s: Restriction, level: int, rows: list):
-    """(free, buffer) of s, at length `level`, read from its parent's kept
-    rows (see exact_influence_all), or None when rows holds no parent of s
-    one level up."""
+    """(free, buffer, pos) of s, at length `level`, from its parent's kept
+    rows (see exact_influence_all), pos[j] the child's free position of
+    buffer row j; None when rows holds no parent of s one level up."""
     got = rows[level - 1] if 0 < level <= len(rows) else None
     if got is None:
         return None
-    mask, bits, free, buf = got
+    mask, bits, free, live, buf = got
     i = (s.mask & ~mask).bit_length() - 1
     if mask & ~s.mask or s.bits & mask != bits or i >= d.n:
         return None
     # the child's y is the parent's with bit t, the position of i among the
-    # parent's free coordinates, taken out: every row but t, cut to its half
-    # where bit t is b (sizes explicit: an m = 1 parent's child is empty)
+    # parent's free coordinates, taken out: each nonzero row but t, cut to its
+    # half where bit t is b (sizes explicit: an m = 1 parent's child is empty)
     m, t = len(free), free.index(i)
-    keep = (slice(1, m) if t == 0 else slice(0, t) if t == m - 1
-            else [*range(t), *range(t + 1, m)])
-    half = buf.reshape(m, 1 << (m - t - 1), 2, 1 << t)[keep, :, s.bits >> i & 1]
-    return free[:t] + free[t + 1:], half.reshape(m - 1, 1 << (m - 1))
+    src = [j for p, j in live if p != t]
+    half = buf.reshape(-1, 1 << (m - t - 1), 2, 1 << t)[src, :, s.bits >> i & 1]
+    pos = [p - (p > t) for p, _ in live if p != t]
+    return free[:t] + free[t + 1:], half.reshape(len(src), 1 << (m - 1)), pos
 
 
 def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[list] = None):
@@ -123,34 +123,45 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[l
 
     `rows` is an optional cache owned by one caller over one d, a list
     indexed by restriction length: rows[len(s)] = (s.mask, s.bits, free,
-    buffer) for the last single-chunk subcube computed at that length
-    (None after one whose m rows span several chunks), with buffer row p
-    that of free position p.
+    live, buffer) for the last single-chunk subcube computed at that
+    length (None after one whose m rows span several chunks), where live
+    pairs each free position p whose row is nonzero with its buffer row,
+    by increasing p.  Entries are >= 0, so a zero sum means an all-zero
+    row, whose halves are zero too: the restricted pmf ignores that
+    coordinate, here and at every descendant.
     When rows[len(s) - 1] belongs to a parent of s, that is s less one
     fixed coordinate i, the subcube is not read: with t the position of i
     among the parent's free coordinates and b its bit in s, the child's
-    buffer is every parent row but row t, each cut to its half where bit
-    t of y is b.  It is a view when t is the parent's first or last
-    position and one copy otherwise.  Its rows hold the same floats in
-    the same y order as the child's own kernel rows, each summed pairwise
-    as one run, so the values are bit-identical to the kernel's.  A call
-    keeps its buffer at its own length and drops every deeper one, so
-    rows holds at most one buffer per length, each with under half the
-    floats of the one above: under 0.7 MiB in all at m <= 12.  A miss,
-    or a subcube that spans several chunks, runs the kernel.
+    buffer is one gather of the parent's nonzero rows but row t, each cut
+    to its half where bit t of y is b; every other influence is 0.0.
+    Those rows hold the same floats in the same y order as the child's
+    own kernel rows, each summed pairwise as one contiguous run, so the
+    values are bit-identical to the kernel's.  A call keeps its buffer at
+    its own length and drops every deeper one, so rows holds at most one
+    buffer per length, each at most half the size of the one above.  A
+    miss, or a subcube that spans several chunks, runs the kernel.
     """
     level = len(s)
     got = None if rows is None else _derived_rows(d, s, level, rows)
     if got is None:
         free, buf, vals = _kernel(d, s)
+        live = [(p, p) for p, v in enumerate(vals.tolist()) if v]
+        vals *= 2.0 ** (d.n - len(free) - 1)
     else:
-        free, buf = got
-        vals = np.add.reduce(buf, axis=1)
-    vals *= 2.0 ** (d.n - len(free) - 1)
+        # one pass over the gathered rows' sums: scale each nonzero one into
+        # place (a float product, as numpy's) and keep its row
+        free, buf, pos = got
+        scale = 2.0 ** (d.n - len(free) - 1)
+        out, live = [0.0] * len(free), []
+        for j, (p, v) in enumerate(zip(pos, np.add.reduce(buf, axis=1).tolist())):
+            if v:
+                out[p] = v * scale
+                live.append((p, j))
+        vals = np.array(out)
     if rows is not None:
         del rows[level:]
         rows += [None] * (level - len(rows))
-        rows.append(None if buf is None else (s.mask, s.bits, free, buf))
+        rows.append(None if buf is None else (s.mask, s.bits, free, live, buf))
     return free, vals
 
 
@@ -336,8 +347,9 @@ class InfluenceOracle:
     time.
 
     The exact kind keeps the kernel's difference rows, one buffer per
-    restriction length, so a depth-first search reads each child's
-    influences from its parent's rows (exact_influence_all, `rows`).
+    restriction length with the positions of its nonzero rows, so a
+    depth-first search reads each child's influences from its parent's
+    nonzero rows (exact_influence_all, `rows`).
     """
 
     # rows drawn and turned into indices at a time when the pool grows (see

@@ -227,7 +227,8 @@ def _binary(labels) -> bool:
 def hypothesis_from_json(obj: dict) -> Hypothesis:
     """Inverts to_json_dict.  Raises ConfigError before any constructor runs for
     an unknown kind, labels other than the integers 0 and 1, a table of length
-    not 2^n (n <= 16), or lowdeg variables not in [0, n) or coefficients not numbers."""
+    not 2^n (n <= 16), or lowdeg variables not lists of integers in [0, n) or
+    coefficients not numbers."""
     kind = obj.get("kind")
     if kind == "const" and _binary([obj["value"]]):
         return ConstantHypothesis(obj["value"])
@@ -240,12 +241,13 @@ def hypothesis_from_json(obj: dict) -> Hypothesis:
         raise ConfigError(f"{kind} hypothesis labels must be the integers 0 and 1")
     if kind == "lowdeg":
         n = _nonneg_int(obj["n"], "hypothesis n", ConfigError)
-        terms = {tuple(t["vars"]): t["coef"] for t in obj["terms"]}
-        if not all(type(i) is int and 0 <= i < n for t in terms for i in t):
-            raise ConfigError(f"lowdeg term variables must be integers in [0, {n})")
-        if not all(type(c) in (int, float) for c in terms.values()):
+        terms = [(t["vars"], t["coef"]) for t in obj["terms"]]
+        if not all(type(v) is list and all(type(i) is int and 0 <= i < n for i in v)
+                   for v, _ in terms):
+            raise ConfigError(f"lowdeg term variables must be lists of integers in [0, {n})")
+        if not all(type(c) in (int, float) for _, c in terms):
             raise ConfigError("lowdeg coefficients must be numbers")
-        return LowDegreeHypothesis(n, terms)
+        return LowDegreeHypothesis(n, {tuple(v): c for v, c in terms})
     if kind == "tree-routed":
         # n gets DistTree's own check before it sizes the leaves, and each
         # var goes to DistTree unconverted: a bool, a float or a negative

@@ -101,6 +101,20 @@ def test_build_params_validation(e2_dense):
     ok.validate(2, io)
 
 
+@pytest.mark.parametrize("depth", [1.5, True, np.float64(1.0), "1"],
+                         ids=["float", "bool", "numpy-float", "str"])
+def test_depth_budget_must_be_an_integer(depth):
+    # 1.5 once escaped as TypeError from range() and True ran as depth 1;
+    # a numpy integer in range is an integer
+    inst = gen_dt_dist(4, 2, seed=7)
+    oracle = DistOracle.exact(inst.tree, seed=7)
+    with pytest.raises(ConfigError, match="depth budget must be a nonnegative integer"):
+        learn_distribution_result(oracle, depth, 0.1, 0.1)
+    with pytest.raises(ConfigError, match="depth budget"):
+        BuildParams(depth, tau=0.05, eps=0.2, delta=0.1, leaf_sample_count=10).validate(4)
+    assert learn_distribution_result(oracle, np.int64(1), 0.1, 0.1).tree.depth() <= 1
+
+
 # ---------------------------------------------------------------------------
 # candidate sets and leaf labels
 

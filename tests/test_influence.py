@@ -383,13 +383,73 @@ def test_exact_engine_derives_children_bit_equal(case):
             assert np.array_equal(vals, want)
             rows = io._rows
             assert [v and v[:2] for v in rows] == held
-            bufs = [v[3] for v in rows if v is not None]
+            bufs = [v[4] for v in rows if v is not None]
             assert len({id(b if b.base is None else b.base) for b in bufs}) <= len(bufs)
+            _assert_kept_rows_nonzero(io, s, ref)
+
+
+def _assert_kept_rows_nonzero(io, s, vals):
+    # live pairs each free position whose row is nonzero with its buffer
+    # row: the kept entry of s names exactly the positions of its nonzero
+    # influences, and no named row of any kept entry sums to 0.0
+    entry = io._rows[len(s)]
+    if entry is not None:
+        assert [p for p, _ in entry[3]] == np.flatnonzero(vals).tolist()
+    for entry in io._rows:
+        if entry is not None:
+            _, _, free, live, buf = entry
+            assert buf.shape[1] == 1 << len(free)
+            assert len({j for _, j in live}) == len(live) <= buf.shape[0]
+            assert all(np.add.reduce(buf[j]) > 0.0 for _, j in live)
+
+
+@st.composite
+def sparse_tables(draw):
+    """(d, kind, rng): the table of a gen_dt_dist tree (n <= 10, depth <= 3,
+    most difference rows zero), the uniform table (every row zero) or a
+    Dirichlet table (no row zero), and a generator for a walk's choices."""
+    n = draw(st.integers(1, 10))
+    kind = draw(st.sampled_from(["tree", "uniform", "dense"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "tree":
+        d = gen_dt_dist(n, draw(st.integers(0, min(3, n))), seed).dense
+    else:
+        d = uniform_dense(n) if kind == "uniform" else random_dense(n, seed)
+    return d, kind, np.random.default_rng(seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_tables())
+def test_exact_engine_sparse_rows_on_a_depth_first_walk(case):
+    # a depth-first walk to length 4, both signs of two free coordinates at
+    # each node: every query equals the flipped-copy loop bit for bit, the
+    # kernel runs only at the root, and no kept row sums to 0.0
+    d, kind, rng = case
+    io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
+
+    def walk(pairs):
+        s = Restriction.of(*pairs)
+        free, vals, _ = io.estimate_all(s)
+        want_free, want = flipped_copy_influences(d, s)
+        assert free == want_free and vals.tobytes() == want.tobytes()
+        _assert_kept_rows_nonzero(io, s, vals)
+        if not pairs and kind != "tree":
+            # the uniform table's rows are all zero, a Dirichlet table's none
+            assert len(io._rows[0][3]) == (0 if kind == "uniform" else d.n)
+        if len(pairs) < 4:
+            for i in rng.permutation(free)[:2].tolist():
+                for b in (-1, 1):
+                    walk(pairs + [(i, b)])
+
+    with mock.patch.object(influence, "_kernel", wraps=influence._kernel) as kernel:
+        walk([])
+    assert kernel.call_count == 1
 
 
 def test_exact_engine_child_halves_at_either_end():
-    # fixing the lowest free coordinate reads a strided half (t = 0), the
-    # highest a contiguous one (t = m - 1); both come from the parent's rows
+    # fixing the lowest free coordinate cuts each row to a strided half
+    # (t = 0), the highest to a contiguous one (t = m - 1); both come from
+    # the parent's nonzero rows
     d = random_dense(12, 8)
     for i in (0, 11, 5):
         io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
@@ -400,8 +460,7 @@ def test_exact_engine_child_halves_at_either_end():
                 coords, vals, _ = io.estimate_all(s)
             assert not kernel.called
             assert np.array_equal(vals, flipped_copy_influences(d, s)[1])
-            child, parent = io._rows[1][3], io._rows[0][3]
-            assert np.shares_memory(child, parent) == (i in (0, 11))
+            _assert_kept_rows_nonzero(io, s, vals)
 
 
 def test_exact_search_memory_bound():

@@ -227,6 +227,8 @@ def test_hypothesis_from_json_rejects_non_integer_n_and_var(bad):
     {"kind": "lowdeg", "n": 2, "terms": [{"vars": ["a"], "coef": 1.0}]},
     {"kind": "lowdeg", "n": 2, "terms": [{"vars": [0], "coef": "x"}]},
     {"kind": "lowdeg", "n": 2, "terms": [{"vars": [0], "coef": True}]},
+    {"kind": "lowdeg", "n": 2, "terms": [{"vars": 5, "coef": 1.0}]},
+    {"kind": "lowdeg", "n": 2, "terms": [{"vars": [[0]], "coef": 1.0}]},
     {"kind": "table", "n": 2, "table": [0, 1]},
     {"kind": "tree-routed", "n": 1,
      "root": {"var": 0, "lo": {"hyp": {"kind": "const", "value": 0}},
@@ -236,7 +238,8 @@ def test_hypothesis_from_json_refuses_what_would_not_predict_0_or_1(obj):
     # a table entry 2 and a const 7 once loaded and predicted 2 and 7, and a
     # lowdeg term on var 5 at n=1 raised IndexError only at predict time; a
     # var "a" or a coef "x" escaped as ValueError, a short table as
-    # DimensionMismatchError, and a coef true loaded as 1.0
+    # DimensionMismatchError, a coef true loaded as 1.0, and vars 5 or [[0]]
+    # escaped as TypeError
     with pytest.raises(ConfigError):
         hypothesis_from_json(obj)
 
