@@ -16,8 +16,9 @@ all such trees.
 Influences and leaf masses both come from one InfluenceOracle (exact,
 monotone-bias, or two-point conditioning); its weight reads leaf masses
 exactly or from its plain-sample pool.  The search knows the kind only
-for the threshold rule: exact influences are cut at tau, estimated ones
-(accuracy <= tau/4) at 0.75 tau.
+for the threshold rule, exact influences cut at tau and estimated ones
+(accuracy <= tau/4) at 0.75 tau, and for when it reads a leaf mass: an
+exact one once the tree is chosen, a sampled one when the leaf is visited.
 """
 
 import math
@@ -76,8 +77,12 @@ def default_leaf_sample_count(eps: float, delta: float, depth_budget: int) -> in
 
 def call_count_bound(eps: float, depth_budget: int) -> float:
     """Upper bound (16 d^3 / eps)^d on recursive calls, 1 at d = 0; the
-    factor-2 slack over the exact-threshold bound covers estimated thresholds."""
-    return (16.0 * depth_budget ** 3 / eps) ** depth_budget
+    factor-2 slack over the exact-threshold bound covers estimated thresholds.
+    A bound past the largest float bounds nothing: math.inf."""
+    try:
+        return (16.0 * depth_budget ** 3 / eps) ** depth_budget
+    except OverflowError:
+        return math.inf
 
 
 @dataclass
@@ -119,8 +124,10 @@ class SearchStats:
     recursive_calls: every call of the recursion, memo hits included.
     influence_queries: coordinates whose influence was read, one read per
     distinct restriction the search visits.
-    leaf_estimates: leaf masses read, one per visited restriction that
-    ends as a leaf, whether or not the returned tree keeps it.
+    leaf_estimates: visited restrictions that end as a leaf, whether or
+    not the returned tree keeps them.  A sample-based search reads each
+    one's mass at the visit; an exact search reads only the masses of the
+    returned tree's leaves.
     """
 
     recursive_calls: int = 0
@@ -136,6 +143,11 @@ class _Search:
     restriction in one search extends the start one, so its length fixes
     the remaining budget.  A Restriction is built only on a memo miss,
     unchecked, since each child fixes one free coordinate of its parent.
+
+    An exact leaf mass is a pure read of the table, so an exact search
+    memoizes a leaf as its Restriction, pending, and resolve reads the
+    masses of the returned tree's leaves alone.  A sampled mass grows the
+    pool and moves the seeded stream, so it is read at the visit.
     """
 
     def __init__(self, i_oracle: InfluenceOracle, params: BuildParams):
@@ -148,10 +160,10 @@ class _Search:
         self.guard = call_count_bound(params.eps, params.depth_budget) * max(self.n, 1)
         # exact influences are cut at tau, estimated ones at 0.75 tau
         self.cut = params.tau if i_oracle.kind == KIND_EXACT else 0.75 * params.tau
+        self.pending = i_oracle.kind == KIND_EXACT
         self.memo: dict = {}
 
     def leaf_density(self, s: Restriction) -> float:
-        self.stats.leaf_estimates += 1
         w = self.i_oracle.weight(s, self.params.leaf_sample_count)
         # weighting value 2^|s| * w, stored as a density by dividing by 2^n
         return w / 2.0 ** (self.n - len(s))
@@ -171,9 +183,12 @@ class _Search:
         stats.influence_queries += len(coords)
         best = None
         if budget > 0:
-            # ascending order + strictly lower objective = smallest index wins ties
-            for k in np.flatnonzero(vals >= self.cut):
-                i = coords[k]
+            # ascending order + strictly lower objective = smallest index wins
+            # ties; a float list compares faster than a numpy mask is built
+            cut = self.cut
+            for i, v in zip(coords, vals.tolist()):
+                if not v >= cut:
+                    continue
                 bit = 1 << i
                 lo, lo_obj = self.build(mask | bit, bits, pairs + ((i, -1),), budget - 1)
                 hi, hi_obj = self.build(mask | bit, bits | bit, pairs + ((i, 1),), budget - 1)
@@ -181,9 +196,18 @@ class _Search:
                 if best is None or obj_i < best[1]:
                     best = (Internal(i, lo, hi), obj_i)
         if best is None:
-            best = (Leaf(self.leaf_density(s)), float(vals.sum()))
+            stats.leaf_estimates += 1
+            best = (s if self.pending else Leaf(self.leaf_density(s)), float(vals.sum()))
         self.memo[mask, bits] = best
         return best
+
+    def resolve(self, node):
+        """node with each pending leaf replaced by its Leaf."""
+        if isinstance(node, Restriction):
+            return Leaf(self.leaf_density(node))
+        if isinstance(node, Leaf):
+            return node
+        return Internal(node.var, self.resolve(node.lo), self.resolve(node.hi))
 
 
 def build_dt(i_oracle: InfluenceOracle, s: Restriction, p: BuildParams):
@@ -196,7 +220,7 @@ def build_dt(i_oracle: InfluenceOracle, s: Restriction, p: BuildParams):
     """
     search = _Search(i_oracle, p)
     node, obj = search.build(s.mask, s.bits, tuple(s.pairs), p.depth_budget)
-    return node, obj, search.stats
+    return search.resolve(node), obj, search.stats
 
 
 # ---------------------------------------------------------------------------
@@ -280,20 +304,17 @@ def learn_distribution_result(
     i_oracle = InfluenceOracle(estimator_kind, d_oracle, accuracy, confidence, budget)
     root, objective, stats = build_dt(i_oracle, EMPTY, params)
 
-    # collect raw leaf densities and the realized normalization
+    # collect raw leaf densities and the realized normalization, preorder
     raw_vals: list = []
     total = 0.0
-
-    def scan(node, depth):
-        nonlocal total
+    todo = [(root, 0)]
+    while todo:
+        node, depth = todo.pop()
         if isinstance(node, Leaf):
             raw_vals.append(node.density)
             total += node.density * 2.0 ** (n - depth)
-            return
-        scan(node.lo, depth + 1)
-        scan(node.hi, depth + 1)
-
-    scan(root, 0)
+        else:
+            todo += ((node.hi, depth + 1), (node.lo, depth + 1))
     if total <= 0.0:
         raise DegenerateEstimateError("all estimated leaf masses are zero")
     tree = DistTree(n, _scaled(root, 1.0 / total))

@@ -101,7 +101,11 @@ def points_to_indices(X: np.ndarray) -> np.ndarray:
     weights = (np.int64(1) << np.arange(n, dtype=np.int64)).astype(dtype)
     out = np.empty(X.shape[0], dtype=np.int64)
     for lo in range(0, X.shape[0], _INDEX_BLOCK):
-        out[lo:lo + _INDEX_BLOCK] = (X[lo:lo + _INDEX_BLOCK] > 0).astype(dtype) @ weights
+        bits = (X[lo:lo + _INDEX_BLOCK] > 0).astype(dtype)
+        # the float32 BLAS product can raise a stray "invalid value" flag
+        # on these 0/1 operands though its sums are exact
+        with np.errstate(invalid="ignore"):
+            out[lo:lo + _INDEX_BLOCK] = bits @ weights
     return out
 
 
@@ -347,23 +351,25 @@ class DistTree:
         if self._flat is not None:
             return self._flat
         var, lo, hi, density, leaves = [], [], [], [], []
-
-        def walk(node, pairs, mask, bits):
+        # node, its path as (pairs, mask, bits), and for a hi child its
+        # parent's index; a lo child is the node right after its parent
+        todo = [(self.root, (), 0, 0, None)]
+        while todo:
+            node, pairs, mask, bits, parent = todo.pop()
             j = len(var)
+            if parent is not None:
+                hi[parent] = j
             leaf = isinstance(node, Leaf)
             var.append(-1 if leaf else node.var)
-            lo.append(j)
+            lo.append(j if leaf else j + 1)
             hi.append(j)
             density.append(node.density if leaf else 0.0)
             if leaf:
                 leaves.append((Restriction._of(pairs, mask, bits), node.density))
-            else:
-                i = int(node.var)
-                lo[j] = walk(node.lo, pairs + ((i, -1),), mask | 1 << i, bits)
-                hi[j] = walk(node.hi, pairs + ((i, 1),), mask | 1 << i, bits | 1 << i)
-            return j
-
-        walk(self.root, (), 0, 0)
+                continue
+            i = int(node.var)
+            todo += ((node.hi, pairs + ((i, 1),), mask | 1 << i, bits | 1 << i, j),
+                     (node.lo, pairs + ((i, -1),), mask | 1 << i, bits, None))
         self._flat = {
             "var": np.array(var, dtype=np.int64),
             "lo": np.array(lo, dtype=np.int64),

@@ -481,6 +481,28 @@ def count_depth_trees(n: int, k: int) -> int:
     return 2 + n * count_depth_trees(n - 1, k - 1) ** 2
 
 
+def _tree_encoding(split: list, labels: list, path: tuple, j: int):
+    """The chosen tree below literal tuple path at level j, as a leaf
+    (0, label) or an internal node (1, var, lo, hi)."""
+    v = int(split[j][path]) if j < len(split) else -1
+    if v < 0:
+        return (0, int(labels[j][path]))
+    return (1, v, _tree_encoding(split, labels, path + (2 * v,), j + 1),
+            _tree_encoding(split, labels, path + (2 * v + 1,), j + 1))
+
+
+def _evaluate_encoding(enc, P: np.ndarray) -> np.ndarray:
+    """uint8 labels the encoded tree gives the rows of P."""
+    if enc[0] == 0:
+        return np.full(P.shape[0], enc[1], dtype=np.uint8)
+    _, v, lo, hi = enc
+    out = np.empty(P.shape[0], dtype=np.uint8)
+    sel = P[:, v] > 0
+    out[sel] = _evaluate_encoding(hi, P[sel])
+    out[~sel] = _evaluate_encoding(lo, P[~sel])
+    return out
+
+
 def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
     """Empirical-risk-minimizing decision tree of depth <= k.
 
@@ -556,26 +578,8 @@ def exhaustive_tree_learn(sample: LabeledSample, k: int) -> Hypothesis:
         split[j] = np.where(take, v, -1)
         E = np.where(take, best, leaf)
 
-    # leaf encoding (0, label); internal (1, var, lo, hi)
-    def build(path: tuple, j: int):
-        v = int(split[j][path]) if j < depth else -1
-        if v < 0:
-            return (0, int(labels[j][path]))
-        return (1, v, build(path + (2 * v,), j + 1), build(path + (2 * v + 1,), j + 1))
-
-    encoding = build((), 0)
-
-    def evaluate(enc, P):
-        if enc[0] == 0:
-            return np.full(P.shape[0], enc[1], dtype=np.uint8)
-        _, v, lo, hi = enc
-        out = np.empty(P.shape[0], dtype=np.uint8)
-        sel = P[:, v] > 0
-        out[sel] = evaluate(hi, P[sel])
-        out[~sel] = evaluate(lo, P[~sel])
-        return out
-
-    hyp = TruthTableHypothesis(n, evaluate(encoding, all_points(n)))
+    encoding = _tree_encoding(split, labels, (), 0)
+    hyp = TruthTableHypothesis(n, _evaluate_encoding(encoding, all_points(n)))
     hyp.tree_encoding = encoding
     return hyp
 

@@ -16,6 +16,7 @@ from dtdist import (
     BuildParams,
     ConfigError,
     DensePmf,
+    DistTree,
     DtdistError,
     DistOracle,
     EstimatorBudget,
@@ -37,7 +38,7 @@ from dtdist import (
     tv_distance,
     uniform_dense,
 )
-from dtdist import builddt
+from dtdist import builddt, influence
 from dtdist.builddt import _Search
 from dtdist.testbed import brute_optimal_tree, gen_dt_dist, gen_monotone_dist
 
@@ -71,6 +72,8 @@ def test_default_tau():
 def test_call_count_bound():
     assert call_count_bound(0.1, 3) == pytest.approx((16 * 27 / 0.1) ** 3)
     assert call_count_bound(0.5, 0) == 1.0
+    # (16 * 27 / 1e-105)^3 is past the largest float: no bound, not OverflowError
+    assert call_count_bound(1e-105, 3) == math.inf
 
 
 def test_default_leaf_sample_count():
@@ -377,6 +380,44 @@ def assert_same_search(make_io, s, params):
 def test_search_matches_restriction_keyed_reference(case):
     d, s, params = case
     assert_same_search(lambda: exact_io(d), s, params)
+
+
+def test_exact_search_reads_only_the_returned_leaves_masses(monkeypatch):
+    # every visited leaf is counted, but only the returned tree's leaves
+    # are summed from the table, once each, after the recursion
+    inst = gen_dt_dist(8, 3, seed=3)
+    reads = []
+    weight = influence.subcube_weight
+    monkeypatch.setattr(influence, "subcube_weight",
+                        lambda d, s: reads.append((s.mask, s.bits)) or weight(d, s))
+    search = exact_search(inst.dense, exact_params(3, 0.1))
+    search.build(0, 0, (), 3)
+    assert reads == []
+    node, _, stats = build_dt(exact_io(inst.dense), Restriction.empty(), exact_params(3, 0.1))
+    leaves = DistTree(8, node).leaves()
+    assert sorted(reads) == sorted((r.mask, r.bits) for r, _ in leaves)
+    assert len(leaves) < stats.leaf_estimates
+    for r, density in leaves:
+        assert density == weight(inst.dense, r) / 2.0 ** (8 - len(r))
+
+
+@pytest.mark.parametrize("kind", [KIND_MONOTONE, KIND_SUBCUBE])
+def test_sampled_search_reads_each_leaf_mass_at_the_visit(kind):
+    # a sampled mass grows the pool, so each visited leaf reads its own when
+    # the recursion reaches it; 777 rows marks the leaf reads apart from
+    # the weights estimate_all reads
+    inst = gen_monotone_dist(5, 2, seed=21)
+    o = (DistOracle.subcube if kind == KIND_SUBCUBE else DistOracle.sampler)(inst.dense, 22)
+    io = InfluenceOracle(kind, o, 0.0125, 0.01, EstimatorBudget(max_pool=20_000,
+                                                                infest_reps_cap=200))
+    rows = []
+    weight = io.weight
+    io.weight = lambda s, min_rows: rows.append(min_rows) or weight(s, min_rows)
+    search = _Search(io, BuildParams(2, 0.4, eps=0.5, delta=0.1, leaf_sample_count=777))
+    node, _ = search.build(0, 0, (), 2)
+    assert rows.count(777) == search.stats.leaf_estimates > 0
+    assert search.resolve(node) == node
+    assert rows.count(777) == search.stats.leaf_estimates
 
 
 @pytest.mark.parametrize("kind", [KIND_MONOTONE, KIND_SUBCUBE])

@@ -999,11 +999,14 @@ _UNIT = (st.sampled_from([5e-324, 1e-320, 1e-300, 1e-10, 1e-3, 0.5, 1 - 1e-16])
          order=1, depth=1)
 @example(command="learn-dist", oracle="subcube", eps=1e-10, delta=1 - 1e-16, dist_eps=None,
          learner="tree", order=1, depth=1)
+@example(command="learn-dist", oracle="exact", eps=3.309340788748306e-105, delta=1e-300,
+         dist_eps=None, learner="tree", order=1, depth=3)
 def test_generated_eps_and_delta_never_traceback(n4_files, command, oracle, eps, delta,
                                                   dist_eps, learner, order, depth):
     # any eps and delta in (0, 1), depth and learner order runs, fails its
     # check or exits 2 or 3; depth 5000 and -5000 once escaped as
-    # OverflowError and ZeroDivisionError.  The runs are kept small: the
+    # OverflowError and ZeroDivisionError, and so did the search's call
+    # bound at depth 3 and eps near 1e-105.  The runs are kept small: the
     # sample caps are lowered, and so is the row limit (2^24 rows at n=4
     # peak near 0.75 GB); the limit itself is tested above at its value
     caps = ["--max-pool", "20000", "--infest-reps", "200"]

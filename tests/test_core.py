@@ -95,6 +95,13 @@ def test_points_to_indices_matches_python_ints(n, k, dtype, seed):
     assert got.tolist() == _python_indices(X)
 
 
+def test_points_to_indices_keeps_the_callers_error_state():
+    # the float32 product runs under its own errstate; the caller's comes back
+    with np.errstate(all="raise"):
+        assert np.array_equal(points_to_indices(all_points(10)), np.arange(1 << 10))
+        assert np.geterr()["invalid"] == "raise"
+
+
 def test_points_to_indices_refuses_more_than_64_coordinates():
     # at n=66 the points with only coordinate 64 or only 65 at +1 once
     # both mapped to index 0

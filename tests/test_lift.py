@@ -4,6 +4,7 @@ Sample-size formulas and tree counts are checked against the independent
 reimplementations in oracles.py; Monte Carlo claims run at fixed seeds.
 """
 
+import gc
 import hashlib
 import json
 import math
@@ -28,6 +29,7 @@ from dtdist import (
     DimensionMismatchError,
     DistOracle,
     DistTree,
+    EstimatorBudget,
     Hypothesis,
     Internal,
     InvalidTreeError,
@@ -1042,6 +1044,38 @@ def test_end_to_end_depth0_degenerates_to_plain_learning():
     assert not result.boosted
     assert result.labeled_count == required_sample_size(learner.m, 0, 0.1, 0.1)
     assert dist_error(result.hypothesis, target, dense) == 0.0
+
+
+@pytest.mark.parametrize("run", ["learn-exact", "learn-monotone", "learn-subcube", "lift"])
+def test_a_warm_run_leaves_no_garbage_cycle(run):
+    # a search's memo and difference rows, the tree's flattened arrays and
+    # the lift's parts are freed by reference counts alone: a closure that
+    # calls itself keeps them in a cycle until the collector runs
+    kind = run.removeprefix("learn-")
+    inst = (gen_monotone_dist if kind == "monotone" else gen_dt_dist)(6, 2, seed=3)
+    target = gen_target(6, "depth:2", seed=5)
+
+    def once():
+        if run == "lift":  # as `dtdist lift` runs: tree-backed oracles
+            tree = DistTree(6, inst.tree.root)
+            labels = DistOracle(tree, OracleMode.SAMPLE, 2)
+            end_to_end(DistOracle(tree, OracleMode.EXACT_PMF, 1),
+                       make_labeled_source(labels, target),
+                       make_exhaustive_tree_learner(6, 2, 0.05, 0.1 / 16), 2, 0.1, 0.1, seed=1)
+            return
+        mode = {KIND_EXACT: OracleMode.EXACT_PMF, "monotone": OracleMode.SAMPLE,
+                "subcube": OracleMode.SUBCUBE_SAMPLE}[kind]
+        learn_distribution_result(DistOracle(inst.dense, mode, 4), 2, 0.2, 0.1, kind,
+                                  budget=EstimatorBudget(max_pool=20_000, infest_reps_cap=200))
+
+    once()
+    gc.collect()
+    gc.disable()
+    try:
+        once()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_end_to_end_learns_tree_and_lifts():
