@@ -2,9 +2,15 @@
 
 Commands: gen (random instances), learn-dist (fit a tree distribution),
 estimate-influence (one influence query), lift (end-to-end lifting),
-verify (randomized check suites).  Every command prints one JSON summary
-line; --out writes artifacts.  Exit codes: 0 success, 1 check failure,
-2 configuration error, 3 oracle/budget error.
+verify (randomized check suites).  Each cmd_* function returns (summary,
+passed) and neither prints nor opens a file: main times it, appends
+elapsed_s to the summary, prints it as one JSON line and exits 0 if it
+passed, 1 if not.  Artifacts (--out, --csv) are written through _write,
+which reports a path it cannot write as a ConfigError.  An error exits
+with the code _EXIT_CODES gives its class: 2 configuration error, 3
+oracle/budget error, 1 any other error; it prints one "error:" line on
+stderr and nothing on stdout.  learn-dist, estimate-influence and lift
+read --dist, --eps, --delta, --oracle and --seed through _open.
 
 All randomness derives from --seed (a fixed default keeps reruns
 byte-identical apart from the elapsed_s field; pass "random" to draw
@@ -33,7 +39,6 @@ from .core import (
     json_dumps,
     load_json,
     points_to_indices,
-    save_json,
     tree_to_dense,
     tv_distance,
 )
@@ -77,6 +82,17 @@ from .testbed import (
 )
 
 DEFAULT_SEED = 271828
+
+# the exit code of an error is that of the first class in its method
+# resolution order listed here
+_EXIT_CODES = {
+    ConfigError: 2,
+    OracleModeError: 3,
+    ZeroWeightSubcubeError: 3,
+    RejectionCapExceededError: 3,
+    BudgetExceededError: 3,
+    DtdistError: 1,
+}
 
 
 def _parse_seed(text: str) -> int:
@@ -125,10 +141,26 @@ def _parse_restriction(text: str, n: int) -> Restriction:
     return s
 
 
-def _emit(result: dict, started: float) -> dict:
-    result["elapsed_s"] = time.time() - started
-    print(json_dumps(result))
-    return result
+def _write(path: str, *lines: str) -> None:
+    """Writes each line and a newline to path; raises ConfigError if the
+    path cannot be written."""
+    try:
+        with open(path, "w") as fh:
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _open(args):
+    """(dist, oracle, seed) of a --dist command, after checking --eps and
+    --delta."""
+    check_unit("--eps", args.eps)
+    check_unit("--delta", args.delta)
+    dist = _load_dist(args.dist)
+    seed = _parse_seed(args.seed)
+    return dist, DistOracle(dist, KIND_MODES[args.oracle], seed), seed
 
 
 def _estimator_budget(args) -> EstimatorBudget:
@@ -144,8 +176,7 @@ def _estimator_budget(args) -> EstimatorBudget:
 # commands
 
 
-def cmd_gen(args) -> int:
-    started = time.time()
+def cmd_gen(args) -> tuple:
     if not 1 <= args.n <= 20:
         raise ConfigError(f"--n must be in [1,20], got {args.n}")
     seed = _parse_seed(args.seed)
@@ -157,37 +188,28 @@ def cmd_gen(args) -> int:
         parse_target(args.n, args.target)  # checked whether or not --out asks for the table
     files = {}
     if args.out:
-        save_json(args.out + ".tree.json", inst.tree.to_json_dict())
-        files["tree"] = args.out + ".tree.json"
-        save_json(args.out + ".dense.json", inst.dense.to_json_dict())
-        files["dense"] = args.out + ".dense.json"
+        files = {"tree": args.out + ".tree.json", "dense": args.out + ".dense.json"}
+        _write(files["tree"], json_dumps(inst.tree.to_json_dict()))
+        _write(files["dense"], json_dumps(inst.dense.to_json_dict()))
         if args.target:
-            table = gen_target(args.n, args.target, derive_seed(seed, "target"))
-            save_json(args.out + ".target.json", {"n": args.n, "table": [int(v) for v in table]})
             files["target"] = args.out + ".target.json"
-    _emit(
-        {
-            "command": "gen",
-            "n": args.n,
-            "depth": inst.tree.depth(),
-            "kind": inst.kind,
-            "monotone": inst.monotone,
-            "leaves": len(inst.tree.leaves()),
-            "seed": seed,
-            "files": files,
-        },
-        started,
-    )
-    return 0
+            table = gen_target(args.n, args.target, derive_seed(seed, "target"))
+            _write(files["target"], json_dumps({"n": args.n, "table": [int(v) for v in table]}))
+    summary = {
+        "command": "gen",
+        "n": args.n,
+        "depth": inst.tree.depth(),
+        "kind": inst.kind,
+        "monotone": inst.monotone,
+        "leaves": len(inst.tree.leaves()),
+        "seed": seed,
+        "files": files,
+    }
+    return summary, True
 
 
-def cmd_learn_dist(args) -> int:
-    started = time.time()
-    check_unit("--eps", args.eps)
-    check_unit("--delta", args.delta)
-    dist = _load_dist(args.dist)
-    seed = _parse_seed(args.seed)
-    oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
+def cmd_learn_dist(args) -> tuple:
+    dist, oracle, seed = _open(args)
     result = learn_distribution_result(
         oracle,
         args.depth,
@@ -200,7 +222,7 @@ def cmd_learn_dist(args) -> int:
     )
     tv_exact = tv_distance(_dense(dist), tree_to_dense(result.tree))
     if args.out:
-        save_json(args.out, result.tree.to_json_dict())
+        _write(args.out, json_dumps(result.tree.to_json_dict()))
     summary = {
         "command": "learn-dist",
         "n": dist.n,
@@ -220,22 +242,16 @@ def cmd_learn_dist(args) -> int:
     }
     if args.oracle == "monotone":
         summary["samples_used"] = result.oracle_queries.get("SAMPLE", 0)
-    _emit(summary, started)
-    return 0 if summary["pass"] else 1
+    return summary, summary["pass"]
 
 
-def cmd_estimate_influence(args) -> int:
-    started = time.time()
-    check_unit("--eps", args.eps)
-    check_unit("--delta", args.delta)
-    dist = _load_dist(args.dist)
+def cmd_estimate_influence(args) -> tuple:
+    dist, oracle, seed = _open(args)
     if not 0 <= args.coord < dist.n:
         raise ConfigError(f"--coord must be in [0,{dist.n})")
     s = _parse_restriction(args.restrict, dist.n)
     if args.coord in s.coords():
         raise ConfigError(f"--coord {args.coord} is fixed by --restrict")
-    seed = _parse_seed(args.seed)
-    oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
     i_oracle = InfluenceOracle(args.oracle, oracle, args.eps, args.delta)
     # the exact oracle reports on the restricted scale, samplers on the
     # conditional one; compare against the matching ground truth
@@ -256,15 +272,11 @@ def cmd_estimate_influence(args) -> int:
         "exact": exact,
         "abs_error": abs(est.value - exact),
     }
-    _emit(summary, started)
-    return 0
+    return summary, True
 
 
-def cmd_lift(args) -> int:
-    started = time.time()
-    check_unit("--eps", args.eps)
-    check_unit("--delta", args.delta)
-    dist = _load_dist(args.dist)
+def cmd_lift(args) -> tuple:
+    dist, oracle, seed = _open(args)
     target_obj = _load_input(args.target)
     if not isinstance(target_obj, dict) or "table" not in target_obj:
         raise ConfigError(f"{args.target} holds no target table")
@@ -288,8 +300,6 @@ def cmd_lift(args) -> int:
     # the learners only pay log(1/delta) for it
     leaf_delta = args.delta / (4.0 * 2.0 ** args.depth)
     learner = factories[name](dist.n, k, args.eps / 2.0, leaf_delta)
-    seed = _parse_seed(args.seed)
-    oracle = DistOracle(dist, KIND_MODES[args.oracle], seed)
     labeled = make_labeled_source(
         DistOracle(dist, OracleMode.SAMPLE, derive_seed(seed, "labels"), n=dist.n), table
     )
@@ -307,7 +317,7 @@ def cmd_lift(args) -> int:
     )
     err = dist_error(result.hypothesis, table, _dense(dist))
     if args.out:
-        save_json(args.out, result.hypothesis.to_json_dict())
+        _write(args.out, json_dumps(result.hypothesis.to_json_dict()))
     summary = {
         "command": "lift",
         "n": dist.n,
@@ -322,8 +332,7 @@ def cmd_lift(args) -> int:
         "leaf_status": {k: sum(r.status == k for r in result.leaf_records)
                         for k in ("ok", "skipped", "error")},
     }
-    _emit(summary, started)
-    return 0 if summary["pass"] else 1
+    return summary, summary["pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -440,8 +449,7 @@ def _default_workers() -> int:
         raise ConfigError(f"DTDIST_WORKERS must be an integer, got {env!r}") from None
 
 
-def cmd_verify(args) -> int:
-    started = time.time()
+def cmd_verify(args) -> tuple:
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     seed = _parse_seed(args.seed)
@@ -463,10 +471,7 @@ def cmd_verify(args) -> int:
             for job in jobs:
                 rows.extend(_run_trial(job))
     if args.out:
-        with open(args.out, "w") as fh:
-            for row in rows:
-                fh.write(json_dumps(row))
-                fh.write("\n")
+        _write(args.out, *map(json_dumps, rows))
     summary_rows = []
     ok = True
     for suite in suites:
@@ -477,25 +482,21 @@ def cmd_verify(args) -> int:
         ok = ok and passed
         summary_rows.append((suite, len(srows), fails, rate, passed))
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write("suite,records,failures,pass_rate,passed\n")
-            for suite, cnt, fails, rate, passed in summary_rows:
-                fh.write(f"{suite},{cnt},{fails},{rate:.6f},{passed}\n")
-    _emit(
-        {
-            "command": "verify",
-            "seed": seed,
-            "trials": args.trials,
-            "workers": workers,
-            "suites": {
-                suite: {"records": cnt, "failures": fails, "pass_rate": rate, "passed": passed}
-                for suite, cnt, fails, rate, passed in summary_rows
-            },
-            "passed": ok,
+        _write(args.csv, "suite,records,failures,pass_rate,passed",
+               *(f"{suite},{cnt},{fails},{rate:.6f},{passed}"
+                 for suite, cnt, fails, rate, passed in summary_rows))
+    summary = {
+        "command": "verify",
+        "seed": seed,
+        "trials": args.trials,
+        "workers": workers,
+        "suites": {
+            suite: {"records": cnt, "failures": fails, "pass_rate": rate, "passed": passed}
+            for suite, cnt, fails, rate, passed in summary_rows
         },
-        started,
-    )
-    return 0 if ok else 1
+        "passed": ok,
+    }
+    return summary, ok
 
 
 # ---------------------------------------------------------------------------
@@ -509,90 +510,63 @@ MAX_POOL_HELP = (
 )
 
 
-def _common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer or 'random'")
-    p.add_argument("--out", default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dtdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    gen, learn, estimate, lift, verify = (
+        sub.add_parser(name, help=text)
+        for name, text in (("gen", "generate a random instance"),
+                           ("learn-dist", "fit a tree distribution"),
+                           ("estimate-influence", "one influence estimate"),
+                           ("lift", "end-to-end lifted learning"),
+                           ("verify", "randomized check suites")))
+    for p, eps, delta, oracle in ((learn, None, 0.1, "exact"), (estimate, 0.05, 0.05, "subcube"),
+                                  (lift, None, 0.1, "exact")):
+        p.add_argument("--dist", required=True)
+        p.add_argument("--eps", type=float, required=eps is None, default=eps)
+        p.add_argument("--delta", type=float, default=delta)
+        p.add_argument("--oracle", choices=sorted(KIND_MODES), default=oracle)
+    for p in (gen, learn, lift):
+        p.add_argument("--depth", type=int, required=True)
+    for p in (learn, lift):
+        p.add_argument("--tau", type=float, default=None)
+        p.add_argument("--max-pool", type=int, default=None, help=MAX_POOL_HELP)
+        p.add_argument("--infest-reps", type=int, default=None)
 
-    p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--monotone", action="store_true")
-    p.add_argument("--target", default=None, help="e.g. depth:2, junta:1, signdeg:2")
-    _common(p)
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("learn-dist", help="fit a tree distribution")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--oracle", choices=sorted(KIND_MODES), default="exact")
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--accuracy", type=float, default=None)
-    p.add_argument("--max-pool", type=int, default=None, help=MAX_POOL_HELP)
-    p.add_argument("--infest-reps", type=int, default=None)
-    _common(p)
-    p.set_defaults(func=cmd_learn_dist)
-
-    p = sub.add_parser("estimate-influence", help="one influence estimate")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--coord", type=int, required=True)
-    p.add_argument("--restrict", default="", help="e.g. '0=+1,3=-1'")
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--oracle", choices=sorted(KIND_MODES), default="subcube")
-    _common(p)
-    p.set_defaults(func=cmd_estimate_influence)
-
-    p = sub.add_parser("lift", help="end-to-end lifted learning")
-    p.add_argument("--dist", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--learner", required=True, help="tree:K or lowdeg:K")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--oracle", choices=sorted(KIND_MODES), default="exact")
-    p.add_argument("--dist-eps", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--max-pool", type=int, default=None, help=MAX_POOL_HELP)
-    p.add_argument("--infest-reps", type=int, default=None)
-    _common(p)
-    p.set_defaults(func=cmd_lift)
-
-    p = sub.add_parser("verify", help="randomized check suites")
-    p.add_argument("--suite", choices=sorted(_SUITES) + ["all"], default="all")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes, at most the cores and the trials per suite")
-    p.add_argument("--csv", default=None)
-    _common(p)
-    p.set_defaults(func=cmd_verify)
+    gen.add_argument("--n", type=int, required=True)
+    gen.add_argument("--monotone", action="store_true")
+    gen.add_argument("--target", default=None, help="e.g. depth:2, junta:1, signdeg:2")
+    learn.add_argument("--accuracy", type=float, default=None)
+    estimate.add_argument("--coord", type=int, required=True)
+    estimate.add_argument("--restrict", default="", help="e.g. '0=+1,3=-1'")
+    lift.add_argument("--target", required=True)
+    lift.add_argument("--learner", required=True, help="tree:K or lowdeg:K")
+    lift.add_argument("--dist-eps", type=float, default=None)
+    verify.add_argument("--suite", choices=sorted(_SUITES) + ["all"], default="all")
+    verify.add_argument("--trials", type=int, default=20)
+    verify.add_argument("--workers", type=int, default=None,
+                        help="worker processes, at most the cores and the trials per suite")
+    verify.add_argument("--csv", default=None)
+    for p, func in ((gen, cmd_gen), (learn, cmd_learn_dist), (estimate, cmd_estimate_influence),
+                    (lift, cmd_lift), (verify, cmd_verify)):
+        p.set_defaults(func=func)
+        p.add_argument("--seed", default=str(DEFAULT_SEED), help="integer or 'random'")
+        if p is not estimate:  # the one command that writes no artifact
+            p.add_argument("--out", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        OracleModeError,
-        ZeroWeightSubcubeError,
-        RejectionCapExceededError,
-        BudgetExceededError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        summary, passed = args.func(args)
     except DtdistError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(_EXIT_CODES[c] for c in type(exc).__mro__ if c in _EXIT_CODES)
+    summary["elapsed_s"] = time.time() - started
+    print(json_dumps(summary))
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -251,6 +251,30 @@ class Internal:
 Node = Union[Internal, Leaf]
 
 
+def _node_to_json(node: Node, key: str, leaf) -> dict:
+    """JSON form of the tree below node: {key: leaf(l)} for each Leaf l,
+    called in preorder, and {"var", "lo", "hi"} for each Internal."""
+    if isinstance(node, Leaf):
+        return {key: leaf(node)}
+    return {"var": int(node.var), "lo": _node_to_json(node.lo, key, leaf),
+            "hi": _node_to_json(node.hi, key, leaf)}
+
+
+def _node_from_json(d: dict, key: str, leaf) -> Node:
+    """Inverts _node_to_json: leaf(d[key]) builds the node of each dict
+    that holds key, called in preorder."""
+    if key in d:
+        return leaf(d[key])
+    return Internal(d["var"], _node_from_json(d["lo"], key, leaf),
+                    _node_from_json(d["hi"], key, leaf))
+
+
+def _density_leaf(v) -> Leaf:
+    if type(v) not in (int, float):
+        raise InvalidTreeError(f"leaf density {v!r} is not a number")
+    return Leaf(float(v))
+
+
 def _nonneg_int(value, what: str, error) -> int:
     """value as an int; raises error for a bool, a non-integer or a negative."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
@@ -443,23 +467,11 @@ class DistTree:
     # -- serialization ------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        def conv(node):
-            if isinstance(node, Leaf):
-                return {"leaf": float(node.density)}
-            return {"var": int(node.var), "lo": conv(node.lo), "hi": conv(node.hi)}
-
-        return {"n": self.n, "root": conv(self.root)}
+        return {"n": self.n, "root": _node_to_json(self.root, "leaf", lambda x: float(x.density))}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "DistTree":
-        def conv(d):
-            if "leaf" in d:
-                if type(d["leaf"]) not in (int, float):
-                    raise InvalidTreeError(f"leaf density {d['leaf']!r} is not a number")
-                return Leaf(float(d["leaf"]))
-            return Internal(d["var"], conv(d["lo"]), conv(d["hi"]))
-
-        return cls(obj["n"], conv(obj["root"]))
+        return cls(obj["n"], _node_from_json(obj["root"], "leaf", _density_leaf))
 
     def __eq__(self, other):
         return (
@@ -606,17 +618,17 @@ def dense_to_tree(d: DensePmf) -> DistTree:
     constant.  Reproduces the pmf exactly; the resulting depth is an exact
     cover, not necessarily the minimum decision-tree depth.
     """
+    return DistTree(d.n, _dense_node(d, EMPTY))
 
-    def build(s):
-        sub = slice_cube(d.table, s)
-        if not sub.max() - sub.min() <= 0.0:
-            for i in s.free_coords(d.n):
-                lo, hi = (Restriction(s.pairs + ((i, b),)) for b in (-1, 1))
-                if not np.array_equal(slice_cube(d.table, lo), slice_cube(d.table, hi)):
-                    return Internal(i, build(lo), build(hi))
-        return Leaf(float(sub.flat[0]))
 
-    return DistTree(d.n, build(EMPTY))
+def _dense_node(d: DensePmf, s: Restriction) -> Node:
+    sub = slice_cube(d.table, s)
+    if not sub.max() - sub.min() <= 0.0:
+        for i in s.free_coords(d.n):
+            lo, hi = (Restriction(s.pairs + ((i, b),)) for b in (-1, 1))
+            if not np.array_equal(slice_cube(d.table, lo), slice_cube(d.table, hi)):
+                return Internal(i, _dense_node(d, lo), _dense_node(d, hi))
+    return Leaf(float(sub.flat[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Exception hierarchy.
 
-The CLI maps these onto process exit codes: ConfigError -> 2, the oracle
-and budget errors -> 3, check failures -> 1.
+The CLI maps these onto process exit codes through one table,
+dtdist.cli._EXIT_CODES: ConfigError -> 2, the oracle and budget errors
+(OracleModeError, ZeroWeightSubcubeError, RejectionCapExceededError,
+BudgetExceededError) -> 3, any other error -> 1.
 """
 
 

@@ -24,9 +24,10 @@ from .core import (
     DensePmf,
     DistOracle,
     DistTree,
-    Internal,
     Leaf,
     _count,
+    _node_from_json,
+    _node_to_json,
     _nonneg_int,
     _random_bits,
     all_points,
@@ -211,13 +212,8 @@ class TreeRoutedHypothesis(Hypothesis):
 
     def to_json_dict(self):
         hyps = iter(self.leaf_hyps)
-
-        def conv(node):
-            if hasattr(node, "density"):
-                return {"hyp": next(hyps).to_json_dict()}
-            return {"var": node.var, "lo": conv(node.lo), "hi": conv(node.hi)}
-
-        return {"kind": "tree-routed", "n": self.tree.n, "root": conv(self.tree.root)}
+        root = _node_to_json(self.tree.root, "hyp", lambda _: next(hyps).to_json_dict())
+        return {"kind": "tree-routed", "n": self.tree.n, "root": root}
 
 
 def _binary(labels) -> bool:
@@ -257,13 +253,11 @@ def hypothesis_from_json(obj: dict) -> Hypothesis:
 
         # a routing skeleton: uniform leaves are a valid pmf on any full
         # tree, since the leaf masses 2^(n-depth) * 2^-n sum to exactly 1
-        def conv(d):
-            if "hyp" in d:
-                hyps.append(hypothesis_from_json(d["hyp"]))
-                return Leaf(2.0 ** -n)
-            return Internal(d["var"], conv(d["lo"]), conv(d["hi"]))
+        def leaf(h):
+            hyps.append(hypothesis_from_json(h))
+            return Leaf(2.0 ** -n)
 
-        return TreeRoutedHypothesis(DistTree(n, conv(obj["root"])), hyps)
+        return TreeRoutedHypothesis(DistTree(n, _node_from_json(obj["root"], "hyp", leaf)), hyps)
     raise ConfigError(f"unknown hypothesis kind {kind!r}")
 
 

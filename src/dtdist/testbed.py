@@ -74,24 +74,39 @@ def _random_topology(n: int, d: int, rng: np.random.Generator):
     """Tree shape of depth exactly d: nodes split on fresh uniform
     coordinates and turn into leaves early with probability EARLY_LEAF;
     shapes are redrawn until one reaches depth d."""
-
-    def build(depth, avail):
-        if depth == d or (depth > 0 and rng.random() < EARLY_LEAF):
-            return ("leaf",)
-        var = int(avail[rng.integers(len(avail))])
-        rest = [v for v in avail if v != var]
-        return ("node", var, build(depth + 1, rest), build(depth + 1, rest))
-
-    def shape_depth(shape):
-        if shape[0] == "leaf":
-            return 0
-        return 1 + max(shape_depth(shape[2]), shape_depth(shape[3]))
-
     for _ in range(1000):
-        shape = build(0, list(range(n)))
-        if shape_depth(shape) == d:
+        shape = _random_shape(d, 0, list(range(n)), rng)
+        if _shape_depth(shape) == d:
             return shape
     raise BudgetExceededError(f"could not draw a depth-{d} topology")
+
+
+def _random_shape(d: int, depth: int, avail: list, rng: np.random.Generator):
+    """("leaf",) or ("node", var, lo, hi), drawn in preorder, lo first."""
+    if depth == d or (depth > 0 and rng.random() < EARLY_LEAF):
+        return ("leaf",)
+    var = int(avail[rng.integers(len(avail))])
+    rest = [v for v in avail if v != var]
+    return ("node", var, _random_shape(d, depth + 1, rest, rng),
+            _random_shape(d, depth + 1, rest, rng))
+
+
+def _shape_depth(shape) -> int:
+    if shape[0] == "leaf":
+        return 0
+    return 1 + max(_shape_depth(shape[2]), _shape_depth(shape[3]))
+
+
+def _shape_leaves(shape) -> int:
+    return 1 if shape[0] == "leaf" else _shape_leaves(shape[2]) + _shape_leaves(shape[3])
+
+
+def _shape_tree(shape, leaf, depth: int = 0):
+    """The tree of a shape, with leaf(depth) the Leaf at each leaf, called in preorder."""
+    if shape[0] == "leaf":
+        return leaf(depth)
+    return Internal(shape[1], _shape_tree(shape[2], leaf, depth + 1),
+                    _shape_tree(shape[3], leaf, depth + 1))
 
 
 def gen_dt_dist(n: int, d: int, seed: int) -> Instance:
@@ -101,19 +116,9 @@ def gen_dt_dist(n: int, d: int, seed: int) -> Instance:
     check_depth(d, n)
     rng = stream(seed, "gen-dt", n, d)
     shape = _random_topology(n, d, rng) if d > 0 else ("leaf",)
-
-    def leaves(sh):
-        return 1 if sh[0] == "leaf" else leaves(sh[2]) + leaves(sh[3])
-
-    masses = rng.dirichlet(np.ones(leaves(shape)))
+    masses = rng.dirichlet(np.ones(_shape_leaves(shape)))
     it = iter(masses / masses.sum())
-
-    def build(sh, depth):
-        if sh[0] == "leaf":
-            return Leaf(float(next(it)) / 2.0 ** (n - depth))
-        return Internal(sh[1], build(sh[2], depth + 1), build(sh[3], depth + 1))
-
-    tree = DistTree(n, build(shape, 0))
+    tree = DistTree(n, _shape_tree(shape, lambda depth: Leaf(float(next(it)) / 2.0 ** (n - depth))))
     dense = tree_to_dense(tree)
     return Instance(
         tree=tree,
@@ -135,13 +140,7 @@ def gen_monotone_dist(n: int, d: int, seed: int) -> Instance:
     J = sorted(int(v) for v in rng.choice(n, size=d, replace=False))
     c = float(rng.uniform(1.5, 3.0))
     z = (1.0 + c) ** d
-
-    def build(pos, plus):
-        if pos == d:
-            return Leaf(c ** plus / z / 2.0 ** (n - d))
-        return Internal(J[pos], build(pos + 1, plus), build(pos + 1, plus + 1))
-
-    tree = DistTree(n, build(0, 0))
+    tree = DistTree(n, _product_node(J, 0, lambda plus: Leaf(c ** plus / z / 2.0 ** (n - d))))
     dense = tree_to_dense(tree)
     assert is_monotone_dense(dense), "constructive family must be monotone"
     return Instance(
@@ -152,6 +151,14 @@ def gen_monotone_dist(n: int, d: int, seed: int) -> Instance:
         monotone=True,
         params={"n": n, "d": d, "J": J, "c": c},
     )
+
+
+def _product_node(J: list, pos: int, leaf, plus: int = 0):
+    """The complete tree over J[pos:], with leaf(plus) the Leaf below plus hi branches."""
+    if pos == len(J):
+        return leaf(plus)
+    return Internal(J[pos], _product_node(J, pos + 1, leaf, plus),
+                    _product_node(J, pos + 1, leaf, plus + 1))
 
 
 def parse_target(n: int, descriptor: str) -> tuple:
@@ -182,17 +189,7 @@ def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
     pts = all_points(n)
     if name == "depth":
         shape = _random_topology(n, k, rng) if k > 0 else ("leaf",)
-
-        def evaluate(sh, X):
-            if sh[0] == "leaf":
-                return np.full(X.shape[0], rng.integers(2), dtype=np.uint8)
-            out = np.empty(X.shape[0], dtype=np.uint8)
-            sel = X[:, sh[1]] > 0
-            out[sel] = evaluate(sh[3], X[sel])
-            out[~sel] = evaluate(sh[2], X[~sel])
-            return out
-
-        return evaluate(shape, pts)
+        return _shape_labels(shape, pts, rng)
     if name == "junta":
         coords = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
         for _ in range(1000):
@@ -217,6 +214,18 @@ def gen_target(n: int, descriptor: str, seed: int) -> np.ndarray:
                 chis.append((i, chis[-1][1] * cols[i] if chis else cols[i]))
             acc += np.multiply(chis[-1][1], coef, dtype=np.float64) if t else coef
     return (acc < 0.0).astype(np.uint8)
+
+
+def _shape_labels(shape, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A label per row of X from the shape's leaf its row reaches, each
+    leaf's label drawn when the walk gets there, hi branch first."""
+    if shape[0] == "leaf":
+        return np.full(X.shape[0], rng.integers(2), dtype=np.uint8)
+    out = np.empty(X.shape[0], dtype=np.uint8)
+    sel = X[:, shape[1]] > 0
+    out[sel] = _shape_labels(shape[3], X[sel], rng)
+    out[~sel] = _shape_labels(shape[2], X[~sel], rng)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import E2_TABLE
-from dtdist import DensePmf, lift, load_json, save_json
+from dtdist import DensePmf, cli, errors, lift, load_json, save_json
 from dtdist.cli import main
 from dtdist.lift import make_exhaustive_tree_learner
 
@@ -727,6 +727,63 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+def test_estimate_influence_takes_no_out(e2_file):
+    # it writes no artifact, so an --out is a usage error, not ignored
+    code, err = run_door(["estimate-influence", "--dist", e2_file, "--coord", "0",
+                          "--out", "ignored.json"])
+    assert code == 2 and "unrecognized arguments: --out" in err
+
+
+# the exit code of each error class, as the README documents it
+_EXIT_CODES = {
+    errors.DtdistError: 1,
+    errors.DimensionMismatchError: 1,
+    errors.InvalidTreeError: 1,
+    errors.InvalidPmfError: 1,
+    errors.DegenerateEstimateError: 1,
+    errors.ConfigError: 2,
+    errors.OracleModeError: 3,
+    errors.ZeroWeightSubcubeError: 3,
+    errors.RejectionCapExceededError: 3,
+    errors.BudgetExceededError: 3,
+}
+
+
+def test_exit_code_table_lists_every_error_class():
+    assert set(_EXIT_CODES) == {errors.DtdistError, *errors.DtdistError.__subclasses__()}
+
+
+@pytest.mark.parametrize("error", list(_EXIT_CODES), ids=lambda e: e.__name__)
+def test_exit_code_of_each_error_class(monkeypatch, capsys, error):
+    def raising(args):
+        raise error("raised by the command")
+
+    monkeypatch.setattr(cli, "cmd_gen", raising)
+    code = main(["gen", "--n", "2", "--depth", "1"])
+    captured = capsys.readouterr()
+    assert code == _EXIT_CODES[error]
+    assert captured.out == "" and captured.err == "error: raised by the command\n"
+
+
+@pytest.mark.parametrize("bad", ["under a missing directory", "a directory"])
+@pytest.mark.parametrize("site", ["gen --out", "learn-dist --out", "lift --out",
+                                  "verify --out", "verify --csv"])
+def test_unwritable_artifact_path_exits_two(n4_files, tmp_path, capsys, site, bad):
+    # each once ran to the end and then raised FileNotFoundError or
+    # IsADirectoryError from the write, with a traceback and exit 1
+    command, flag = site.split()
+    argv = {"gen": ["gen", "--n", "3", "--depth", "1", "--target", "depth:1"],
+            "verify": ["verify", "--suite", "core", "--trials", "1", "--workers", "1"],
+            }.get(command) or _count_argv(command, n4_files)
+    path = tmp_path / "missing" / "a" if bad == "under a missing directory" else tmp_path / "a"
+    if bad == "a directory":  # gen writes PATH.tree.json first
+        Path(str(path) + (".tree.json" if command == "gen" else "")).mkdir()
+    code = main(argv + [flag, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from dtdist import (
     all_points,
     boost,
     count_depth_trees,
+    dense_to_tree,
     derive_seed,
     dist_error,
     end_to_end,
@@ -1046,7 +1047,24 @@ def test_end_to_end_depth0_degenerates_to_plain_learning():
     assert dist_error(result.hypothesis, target, dense) == 0.0
 
 
-@pytest.mark.parametrize("run", ["learn-exact", "learn-monotone", "learn-subcube", "lift"])
+# tree walks, each once a closure that called itself: its cell held the
+# closure, and with it the generator or iterator it read, until the
+# collector ran
+_TREE_WALKS = {
+    "gen_dt_dist": lambda inst: gen_dt_dist(6, 2, 3),
+    "gen_monotone_dist": lambda inst: gen_monotone_dist(6, 2, 3),
+    "gen_target": lambda inst: gen_target(6, "depth:2", 3),
+    "dense_to_tree": lambda inst: dense_to_tree(inst.dense),
+    "hypothesis_from_json": lambda inst: hypothesis_from_json(TreeRoutedHypothesis(
+        DistTree(1, Internal(0, Leaf(0.5), Leaf(0.5))),
+        [ConstantHypothesis(0), ConstantHypothesis(1)]).to_json_dict()),
+    "DistTree.to_json_dict": lambda inst: inst.tree.to_json_dict(),
+    "DistTree.from_json_dict": lambda inst: DistTree.from_json_dict(inst.tree.to_json_dict()),
+}
+
+
+@pytest.mark.parametrize("run", ["learn-exact", "learn-monotone", "learn-subcube", "lift",
+                                 *_TREE_WALKS])
 def test_a_warm_run_leaves_no_garbage_cycle(run):
     # a search's memo and difference rows, the tree's flattened arrays and
     # the lift's parts are freed by reference counts alone: a closure that
@@ -1056,6 +1074,9 @@ def test_a_warm_run_leaves_no_garbage_cycle(run):
     target = gen_target(6, "depth:2", seed=5)
 
     def once():
+        if run in _TREE_WALKS:
+            _TREE_WALKS[run](inst)
+            return
         if run == "lift":  # as `dtdist lift` runs: tree-backed oracles
             tree = DistTree(6, inst.tree.root)
             labels = DistOracle(tree, OracleMode.SAMPLE, 2)
