@@ -35,12 +35,10 @@ from .core import (
     load_json,
     points_to_indices,
     restrict_dist,
-    save_json,
     subcube_weight,
     tree_to_dense,
     tv_distance,
     uniform_dense,
-    uniform_tree,
     weighting_table,
 )
 from .influence import (

@@ -141,8 +141,21 @@ class _Search:
     The recursion carries a restriction as its (mask, bits) ints and its
     pairs in path order, and keys the memo on (mask, bits) alone: every
     restriction in one search extends the start one, so its length fixes
-    the remaining budget.  A Restriction is built only on a memo miss,
-    unchecked, since each child fixes one free coordinate of its parent.
+    the remaining budget.
+
+    An exact search derives its influences itself.  A node passes its
+    kernel rows down as (coords, rows, buffer): the free coordinates whose
+    difference row is nonzero, by increasing coordinate, and their rows in
+    buffer (see exact_influence_all).  The child that fixes coordinate i
+    to bit b gathers every such row but i's, cut to its half where i is b:
+    the floats of its own kernel rows, in the same y order, each summed
+    pairwise as one contiguous run, so its influences are bit-identical to
+    the kernel's.  Every other influence of the child is 0.0, below the
+    cut tau > 0, so the candidate loop skips it; a leaf puts it back in
+    place before it sums its influences.  A node without its parent's
+    rows, the start or a child of rows that spanned several chunks, reads
+    estimate_all, as a sampled search does at every node.  A Restriction
+    is built only for that read and for a leaf.
 
     An exact leaf mass is a pure read of the table, so an exact search
     memoizes a leaf as its Restriction, pending, and resolve reads the
@@ -168,36 +181,73 @@ class _Search:
         # weighting value 2^|s| * w, stored as a density by dividing by 2^n
         return w / 2.0 ** (self.n - len(s))
 
-    def build(self, mask: int, bits: int, pairs: tuple, budget: int):
+    def derive(self, mask: int, bits: int, i: int, up: tuple):
+        """(coords, influences, rows to pass down) of the restriction
+        (mask, bits), whose parent fixes all of it but i and passed down
+        `up`: the nonzero influences alone, by increasing coordinate."""
+        coords, rows, buf = up
+        k = coords.index(i)
+        coords, src = coords[:k] + coords[k + 1:], rows[:k] + rows[k + 1:]
+        # the parent's m free coordinates, i the t-th (mask's bits below i are
+        # the parent's); sizes explicit, as an m = 1 parent's child is empty
+        m = self.n + 1 - mask.bit_count()
+        t = i - (mask & (1 << i) - 1).bit_count()
+        half = buf.reshape(-1, 1 << (m - t - 1), 2, 1 << t)[src, :, bits >> i & 1]
+        half = half.reshape(len(src), 1 << (m - 1))
+        scale = 2.0 ** (self.n - m)
+        live, vals, kept = [], [], []
+        for j, (c, v) in enumerate(zip(coords, np.add.reduce(half, axis=1).tolist())):
+            if v:
+                live.append(c)
+                vals.append(v * scale)
+                kept.append(j)
+        return live, vals, (live, kept, half)
+
+    def build(self, mask: int, bits: int, pairs: tuple, budget: int, rows=None):
+        """(node, objective) of the restriction (mask, bits), its pairs in
+        path order, with budget splits left; rows are those its parent
+        passed down (see derive), None for a read through estimate_all."""
         stats = self.stats
         stats.recursive_calls += 1
         if stats.recursive_calls > self.guard:
-            raise BudgetExceededError(
-                f"tree search exceeded {self.guard:.3g} recursive calls"
-            )
+            raise BudgetExceededError(f"tree search exceeded {self.guard:.3g} recursive calls")
         hit = self.memo.get((mask, bits))
         if hit is not None:
             return hit
-        s = Restriction._of(pairs, mask, bits)
-        coords, vals, _ = self.i_oracle.estimate_all(s)
-        stats.influence_queries += len(coords)
+        if rows is None:
+            s, got = Restriction._of(pairs, mask, bits), []
+            coords, vals, _ = self.i_oracle.estimate_all(s, rows=got)
+            vals, rows = vals.tolist(), got[0] if got else None
+        else:
+            coords, vals, rows = self.derive(mask, bits, pairs[-1][0], rows)
+        m = self.n - mask.bit_count()
+        stats.influence_queries += m
         best = None
         if budget > 0:
             # ascending order + strictly lower objective = smallest index wins
             # ties; a float list compares faster than a numpy mask is built
             cut = self.cut
-            for i, v in zip(coords, vals.tolist()):
+            for i, v in zip(coords, vals):
                 if not v >= cut:
                     continue
                 bit = 1 << i
-                lo, lo_obj = self.build(mask | bit, bits, pairs + ((i, -1),), budget - 1)
-                hi, hi_obj = self.build(mask | bit, bits | bit, pairs + ((i, 1),), budget - 1)
+                lo, lo_obj = self.build(mask | bit, bits, pairs + ((i, -1),), budget - 1, rows)
+                hi, hi_obj = self.build(mask | bit, bits | bit, pairs + ((i, 1),), budget - 1,
+                                        rows)
                 obj_i = 0.5 * (lo_obj + hi_obj)
                 if best is None or obj_i < best[1]:
                     best = (Internal(i, lo, hi), obj_i)
         if best is None:
             stats.leaf_estimates += 1
-            best = (s if self.pending else Leaf(self.leaf_density(s)), float(vals.sum()))
+            if len(vals) < m:
+                # the zeros in place, as in the kernel's array: the pairwise
+                # sum's order depends on where they are
+                full = [0.0] * m
+                for c, v in zip(coords, vals):
+                    full[c - (mask & (1 << c) - 1).bit_count()] = v
+                vals = full
+            s = Restriction._of(pairs, mask, bits)
+            best = (s if self.pending else Leaf(self.leaf_density(s)), float(np.array(vals).sum()))
         self.memo[mask, bits] = best
         return best
 

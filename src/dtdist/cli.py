@@ -6,7 +6,8 @@ verify (randomized check suites).  Each cmd_* function returns (summary,
 passed) and neither prints nor opens a file: main times it, appends
 elapsed_s to the summary, prints it as one JSON line and exits 0 if it
 passed, 1 if not.  Artifacts (--out, --csv) are written through _write,
-which reports a path it cannot write as a ConfigError.  An error exits
+which reports a path it cannot write as a ConfigError; main has it check
+every artifact path before the command runs.  An error exits
 with the code _EXIT_CODES gives its class: 2 configuration error, 3
 oracle/budget error, 1 any other error; it prints one "error:" line on
 stderr and nothing on stdout.  learn-dist, estimate-influence and lift
@@ -141,16 +142,26 @@ def _parse_restriction(text: str, n: int) -> Restriction:
     return s
 
 
-def _write(path: str, *lines: str) -> None:
+def _write(path: str, *lines: str, mode: str = "w") -> None:
     """Writes each line and a newline to path; raises ConfigError if the
-    path cannot be written."""
+    path cannot be written.  Mode "a" with no lines only checks that."""
     try:
-        with open(path, "w") as fh:
+        with open(path, mode) as fh:
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _artifacts(args) -> list:
+    """The paths the command writes: gen's PATH.tree.json, PATH.dense.json
+    and, with --target, PATH.target.json, else --out and verify's --csv."""
+    out = getattr(args, "out", None)
+    if args.command == "gen":
+        kinds = ("tree", "dense", "target") if args.target else ("tree", "dense")
+        return [f"{out}.{kind}.json" for kind in kinds] if out else []
+    return [path for path in (out, getattr(args, "csv", None)) if path]
 
 
 def _open(args):
@@ -186,13 +197,11 @@ def cmd_gen(args) -> tuple:
         inst = gen_dt_dist(args.n, args.depth, seed)
     if args.target:
         parse_target(args.n, args.target)  # checked whether or not --out asks for the table
-    files = {}
-    if args.out:
-        files = {"tree": args.out + ".tree.json", "dense": args.out + ".dense.json"}
+    files = dict(zip(("tree", "dense", "target"), _artifacts(args)))
+    if files:
         _write(files["tree"], json_dumps(inst.tree.to_json_dict()))
         _write(files["dense"], json_dumps(inst.dense.to_json_dict()))
         if args.target:
-            files["target"] = args.out + ".target.json"
             table = gen_target(args.n, args.target, derive_seed(seed, "target"))
             _write(files["target"], json_dumps({"n": args.n, "table": [int(v) for v in table]}))
     summary = {
@@ -560,6 +569,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.time()
     try:
+        for path in _artifacts(args):
+            # _write's error for a path it cannot write, raised before the
+            # work: an append truncates nothing, and a file made here goes
+            made = not os.path.lexists(path)
+            _write(path, mode="a")
+            if made:
+                os.remove(path)
         summary, passed = args.func(args)
     except DtdistError as exc:
         print(f"error: {exc}", file=sys.stderr)

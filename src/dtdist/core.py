@@ -481,10 +481,6 @@ class DistTree:
         )
 
 
-def uniform_tree(n: int) -> DistTree:
-    return DistTree(n, Leaf(2.0 ** -n))
-
-
 # ---------------------------------------------------------------------------
 # dense pmfs
 
@@ -989,12 +985,6 @@ def json_dumps(obj) -> str:
         raise TypeError(f"cannot serialize {type(v)}")
 
     return emit(obj)
-
-
-def save_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(json_dumps(obj))
-        fh.write("\n")
 
 
 def load_json(path):

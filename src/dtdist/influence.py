@@ -82,27 +82,6 @@ def _checked(n: int, s: Restriction, coords: Sequence[int]) -> list:
 _CHUNK_CELLS = 1 << 16
 
 
-def _derived_rows(d: DensePmf, s: Restriction, level: int, rows: list):
-    """(free, buffer, pos) of s, at length `level`, from its parent's kept
-    rows (see exact_influence_all), pos[j] the child's free position of
-    buffer row j; None when rows holds no parent of s one level up."""
-    got = rows[level - 1] if 0 < level <= len(rows) else None
-    if got is None:
-        return None
-    mask, bits, free, live, buf = got
-    i = (s.mask & ~mask).bit_length() - 1
-    if mask & ~s.mask or s.bits & mask != bits or i >= d.n:
-        return None
-    # the child's y is the parent's with bit t, the position of i among the
-    # parent's free coordinates, taken out: each nonzero row but t, cut to its
-    # half where bit t is b (sizes explicit: an m = 1 parent's child is empty)
-    m, t = len(free), free.index(i)
-    src = [j for p, j in live if p != t]
-    half = buf.reshape(-1, 1 << (m - t - 1), 2, 1 << t)[src, :, s.bits >> i & 1]
-    pos = [p - (p > t) for p, _ in live if p != t]
-    return free[:t] + free[t + 1:], half.reshape(len(src), 1 << (m - 1)), pos
-
-
 def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[list] = None):
     """(free coords, their influences) of the restricted weighting (f_D)_s.
 
@@ -113,62 +92,39 @@ def exact_influence_all(d: DensePmf, s: Restriction = EMPTY, *, rows: Optional[l
 
     The subcube is read once as a flat vector q, its points by increasing
     index, so flipping free position p pairs q[y] with q[y ^ 2^p].  Row p
-    of a difference buffer holds |q[y] - q[y ^ 2^p]| in y order, written
-    from two strided views of q; the rows go in chunks of at most
-    _CHUNK_CELLS floats (one row when 2^m is larger), and each chunk takes
-    one in-place abs and one row sum.  Transient memory is at most
-    2^m + _CHUNK_CELLS floats, one row when 2^m is larger.  Each row is
-    summed pairwise as one contiguous run, the order a sum over the
-    flipped copy of the cube uses, so the values are bit-identical to it.
+    of a difference buffer holds |q[y] - q[y ^ 2^p]| in y order; the rows
+    go in chunks of at most _CHUNK_CELLS floats (one row when 2^m is
+    larger), and each chunk takes one in-place abs and one row sum.
+    Transient memory is at most 2^m + _CHUNK_CELLS floats, one row when
+    2^m is larger.  Each row is summed pairwise as one contiguous run, the
+    order a sum over the flipped copy of the cube uses, so the values are
+    bit-identical to it.
 
-    `rows` is an optional cache owned by one caller over one d, a list
-    indexed by restriction length: rows[len(s)] = (s.mask, s.bits, free,
-    live, buffer) for the last single-chunk subcube computed at that
-    length (None after one whose m rows span several chunks), where live
-    pairs each free position p whose row is nonzero with its buffer row,
-    by increasing p.  Entries are >= 0, so a zero sum means an all-zero
-    row, whose halves are zero too: the restricted pmf ignores that
-    coordinate, here and at every descendant.
-    When rows[len(s) - 1] belongs to a parent of s, that is s less one
-    fixed coordinate i, the subcube is not read: with t the position of i
-    among the parent's free coordinates and b its bit in s, the child's
-    buffer is one gather of the parent's nonzero rows but row t, each cut
-    to its half where bit t of y is b; every other influence is 0.0.
-    Those rows hold the same floats in the same y order as the child's
-    own kernel rows, each summed pairwise as one contiguous run, so the
-    values are bit-identical to the kernel's.  A call keeps its buffer at
-    its own length and drops every deeper one, so rows holds at most one
-    buffer per length, each at most half the size of the one above.  A
-    miss, or a subcube that spans several chunks, runs the kernel.
+    `rows` is an out-parameter of the exact tree search, which derives
+    each child's influences from its parent's rows (see builddt._Search).
+    When it is a list, the call appends (coords, their rows, buffer) for a
+    subcube whose m rows fit one chunk: the free coordinates whose row is
+    nonzero, by increasing coordinate, and the buffer rows that hold
+    them.  It appends None for a subcube whose rows span several chunks.
+    Entries are >= 0, so a zero sum means an all-zero row, whose halves
+    are zero too: the restricted pmf ignores that coordinate, here and at
+    every descendant.
     """
-    level = len(s)
-    got = None if rows is None else _derived_rows(d, s, level, rows)
-    if got is None:
-        free, buf, vals = _kernel(d, s)
-        live = [(p, p) for p, v in enumerate(vals.tolist()) if v]
-        vals *= 2.0 ** (d.n - len(free) - 1)
-    else:
-        # one pass over the gathered rows' sums: scale each nonzero one into
-        # place (a float product, as numpy's) and keep its row
-        free, buf, pos = got
-        scale = 2.0 ** (d.n - len(free) - 1)
-        out, live = [0.0] * len(free), []
-        for j, (p, v) in enumerate(zip(pos, np.add.reduce(buf, axis=1).tolist())):
-            if v:
-                out[p] = v * scale
-                live.append((p, j))
-        vals = np.array(out)
+    free, buf, vals = _kernel(d, s)
     if rows is not None:
-        del rows[level:]
-        rows += [None] * (level - len(rows))
-        rows.append(None if buf is None else (s.mask, s.bits, free, live, buf))
+        live = [p for p, v in enumerate(vals.tolist()) if v]
+        rows.append(None if buf is None else ([free[p] for p in live], live, buf))
+    vals *= 2.0 ** (d.n - len(free) - 1)
     return free, vals
 
 
 def _kernel(d: DensePmf, s: Restriction):
     """(free, the |difference| rows when all m fit one chunk, else None,
-    row sums): the fill exact_influence_all describes.  The search reads a
-    returned buffer to derive its children's rows."""
+    row sums): the fill exact_influence_all describes.  A row p >= 2
+    subtracts the reversed pairs of 2^p-runs of q.  Rows 0 and 1 would
+    run that over 1- and 2-float runs, so they subtract one strided
+    column pair per offset k < 2^p instead and copy the difference to the
+    partner column: |a - b| == |b - a| once the abs runs."""
     q, free = slice_cube(d.table, s).reshape(-1), s.free_coords(d.n)
     m = len(free)
     vals = np.empty(m, dtype=np.float64)
@@ -177,8 +133,13 @@ def _kernel(d: DensePmf, s: Restriction):
     for lo in range(0, m, rows):
         block = buf[: min(rows, m - lo)]
         for row, p in zip(block, range(lo, m)):
-            a = q.reshape(-1, 2, 1 << p)
-            np.subtract(a, a[:, ::-1], out=row.reshape(a.shape))
+            a, out = q.reshape(-1, 2, 1 << p), row.reshape(-1, 2, 1 << p)
+            if p >= 2:
+                np.subtract(a, a[:, ::-1], out=out)
+                continue
+            for k in range(1 << p):
+                np.subtract(a[:, 0, k], a[:, 1, k], out=out[:, 0, k])
+                out[:, 1, k] = out[:, 0, k]
         np.abs(block, out=block)
         vals[lo : lo + len(block)] = block.sum(axis=1)
     return free, buf[:m] if m * q.size <= _CHUNK_CELLS else None, vals
@@ -346,10 +307,10 @@ class InfluenceOracle:
     growth as one batch, which the tally then reads CHUNK_ROWS rows at a
     time.
 
-    The exact kind keeps the kernel's difference rows, one buffer per
-    restriction length with the positions of its nonzero rows, so a
-    depth-first search reads each child's influences from its parent's
-    nonzero rows (exact_influence_all, `rows`).
+    The exact kind keeps no state between queries: each estimate_all
+    runs the kernel.  The tree search reads the kernel's difference rows
+    through estimate_all's `rows` and derives the influences below from
+    them itself (see builddt._Search).
     """
 
     # rows drawn and turned into indices at a time when the pool grows (see
@@ -392,9 +353,6 @@ class InfluenceOracle:
         self._counts = np.empty(0, dtype=np.int64)
         self._points = np.empty((0, source.n), dtype=np.int8)
         self._dense = source.dense() if kind == KIND_EXACT else None
-        # the exact kernel's kept difference rows, one buffer per restriction
-        # length (see exact_influence_all)
-        self._rows: Optional[list] = [] if kind == KIND_EXACT else None
 
     # -- pooled plain samples ------------------------------------------------
 
@@ -443,18 +401,21 @@ class InfluenceOracle:
 
     # -- queries ---------------------------------------------------------------
 
-    def estimate_all(self, s: Restriction = EMPTY, coords: Optional[Sequence[int]] = None):
+    def estimate_all(self, s: Restriction = EMPTY, coords: Optional[Sequence[int]] = None,
+                     *, rows: Optional[list] = None):
         """Restricted-scale influence estimates for each free coordinate.
 
         Returns (coords, values, samples_used_per_query).  Raises
         DimensionMismatchError for a coordinate of s or of coords outside
-        [0, n) and ValueError for one of coords that s fixes.
+        [0, n) and ValueError for one of coords that s fixes.  `rows` is
+        the exact kind's out-parameter for the tree search (see
+        exact_influence_all); the sample kinds leave it as it is.
         """
         a, dq = self.accuracy, self.confidence
         if coords is not None:
             coords = _checked(self.source.n, s, coords)
         if self.kind == KIND_EXACT:
-            free, vals = exact_influence_all(self._dense, s, rows=self._rows)
+            free, vals = exact_influence_all(self._dense, s, rows=rows)
             if coords is None:
                 coords = free
             elif coords != free:

@@ -305,32 +305,29 @@ def brute_optimal_tree(dense: DensePmf, d: int, tau: float):
     2^-n (1 + 0.2 x_i) at tau = 0.2 the search reads 0.19999999999999996
     and keeps a leaf, this splits).
     """
-    n = dense.n
-    table = weighting_table(dense)
-    memo: dict = {}
+    return _brute_best(weighting_table(dense), dense.n, tau, {}, {}, d)
 
-    def best(fixed: dict, depth: int):
-        key = (tuple(sorted(fixed.items())), depth)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        obj = naive_total_influence(table, n, fixed)
-        tree = ("leaf",)
-        if depth > 0:
-            for i in range(n):
-                if i in fixed:
-                    continue
-                if _naive_restricted_influence(table, n, i, fixed) < tau:
-                    continue
-                olo, tlo = best({**fixed, i: -1}, depth - 1)
-                ohi, thi = best({**fixed, i: 1}, depth - 1)
-                cand = 0.5 * (olo + ohi)
-                if cand < obj:
-                    obj, tree = cand, ("node", i, tlo, thi)
-        memo[key] = (obj, tree)
-        return obj, tree
 
-    return best({}, d)
+def _brute_best(table: np.ndarray, n: int, tau: float, memo: dict, fixed: dict, depth: int):
+    """brute_optimal_tree's recursion below the restriction `fixed`, with
+    depth splits left, memoized in memo."""
+    key = (tuple(sorted(fixed.items())), depth)
+    got = memo.get(key)
+    if got is not None:
+        return got
+    obj = naive_total_influence(table, n, fixed)
+    tree = ("leaf",)
+    if depth > 0:
+        for i in range(n):
+            if i in fixed or _naive_restricted_influence(table, n, i, fixed) < tau:
+                continue
+            olo, tlo = _brute_best(table, n, tau, memo, {**fixed, i: -1}, depth - 1)
+            ohi, thi = _brute_best(table, n, tau, memo, {**fixed, i: 1}, depth - 1)
+            cand = 0.5 * (olo + ohi)
+            if cand < obj:
+                obj, tree = cand, ("node", i, tlo, thi)
+    memo[key] = (obj, tree)
+    return obj, tree
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ EXPORTS = [
     "learn_distribution_result", "lift", "lift_learn_result", "load_json",
     "low_degree_learn", "make_exhaustive_tree_learner", "make_labeled_source",
     "make_low_degree_learner", "naive_total_influence", "points_to_indices",
-    "required_sample_size", "restrict_dist", "save_json", "split_and_rerandomize",
+    "required_sample_size", "restrict_dist", "split_and_rerandomize",
     "stream", "subcube_weight", "testbed", "tree_to_dense", "tv_distance",
-    "uniform_dense", "uniform_tree", "weighting_table",
+    "uniform_dense", "weighting_table",
 ]
 
 
@@ -97,7 +97,7 @@ def test_restriction_attributes():
 
 
 def test_dist_tree_attributes():
-    assert _public(dtdist.uniform_tree(2)) == [
+    assert _public(dtdist.DistTree(2, dtdist.Leaf(0.25))) == [
         "conditional_masses", "depth", "eval_batch", "from_json_dict",
         "leaf_index_batch", "leaves", "n", "root", "to_json_dict",
     ]

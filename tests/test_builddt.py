@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -380,6 +381,52 @@ def assert_same_search(make_io, s, params):
 def test_search_matches_restriction_keyed_reference(case):
     d, s, params = case
     assert_same_search(lambda: exact_io(d), s, params)
+
+
+@settings(max_examples=100, deadline=None)
+@given(search_cases(), st.integers(1, 160))
+def test_search_over_rows_of_several_chunks_matches_reference(case, chunk):
+    # a chunk of fewer cells than a subcube's m x 2^m rows keeps none of
+    # them, so each child of that subcube runs the kernel, and the children
+    # of a child whose rows fit derive from it again
+    d, s, params = case
+    with mock.patch.object(influence, "_CHUNK_CELLS", chunk):
+        assert_same_search(lambda: exact_io(d), s, params)
+
+
+@st.composite
+def pmfs_reading_some_coordinates(draw):
+    """A pmf on n in 10..12 coordinates whose table reads only some of
+    them: the influences of the others are 0.0 at every restriction."""
+    n = draw(st.integers(10, 12))
+    read = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2, max_size=n - 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = np.arange(1 << n)
+    table = rng.random(1 << len(read))[sum((idx >> c & 1) << j for j, c in enumerate(read))]
+    return DensePmf(n, table / table.sum())
+
+
+@settings(max_examples=30, deadline=None)
+@given(pmfs_reading_some_coordinates(), st.integers(1, 2))
+def test_leaf_objective_sums_its_zero_influences_in_place(d, depth):
+    # a leaf of m >= 8 free coordinates sums its influences pairwise in
+    # blocks of eight, so the sum's bits depend on where its zeros are: the
+    # search's leaves, which derive the nonzero ones alone, put them back
+    assert_same_search(lambda: exact_io(d), Restriction.empty(), exact_params(depth, 0.5, 1e-3))
+
+
+def test_children_of_rows_of_several_chunks_run_the_kernel():
+    # at n=6 the root's 6 x 64 cells pass a 200-cell chunk and each child's
+    # 5 x 32 fit it: the root and each distinct child of depth one run the
+    # kernel, and every deeper subcube derives from its parent's rows
+    inst = gen_dt_dist(6, 3, seed=4)
+    search = exact_search(inst.dense, exact_params(3, 0.1))
+    with mock.patch.object(influence, "_CHUNK_CELLS", 200), \
+            mock.patch.object(influence, "_kernel", wraps=influence._kernel) as kernel:
+        search.build(0, 0, (), 3)
+    depth_one = sum(mask.bit_count() == 1 for mask, _ in search.memo)
+    assert depth_one > 0 and kernel.call_count == 1 + depth_one
+    assert any(mask.bit_count() > 1 for mask, _ in search.memo)
 
 
 def test_exact_search_reads_only_the_returned_leaves_masses(monkeypatch):

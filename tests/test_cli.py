@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import E2_TABLE
-from dtdist import DensePmf, cli, errors, lift, load_json, save_json
+from dtdist import DensePmf, cli, errors, json_dumps, lift, load_json
 from dtdist.cli import main
 from dtdist.lift import make_exhaustive_tree_learner
 
@@ -48,7 +48,7 @@ def strip_elapsed(line: str) -> str:
 @pytest.fixture
 def e2_file(tmp_path):
     path = tmp_path / "e2.json"
-    save_json(str(path), DensePmf(2, E2_TABLE).to_json_dict())
+    path.write_text(json_dumps(DensePmf(2, E2_TABLE).to_json_dict()) + "\n")
     return str(path)
 
 
@@ -480,7 +480,7 @@ def test_exit_code_unreadable_inputs(e2_file, tmp_path, capsys):
     with open(garbled, "w") as fh:
         fh.write("{not json")
     no_n = str(tmp_path / "no_n.json")
-    save_json(no_n, {"table": [0.5, 0.5]})
+    Path(no_n).write_text(json_dumps({"table": [0.5, 0.5]}) + "\n")
     for path in (missing, garbled, no_n):
         code, out = run(capsys, ["learn-dist", "--dist", path, "--depth", "1",
                                  "--eps", "0.2"])
@@ -494,19 +494,19 @@ def test_exit_code_unreadable_inputs(e2_file, tmp_path, capsys):
 def test_exit_code_invalid_distribution(e2_file, tmp_path, capsys):
     # files that parse but fail validation are bad input, not a failed check
     short_sum = str(tmp_path / "sum09.json")
-    save_json(short_sum, {"n": 1, "table": [0.5, 0.4]})
+    Path(short_sum).write_text(json_dumps({"n": 1, "table": [0.5, 0.4]}) + "\n")
     code, out = run(capsys, ["learn-dist", "--dist", short_sum, "--depth", "1",
                              "--eps", "0.2"])
     assert code == 2 and out == ""
     negative = str(tmp_path / "negative.json")
-    save_json(negative, {"n": 2, "root": {"var": 0, "lo": {"leaf": -0.25},
-                                          "hi": {"leaf": 0.75}}})
+    Path(negative).write_text(json_dumps({"n": 2, "root": {"var": 0, "lo": {"leaf": -0.25},
+                                                           "hi": {"leaf": 0.75}}}) + "\n")
     code, out = run(capsys, ["lift", "--dist", negative, "--target", e2_file,
                              "--learner", "tree:1", "--depth", "1",
                              "--eps", "0.2"])
     assert code == 2 and out == ""
     wrong_length = str(tmp_path / "wrong_length.json")
-    save_json(wrong_length, {"n": 2, "table": [0.5, 0.5]})
+    Path(wrong_length).write_text(json_dumps({"n": 2, "table": [0.5, 0.5]}) + "\n")
     code, out = run(capsys, ["estimate-influence", "--dist", wrong_length,
                              "--coord", "0"])
     assert code == 2 and out == ""
@@ -530,10 +530,10 @@ def test_exit_code_invalid_distribution(e2_file, tmp_path, capsys):
             assert code == 2 and out == "", (name, oracle)
     # target labels other than the integers 0 and 1; 0.5 was once cast to 0
     fair_coin = str(tmp_path / "coin.json")
-    save_json(fair_coin, {"n": 1, "table": [0.5, 0.5]})
+    Path(fair_coin).write_text(json_dumps({"n": 1, "table": [0.5, 0.5]}) + "\n")
     for labels in ([2, 0], ["a", 0], [0.5, 1]):
         target = str(tmp_path / "target.json")
-        save_json(target, {"n": 1, "table": labels})
+        Path(target).write_text(json_dumps({"n": 1, "table": labels}) + "\n")
         code, out = run(capsys, ["lift", "--dist", fair_coin, "--target", target,
                                  "--learner", "tree:1", "--depth", "1",
                                  "--eps", "0.2"])
@@ -554,7 +554,7 @@ def test_exit_code_invalid_distribution(e2_file, tmp_path, capsys):
 def test_exit_code_non_integer_n_or_var(tmp_path, capsys, obj, field):
     # true and 1.5 once loaded as n=1, and n=-1 reported a negative shift
     path = str(tmp_path / "dist.json")
-    save_json(path, obj)
+    Path(path).write_text(json_dumps(obj) + "\n")
     code = main(["learn-dist", "--dist", path, "--depth", "1", "--eps", "0.2"])
     got = capsys.readouterr()
     assert code == 2 and got.out == ""
@@ -586,8 +586,8 @@ def test_exit_code_learner_order_out_of_range(tmp_path, capsys, learner):
 def test_exit_code_tree_learner_above_n16(tmp_path, capsys):
     n = 17
     dist, target = str(tmp_path / "u.json"), str(tmp_path / "t.json")
-    save_json(dist, {"n": n, "root": {"leaf": 2.0 ** -n}})
-    save_json(target, {"n": n, "table": [0] * (1 << n)})
+    Path(dist).write_text(json_dumps({"n": n, "root": {"leaf": 2.0 ** -n}}) + "\n")
+    Path(target).write_text(json_dumps({"n": n, "table": [0] * (1 << n)}) + "\n")
     code = main(["lift", "--dist", dist, "--target", target, "--learner", "tree:1",
                  "--depth", "1", "--eps", "0.3"])
     captured = capsys.readouterr()
@@ -667,7 +667,7 @@ def test_exit_code_bad_seed(e2_file, tmp_path, capsys, command, seed):
     # a seed neither an integer nor 'random' once escaped as a ValueError
     # traceback with exit 1
     target = str(tmp_path / "target.json")
-    save_json(target, {"n": 2, "table": [0, 1, 1, 0]})
+    Path(target).write_text(json_dumps({"n": 2, "table": [0, 1, 1, 0]}) + "\n")
     argv = {
         "gen": ["gen", "--n", "3", "--depth", "1"],
         "learn-dist": ["learn-dist", "--dist", e2_file, "--depth", "1", "--eps", "0.3"],
@@ -701,7 +701,7 @@ def test_exit_code_nonpositive_max_pool(e2_file, capsys):
 ])
 def test_exit_code_nonpositive_accuracy(e2_file, tmp_path, capsys, argv):
     target = str(tmp_path / "target.json")
-    save_json(target, {"n": 2, "table": [0, 1, 1, 0]})
+    Path(target).write_text(json_dumps({"n": 2, "table": [0, 1, 1, 0]}) + "\n")
     common = ["--dist", e2_file, "--depth", "1", "--eps", "0.2"]
     if argv[0] == "lift":
         common += ["--target", target, "--learner", "tree:1"]
@@ -715,7 +715,7 @@ def test_exit_code_oracle_budget(tmp_path, capsys):
     table = np.zeros(8)
     table[[1, 3, 5, 7]] = [0.5, 0.25, 0.125, 0.125]
     path = str(tmp_path / "gapped.json")
-    save_json(path, DensePmf(3, table).to_json_dict())
+    Path(path).write_text(json_dumps(DensePmf(3, table).to_json_dict()) + "\n")
     code, out = run(capsys, ["estimate-influence", "--dist", path,
                              "--coord", "1", "--restrict", "0=-1",
                              "--oracle", "subcube", "--seed", "5"])
@@ -784,6 +784,37 @@ def test_unwritable_artifact_path_exits_two(n4_files, tmp_path, capsys, site, ba
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
+
+# the call that does each command's work
+_WORK = {"gen": "gen_dt_dist", "learn-dist": "learn_distribution_result", "lift": "end_to_end",
+         "verify": "_run_trial"}
+
+
+@pytest.mark.parametrize("site", ["gen --out", "learn-dist --out", "lift --out",
+                                  "verify --out", "verify --csv"])
+def test_unwritable_artifact_path_exits_before_the_work(n4_files, tmp_path, monkeypatch, site):
+    # main checks every artifact path before the command runs: verify with
+    # a --csv under a missing directory once ran every trial, then exited 2
+    command, flag = site.split()
+    argv = {"gen": ["gen", "--n", "3", "--depth", "1"],
+            "verify": ["verify", "--suite", "core", "--trials", "1", "--workers", "1"],
+            }.get(command) or _count_argv(command, n4_files)
+    calls = []
+    monkeypatch.setattr(cli, _WORK[command], lambda *a, **k: calls.append(a))
+    assert main(argv + [flag, str(tmp_path / "missing" / "c.csv")]) == 2
+    assert calls == []
+
+
+def test_artifact_path_check_leaves_files_as_they_were(n4_files, tmp_path):
+    # the check opens a path without truncating it and removes a file it
+    # made, so a run that then fails leaves nothing behind
+    kept = tmp_path / "kept.json"
+    kept.write_text("old\n")
+    for out in (kept, tmp_path / "new.json"):
+        argv = _count_argv("learn-dist", n4_files) + ["--eps", "2", "--out", str(out)]
+        assert main(argv) == 2
+    assert kept.read_text() == "old\n" and not (tmp_path / "new.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -871,8 +902,8 @@ def run_door(argv):
 def _door_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("doors")
     good, target = str(root / "good.json"), str(root / "target.json")
-    save_json(good, DensePmf(2, E2_TABLE).to_json_dict())
-    save_json(target, {"n": 2, "table": [0, 1, 1, 0]})
+    Path(good).write_text(json_dumps(DensePmf(2, E2_TABLE).to_json_dict()) + "\n")
+    Path(target).write_text(json_dumps({"n": 2, "table": [0, 1, 1, 0]}) + "\n")
     return root, good, target
 
 

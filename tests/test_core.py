@@ -39,13 +39,11 @@ from dtdist import (
     load_json,
     points_to_indices,
     restrict_dist,
-    save_json,
     stream,
     subcube_weight,
     tree_to_dense,
     tv_distance,
     uniform_dense,
-    uniform_tree,
     weighting_table,
 )
 
@@ -267,7 +265,7 @@ def test_restriction_entry_points_reject_coordinate_past_n(entry):
 
 
 def test_uniform_tree_eval():
-    t = uniform_tree(5)
+    t = DistTree(5, Leaf(2.0 ** -5))
     assert t.depth() == 0
     assert t.eval_batch(all_points(5)[:3]) == pytest.approx([2.0 ** -5] * 3, abs=ATOL)
 
@@ -542,7 +540,7 @@ def test_tree_to_dense_equals_routed_densities(case):
 
 
 def test_tree_to_dense_at_n0():
-    assert tree_to_dense(uniform_tree(0)).table.tolist() == [1.0]
+    assert tree_to_dense(DistTree(0, Leaf(1.0))).table.tolist() == [1.0]
 
 
 def test_tree_dense_conversions(e2_tree, e2_dense):
@@ -613,17 +611,17 @@ def test_count_past_int64_feeds_a_cap_unchanged():
 
 def test_tree_json_roundtrip(e2_tree, tmp_path):
     p = tmp_path / "t.json"
-    save_json(p, e2_tree.to_json_dict())
+    p.write_text(json_dumps(e2_tree.to_json_dict()) + "\n")
     assert DistTree.from_json_dict(load_json(p)) == e2_tree
     # byte-identical re-serialization
     text = p.read_text()
-    save_json(p, DistTree.from_json_dict(load_json(p)).to_json_dict())
+    p.write_text(json_dumps(DistTree.from_json_dict(load_json(p)).to_json_dict()) + "\n")
     assert p.read_text() == text
 
 
 def test_dense_json_roundtrip(e2_dense, tmp_path):
     p = tmp_path / "d.json"
-    save_json(p, e2_dense.to_json_dict())
+    p.write_text(json_dumps(e2_dense.to_json_dict()) + "\n")
     got = DensePmf.from_json_dict(load_json(p))
     assert np.array_equal(got.table, e2_dense.table)
 
@@ -744,7 +742,7 @@ def test_point_mass_tree_sampling():
 
 
 def test_uniform_tree_sampling_marginals():
-    o = DistOracle.sampler(uniform_tree(6), seed=2)
+    o = DistOracle.sampler(DistTree(6, Leaf(2.0 ** -6)), seed=2)
     X = o.sample_batch(100_000)
     assert np.abs(X.mean(axis=0)).max() <= 0.02
 

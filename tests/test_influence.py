@@ -13,6 +13,7 @@ import oracles as O
 from conftest import E2_EXPECTED
 from dtdist import influence
 from dtdist import (
+    BuildParams,
     ConfigError,
     DensePmf,
     DimensionMismatchError,
@@ -45,6 +46,7 @@ from dtdist import (
     subcube_weight,
     uniform_dense,
 )
+from dtdist.builddt import _Search
 from dtdist.core import slice_cube
 from dtdist.testbed import gen_dt_dist, gen_target
 
@@ -292,14 +294,36 @@ def _criterion_one():
 
 @pytest.mark.parametrize("search", [_criterion_one, _lift_stage_one], ids=["criterion1", "lift"])
 def test_exact_search_runs_kernel_once(search):
-    # at n <= 12 the root's rows fit one chunk, and every deeper subcube the
-    # depth-first search asks for derives its rows from its parent's
+    # at n <= 12 the root's rows fit one chunk, and the search derives every
+    # deeper subcube's influences from its parent's rows: the root's read is
+    # the one through exact_influence_all
     with mock.patch.object(influence, "_kernel", wraps=influence._kernel) as kernel, \
             mock.patch.object(influence, "exact_influence_all",
                               wraps=influence.exact_influence_all) as reads:
         search()
     assert kernel.call_count == 1
-    assert reads.call_count > 1
+    assert reads.call_count == 1
+
+
+def _search(d):
+    """An exact search over d, for its derive step."""
+    io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
+    return _Search(io, BuildParams(0, 0.5, eps=0.5, delta=0.5, leaf_sample_count=1))
+
+
+def _kernel_rows(d, s):
+    """(influences, rows passed down) of s, read through the kernel."""
+    got = []
+    _, vals = exact_influence_all(d, s, rows=got)
+    return vals, got[0]
+
+
+def _placed(d, s, coords, vals):
+    """A derived read as the kernel's array: the zeros in place."""
+    free = s.free_coords(d.n)
+    full = np.zeros(len(free))
+    full[[free.index(c) for c in coords]] = vals
+    return full
 
 
 @st.composite
@@ -352,55 +376,61 @@ def _is_parent(key, s):
 @settings(max_examples=120, deadline=None)
 @given(exact_walks())
 def test_exact_engine_derives_children_bit_equal(case):
-    # every query on one engine equals a cache-free kernel call and the
-    # flipped-copy loop bit for bit; the kernel runs only where the engine
-    # holds no parent one level up, and the engine keeps one buffer per
-    # restriction length, none deeper than the last query
+    # a walk of reads: a step one coordinate down from a node whose rows are
+    # held, on a coordinate of nonzero influence as the search's candidates
+    # are, derives the child from them; any other step reads through the
+    # kernel.  Every read equals a cache-free kernel call and the
+    # flipped-copy loop bit for bit, and so does estimate_all on any list
+    # of coordinates
     d, steps = case
-    io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
-    held = []  # by restriction length: the (mask, bits) the engine should hold
+    search = _search(d)
+    held = []  # by restriction length: the (mask, bits, rows) of the walk's path
     with mock.patch.object(influence, "_kernel", wraps=influence._kernel) as kernel:
         for pairs, shuffle in steps:
             s = Restriction.of(*pairs)
             free = s.free_coords(d.n)
-            coords = None
-            if shuffle is not None:
-                coords = list(free)
-                shuffle.shuffle(coords)
-            calls = kernel.call_count
-            got_coords, vals, _ = io.estimate_all(s, coords)
             parent = held[len(s) - 1] if 0 < len(s) <= len(held) else None
-            assert kernel.call_count - calls == (parent is None or not _is_parent(parent, s))
+            derived = False
+            if parent is not None and parent[2] is not None and _is_parent(parent[:2], s):
+                i = (s.mask ^ parent[0]).bit_length() - 1
+                derived = i in parent[2][0]
+            calls = kernel.call_count
+            if derived:
+                coords, vals, rows = search.derive(s.mask, s.bits, i, parent[2])
+                got = _placed(d, s, coords, vals)
+            else:
+                got, rows = _kernel_rows(d, s)
+            assert kernel.call_count - calls == (not derived)
             del held[len(s):]
-            held += [None] * (len(s) - len(held)) + [(s.mask, s.bits)]
+            held += [None] * (len(s) - len(held)) + [(s.mask, s.bits, rows)]
             want_free, want = exact_influence_all(d, s)
             ref_free, ref = flipped_copy_influences(d, s)
             assert want_free == ref_free == free
             assert np.array_equal(want, ref)
-            if coords is not None:
+            assert got.tobytes() == ref.tobytes()
+            _assert_kept_rows_nonzero(d, s, rows, ref)
+            coords = None
+            if shuffle is not None:
+                coords = list(free)
+                shuffle.shuffle(coords)
                 want = want[[free.index(i) for i in coords]]
+            got_coords, vals, _ = search.i_oracle.estimate_all(s, coords)
             assert got_coords == (free if coords is None else coords)
             assert np.array_equal(vals, want)
-            rows = io._rows
-            assert [v and v[:2] for v in rows] == held
-            bufs = [v[4] for v in rows if v is not None]
-            assert len({id(b if b.base is None else b.base) for b in bufs}) <= len(bufs)
-            _assert_kept_rows_nonzero(io, s, ref)
 
 
-def _assert_kept_rows_nonzero(io, s, vals):
-    # live pairs each free position whose row is nonzero with its buffer
-    # row: the kept entry of s names exactly the positions of its nonzero
-    # influences, and no named row of any kept entry sums to 0.0
-    entry = io._rows[len(s)]
-    if entry is not None:
-        assert [p for p, _ in entry[3]] == np.flatnonzero(vals).tolist()
-    for entry in io._rows:
-        if entry is not None:
-            _, _, free, live, buf = entry
-            assert buf.shape[1] == 1 << len(free)
-            assert len({j for _, j in live}) == len(live) <= buf.shape[0]
-            assert all(np.add.reduce(buf[j]) > 0.0 for _, j in live)
+def _assert_kept_rows_nonzero(d, s, rows, vals):
+    # the rows s passes down name exactly the coordinates of its nonzero
+    # influences, by increasing coordinate, each with its own buffer row of
+    # 2^m cells, which sums above 0.0
+    if rows is None:
+        return
+    coords, kept, buf = rows
+    free = s.free_coords(d.n)
+    assert coords == [free[p] for p in np.flatnonzero(vals)]
+    assert buf.shape[1] == 1 << len(free)
+    assert len(set(kept)) == len(kept) <= buf.shape[0]
+    assert all(np.add.reduce(buf[j]) > 0.0 for j in kept)
 
 
 @st.composite
@@ -421,28 +451,30 @@ def sparse_tables(draw):
 @settings(max_examples=40, deadline=None)
 @given(sparse_tables())
 def test_exact_engine_sparse_rows_on_a_depth_first_walk(case):
-    # a depth-first walk to length 4, both signs of two free coordinates at
-    # each node: every query equals the flipped-copy loop bit for bit, the
-    # kernel runs only at the root, and no kept row sums to 0.0
+    # a depth-first walk to length 4 as the search makes it: both signs of
+    # up to two coordinates of nonzero influence at each node, each child
+    # derived from its parent's rows.  Every read equals the flipped-copy
+    # loop bit for bit, the kernel runs only at the root, and no row passed
+    # down sums to 0.0
     d, kind, rng = case
-    io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
+    search = _search(d)
 
-    def walk(pairs):
-        s = Restriction.of(*pairs)
-        free, vals, _ = io.estimate_all(s)
-        want_free, want = flipped_copy_influences(d, s)
-        assert free == want_free and vals.tobytes() == want.tobytes()
-        _assert_kept_rows_nonzero(io, s, vals)
-        if not pairs and kind != "tree":
-            # the uniform table's rows are all zero, a Dirichlet table's none
-            assert len(io._rows[0][3]) == (0 if kind == "uniform" else d.n)
-        if len(pairs) < 4:
-            for i in rng.permutation(free)[:2].tolist():
+    def walk(s, coords, vals, rows):
+        want = flipped_copy_influences(d, s)[1]
+        assert _placed(d, s, coords, vals).tobytes() == want.tobytes()
+        _assert_kept_rows_nonzero(d, s, rows, want)
+        if len(s) < 4:
+            for i in rng.permutation(rows[0])[:2].tolist():
                 for b in (-1, 1):
-                    walk(pairs + [(i, b)])
+                    child = Restriction.of(*s.pairs, (i, b))
+                    walk(child, *search.derive(child.mask, child.bits, i, rows))
 
     with mock.patch.object(influence, "_kernel", wraps=influence._kernel) as kernel:
-        walk([])
+        vals, rows = _kernel_rows(d, Restriction.empty())
+        if kind != "tree":
+            # the uniform table's rows are all zero, a Dirichlet table's none
+            assert len(rows[0]) == (0 if kind == "uniform" else d.n)
+        walk(Restriction.empty(), list(range(d.n)), vals.tolist(), rows)
     assert kernel.call_count == 1
 
 
@@ -451,16 +483,17 @@ def test_exact_engine_child_halves_at_either_end():
     # (t = 0), the highest to a contiguous one (t = m - 1); both come from
     # the parent's nonzero rows
     d = random_dense(12, 8)
+    search = _search(d)
+    _, rows = _kernel_rows(d, Restriction.empty())
     for i in (0, 11, 5):
-        io = InfluenceOracle(KIND_EXACT, DistOracle.exact(d, seed=1), 0.01, 0.01)
-        io.estimate_all()
         for b in (-1, 1):
             s = Restriction.of((i, b))
             with mock.patch.object(influence, "_kernel") as kernel:
-                coords, vals, _ = io.estimate_all(s)
+                coords, vals, down = search.derive(s.mask, s.bits, i, rows)
             assert not kernel.called
-            assert np.array_equal(vals, flipped_copy_influences(d, s)[1])
-            _assert_kept_rows_nonzero(io, s, vals)
+            want = flipped_copy_influences(d, s)[1]
+            assert np.array_equal(_placed(d, s, coords, vals), want)
+            _assert_kept_rows_nonzero(d, s, down, want)
 
 
 def test_exact_search_memory_bound():

@@ -64,10 +64,9 @@ from dtdist import (
     stream,
     tree_to_dense,
     uniform_dense,
-    uniform_tree,
 )
 from dtdist import lift
-from dtdist.testbed import gen_dt_dist, gen_monotone_dist, gen_target
+from dtdist.testbed import brute_optimal_tree, gen_dt_dist, gen_monotone_dist, gen_target
 
 
 def uniform_points(n, k, rng):
@@ -310,7 +309,7 @@ def test_required_sample_size_matches_oracle_grid():
 
 
 def test_split_single_leaf_untouched():
-    t = uniform_tree(5)
+    t = DistTree(5, Leaf(2.0 ** -5))
     rng = stream(3, "split")
     X = uniform_points(5, 200, rng)
     y = (X[:, 0] > 0).astype(np.uint8)
@@ -498,7 +497,7 @@ def test_split_index_width_limit():
 
 
 def test_split_dimension_mismatch():
-    t = uniform_tree(3)
+    t = DistTree(3, Leaf(2.0 ** -3))
     sample = LabeledSample(np.ones((4, 2), dtype=np.int8), np.zeros(4, dtype=np.uint8))
     with pytest.raises(DimensionMismatchError):
         split_and_rerandomize(t, sample, stream(0, "x"))
@@ -1054,6 +1053,7 @@ _TREE_WALKS = {
     "gen_dt_dist": lambda inst: gen_dt_dist(6, 2, 3),
     "gen_monotone_dist": lambda inst: gen_monotone_dist(6, 2, 3),
     "gen_target": lambda inst: gen_target(6, "depth:2", 3),
+    "brute_optimal_tree": lambda inst: brute_optimal_tree(inst.dense, 2, 0.01),
     "dense_to_tree": lambda inst: dense_to_tree(inst.dense),
     "hypothesis_from_json": lambda inst: hypothesis_from_json(TreeRoutedHypothesis(
         DistTree(1, Internal(0, Leaf(0.5), Leaf(0.5))),

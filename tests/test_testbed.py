@@ -25,7 +25,6 @@ from dtdist import (
     stream,
     tree_to_dense,
     uniform_dense,
-    uniform_tree,
     weighting_table,
 )
 from dtdist.lift import LabeledSample, all_points
@@ -311,7 +310,7 @@ def test_check_names_and_kinds(e2_dense, e2_tree):
 
 def test_check_e2_frozen_margins(e2_dense, e2_tree):
     inst = make_instance(e2_tree, e2_dense)
-    uni = make_instance(uniform_tree(2), uniform_dense(2), kind="uniform")
+    uni = make_instance(DistTree(2, Leaf(2.0 ** -2)), uniform_dense(2), kind="uniform")
     byname = {r.name: r for r in check_inequalities(inst, other=uni)}
     assert all(r.passed for r in byname.values())
     es = byname["efron-stein"]
@@ -331,7 +330,7 @@ def test_check_e2_frozen_margins(e2_dense, e2_tree):
 
 
 def test_check_uniform_self_trivial():
-    uni = make_instance(uniform_tree(3), uniform_dense(3), kind="uniform")
+    uni = make_instance(DistTree(3, Leaf(2.0 ** -3)), uniform_dense(3), kind="uniform")
     byname = {r.name: r for r in check_inequalities(uni, other=uni)}
     assert all(r.passed for r in byname.values())
     assert byname["efron-stein"].lhs == pytest.approx(0.0, abs=ATOL)
